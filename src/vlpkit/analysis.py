@@ -8,7 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import DispersionSummary, min_enclosing_circle
+from .calibration import DispersionSummary, dispersion_summary
+# Unused here, but the benchmark tracer wraps vlpkit.analysis.min_enclosing_circle.
+from .calibration import min_enclosing_circle  # noqa: F401
 from .errors import EmptyInput, LengthMismatch
 from .positioning import PositionFix
 
@@ -86,14 +88,7 @@ def error_stats(
     dispersion = None
     truths = [tuple(float(c) for c in t) for t in ground_truths]
     if all(t == truths[0] for t in truths):
-        xs = [fix.position[0] for fix in fixes]
-        ys = [fix.position[1] for fix in fixes]
-        center, radius = min_enclosing_circle(zip(xs, ys))
-        offset = (
-            float(np.mean(np.asarray(xs))) - truths[0][0],
-            float(np.mean(np.asarray(ys))) - truths[0][1],
-        )
-        dispersion = DispersionSummary(offset, center, radius, n)
+        dispersion = dispersion_summary(fixes, truths[0])
 
     return ErrorReport(
         per_trial_errors=tuple(planar),

@@ -131,11 +131,8 @@ def calibrate_dispersion(
     for fix in fix_list:
         if fix.diagnostics is None:
             raise MissingDiagnostics("dispersion calibration needs fix height diagnostics")
-    gx, gy = float(ground_truth[0]), float(ground_truth[1])
-    xs = [fix.position[0] for fix in fix_list]
-    ys = [fix.position[1] for fix in fix_list]
-    dx = fmean(xs) - gx
-    dy = fmean(ys) - gy
+    summary = dispersion_summary(fix_list, ground_truth)
+    dx, dy = summary.mean_offset
     if mode == "physical":
         mean_height = fmean(fix.diagnostics.height_cm for fix in fix_list)
         # cm over cm cancels; mm focal length over mm-per-px pitch leaves px.
@@ -145,9 +142,16 @@ def calibrate_dispersion(
         du = dx / k.pitch_i
         dv = dy / k.pitch_j
     u1, v1 = k.corrected_principal_point
-    center, radius = min_enclosing_circle(zip(xs, ys))
-    summary = DispersionSummary((dx, dy), center, radius, len(fix_list))
     return k.with_principal_point(u1 - du, v1 - dv), summary
+
+
+def dispersion_summary(fixes: Sequence[PositionFix], ground_truth: Sequence[float]) -> DispersionSummary:
+    """Mean x-y offset of the fixes from the ground truth, and their smallest enclosing circle."""
+    xs = [fix.position[0] for fix in fixes]
+    ys = [fix.position[1] for fix in fixes]
+    center, radius = min_enclosing_circle(zip(xs, ys))
+    offset = (fmean(xs) - float(ground_truth[0]), fmean(ys) - float(ground_truth[1]))
+    return DispersionSummary(offset, center, radius, len(xs))
 
 
 def min_enclosing_circle(points: Iterable) -> tuple[tuple[float, float], float]:

@@ -16,6 +16,8 @@ from .calibration import calibrate_dispersion, calibrate_rotation
 from .errors import VlpError
 from .io import (
     fmt,
+    format_circle_fit,
+    format_dispersion,
     read_detections_csv,
     read_fixes_csv,
     read_ground_truth_csv,
@@ -23,11 +25,13 @@ from .io import (
     read_tracks_csv,
     report_summary_lines,
     scene_to_dict,
+    write_comparisons_csv,
     write_detections_csv,
     write_error_report,
     write_fixes_csv,
     write_ground_truth_csv,
     write_scene,
+    write_summary_csv,
     write_tracks_csv,
 )
 from .positioning import Detection, LedBeacon, Method, PositionFix, locate_two, trilaterate_three, widest_pair
@@ -36,6 +40,7 @@ from .simulator import (
     CameraPose,
     NoiseModel,
     SceneConfig,
+    TrialRecord,
     default_grid,
     default_scene,
     derive_seed,
@@ -51,8 +56,7 @@ ROTATION_STREAM = 90_000
 DISPERSION_STREAM = 90_001
 REPLICATE_PRINCIPAL_POINT_OFFSET = (6.3, -4.1)
 REPLICATE_NOISE = NoiseModel(pixel_sigma=0.5, quantize=True)
-
-CALIBRATION_NAMES = ("uncalibrated", "rotation", "dispersion")
+COMPARISONS = (("uncalibrated", "rotation"), ("uncalibrated", "dispersion"), ("rotation", "dispersion"))
 
 
 def _scene_hash(scene: SceneConfig) -> str:
@@ -94,6 +98,16 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
         raise VlpError(f"{flag} expects numbers, got {text!r}") from err
 
 
+def _scene(args: argparse.Namespace, default: SceneConfig) -> SceneConfig:
+    """The --scene file, or default, with --seed overriding its seed."""
+    scene = read_scene(args.scene) if args.scene else default
+    return scene if args.seed is None else replace(scene, seed=args.seed)
+
+
+def _groups(records: Sequence[TrialRecord]) -> list[tuple[int, int, list[Detection]]]:
+    return [(rec.point_index, rec.trial_index, list(rec.detections)) for rec in records]
+
+
 def compute_fix(
     detections: Sequence[Detection],
     beacons: Sequence[LedBeacon],
@@ -133,9 +147,7 @@ def _locate_rows(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scene = read_scene(args.scene) if args.scene else default_scene()
-    if args.seed is not None:
-        scene = replace(scene, seed=args.seed)
+    scene = _scene(args, default_scene())
     if args.at:
         grid = [_parse_triple(args.at, "--at")]
     else:
@@ -174,11 +186,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             raise VlpError("rotation calibration needs --tracks")
         tracks = read_tracks_csv(args.tracks)
         intrinsics, fits = calibrate_rotation(tracks, scene.intrinsics)
-        for track_id, fit in sorted(fits.items()):
-            report_lines.append(
-                f"track {track_id}: center=({fmt(fit.center[0])}, {fmt(fit.center[1])}) "
-                f"radius={fmt(fit.radius)} rms={fmt(fit.rms_residual)}"
-            )
+        report_lines.extend(f"track {tid}: {format_circle_fit(fit)}" for tid, fit in sorted(fits.items()))
     else:
         if not args.fixes:
             raise VlpError("dispersion calibration needs --fixes")
@@ -189,10 +197,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             truth = scene.camera_pose.position
         mode = "paper_literal" if args.paper_literal else "physical"
         intrinsics, summary = calibrate_dispersion(fixes, truth, scene.intrinsics, mode=mode)
-        report_lines.append(
-            f"dispersion: mean_offset=({fmt(summary.mean_offset[0])}, {fmt(summary.mean_offset[1])}) "
-            f"enclosing_radius={fmt(summary.enclosing_radius)} samples={summary.sample_count}"
-        )
+        report_lines.append(f"dispersion: {format_dispersion(summary)}")
     after = intrinsics.corrected_principal_point
     calibrated = replace(scene, intrinsics=intrinsics)
     write_scene(calibrated, out / "scene_calibrated.json")
@@ -244,12 +249,7 @@ def replicate_scene(seed: int) -> SceneConfig:
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
-    if args.scene:
-        scene = read_scene(args.scene)
-        if args.seed is not None:
-            scene = replace(scene, seed=args.seed)
-    else:
-        scene = replicate_scene(args.seed if args.seed is not None else DEFAULT_REPLICATE_SEED)
+    scene = _scene(args, replicate_scene(DEFAULT_REPLICATE_SEED))
     base_seed = scene.seed
     out = _out_dir(args)
     write_scene(scene, out / "scene.json")
@@ -259,8 +259,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     records = generate_trials(grid, DEFAULT_TRIALS_PER_POINT, scene, base_seed)
     write_detections_csv(records, out / "detections.csv")
     write_ground_truth_csv(records, out / "ground_truth.csv")
-    groups = [(rec.point_index, rec.trial_index, list(rec.detections)) for rec in records]
-    keys = [(rec.point_index, rec.trial_index) for rec in records]
+    groups = _groups(records)
     truth_by_key = {
         (rec.point_index, rec.trial_index): rec.pose.position for rec in records
     }
@@ -291,9 +290,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         dispersion_scene,
         derive_seed(base_seed, DISPERSION_STREAM, 0),
     )
-    dispersion_groups = [
-        (rec.point_index, rec.trial_index, list(rec.detections)) for rec in dispersion_records
-    ]
+    dispersion_groups = _groups(dispersion_records)
     dispersion_intrinsics: dict[Method, object] = {}
     dispersion_lines: list[str] = []
     for method in (Method.TWO_LED, Method.THREE_LED):
@@ -305,21 +302,16 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         )
         dispersion_intrinsics[method] = intrinsics
         write_scene(replace(scene, intrinsics=intrinsics), out / f"scene_dispersion_{method.value}.json")
-        dispersion_lines.append(
-            f"dispersion calibration ({method.value}): mean_offset=({fmt(summary.mean_offset[0])}, "
-            f"{fmt(summary.mean_offset[1])}) enclosing_radius={fmt(summary.enclosing_radius)} "
-            f"samples={summary.sample_count}"
-        )
+        dispersion_lines.append(f"dispersion calibration ({method.value}): {format_dispersion(summary)}")
 
     reports: dict[tuple[Method, str], ErrorReport] = {}
     for method in (Method.TWO_LED, Method.THREE_LED):
-        for calibration in CALIBRATION_NAMES:
-            if calibration == "uncalibrated":
-                intrinsics = nominal_intrinsics
-            elif calibration == "rotation":
-                intrinsics = rotation_intrinsics
-            else:
-                intrinsics = dispersion_intrinsics[method]
+        calibrations = {
+            "uncalibrated": nominal_intrinsics,
+            "rotation": rotation_intrinsics,
+            "dispersion": dispersion_intrinsics[method],
+        }
+        for calibration, intrinsics in calibrations.items():
             rows = _locate_rows(groups, scene, intrinsics, method, "average", quiet=True)
             prefix = f"{method.value}_{calibration}"
             write_fixes_csv(rows, out / f"fixes_{prefix}.csv")
@@ -331,34 +323,15 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             write_error_report(report, ok_keys, out, prefix)
 
     summary_lines: list[str] = [f"seed: {base_seed}", f"scene: {_scene_hash(scene)}"]
-    for track_id, fit in sorted(fits.items()):
-        summary_lines.append(
-            f"rotation track {track_id}: center=({fmt(fit.center[0])}, {fmt(fit.center[1])}) "
-            f"radius={fmt(fit.radius)} rms={fmt(fit.rms_residual)}"
-        )
+    summary_lines.extend(f"rotation track {tid}: {format_circle_fit(fit)}" for tid, fit in sorted(fits.items()))
     summary_lines.extend(dispersion_lines)
-    with open(out / "summary.csv", "w", newline="") as handle:
-        handle.write("method,calibration,mean_cm,p90_cm,max_cm,rms_cm,trials\n")
-        for (method, calibration), report in reports.items():
-            handle.write(
-                f"{method.value},{calibration},{fmt(report.mean)},{fmt(report.p90)},"
-                f"{fmt(report.max_error)},{fmt(report.rms)},{len(report.per_trial_errors)}\n"
-            )
-    with open(out / "comparisons.csv", "w", newline="") as handle:
-        handle.write(
-            "method,reference,variant,mean_ratio,p90_ratio,max_ratio,mean_diff_cm,p90_diff_cm,max_diff_cm\n"
-        )
-        for method in (Method.TWO_LED, Method.THREE_LED):
-            for reference, variant in (
-                ("uncalibrated", "rotation"),
-                ("uncalibrated", "dispersion"),
-                ("rotation", "dispersion"),
-            ):
-                cmp = compare_reports(reports[(method, reference)], reports[(method, variant)])
-                handle.write(
-                    f"{method.value},{reference},{variant},{fmt(cmp.mean_ratio)},{fmt(cmp.p90_ratio)},"
-                    f"{fmt(cmp.max_ratio)},{fmt(cmp.mean_diff)},{fmt(cmp.p90_diff)},{fmt(cmp.max_diff)}\n"
-                )
+    write_summary_csv(reports, out / "summary.csv")
+    comparisons = [
+        (method, ref, var, compare_reports(reports[(method, ref)], reports[(method, var)]))
+        for method in (Method.TWO_LED, Method.THREE_LED)
+        for ref, var in COMPARISONS
+    ]
+    write_comparisons_csv(comparisons, out / "comparisons.csv")
     for (method, calibration), report in reports.items():
         summary_lines.extend(report_summary_lines(report, f"{method.value} {calibration}"))
     (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")

@@ -47,3 +47,7 @@ class UnknownBeacon(VlpError):
 
 class SceneConfigError(VlpError):
     """Scene configuration is missing, malformed, or inconsistent."""
+
+
+class InputFormatError(VlpError):
+    """An input file is missing a required column or holds a value that does not parse."""

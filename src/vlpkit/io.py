@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .analysis import ErrorReport
+from .analysis import ErrorReport, ReportComparison
+from .calibration import CircleFit, DispersionSummary
 from .camera import CameraIntrinsics, PixelPoint
-from .errors import SceneConfigError
+from .errors import InputFormatError, SceneConfigError
 from .positioning import Detection, Diagnostics, LedBeacon, Method, PositionFix
 from .simulator import CameraPose, NoiseModel, SceneConfig, TrialRecord
 
@@ -35,6 +37,12 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneConfigError(f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise SceneConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
 
 
 def _triple(value, where: str) -> tuple[float, float, float]:
@@ -102,7 +110,7 @@ def _scene_from_dict(raw: Mapping) -> SceneConfig:
     raw_noise = raw.get("noise", {})
     noise = NoiseModel(
         pixel_sigma=_number(raw_noise.get("pixel_sigma_px", 0.0), "scene.noise.pixel_sigma_px"),
-        quantize=bool(raw_noise.get("quantize", False)),
+        quantize=_boolean(raw_noise.get("quantize", False), "scene.noise.quantize"),
     )
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
@@ -154,6 +162,28 @@ def _writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
+@contextmanager
+def _csv_rows(path: str | Path, required: Sequence[str]) -> Iterator[csv.DictReader]:
+    """Rows of a CSV file whose header holds every required column.
+
+    A missing file or column, or a value in the block that fails to parse,
+    raises InputFormatError naming the file and, for a value, the line.
+    """
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.DictReader(handle)
+            missing = [c for c in required if c not in (reader.fieldnames or ())]
+            if missing:
+                names = ", ".join(map(repr, missing))
+                raise InputFormatError(f"{path}: missing required column(s) {names}")
+            try:
+                yield reader
+            except (csv.Error, TypeError, ValueError) as err:
+                raise InputFormatError(f"{path}:{reader.line_num}: {err}") from err
+    except OSError as err:
+        raise InputFormatError(f"{path}: {err.strerror}") from err
+
+
 def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
     with open(path, "w", newline="") as handle:
         out = _writer(handle)
@@ -171,8 +201,7 @@ def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection
     Files without index columns are treated as a single trial (0, 0).
     """
     groups: dict[tuple[int, int], list[Detection]] = {}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
+    with _csv_rows(path, ("beacon_id", "u_px", "v_px")) as reader:
         for row in reader:
             key = (int(row.get("point_index", 0) or 0), int(row.get("trial_index", 0) or 0))
             det = Detection(row["beacon_id"], PixelPoint(float(row["u_px"]), float(row["v_px"])))
@@ -194,8 +223,8 @@ def write_ground_truth_csv(records: Sequence[TrialRecord], path: str | Path) -> 
 def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float, float, float, float]]:
     """Maps (point_index, trial_index) to (x, y, z, yaw)."""
     truths: dict[tuple[int, int], tuple[float, float, float, float]] = {}
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
+    with _csv_rows(path, ("point_index", "trial_index", "x_cm", "y_cm", "z_cm")) as reader:
+        for row in reader:
             key = (int(row["point_index"]), int(row["trial_index"]))
             truths[key] = (
                 float(row["x_cm"]),
@@ -217,8 +246,8 @@ def write_tracks_csv(tracks: Mapping[str, Sequence[PixelPoint]], path: str | Pat
 
 def read_tracks_csv(path: str | Path) -> dict[str, list[PixelPoint]]:
     rows: dict[str, list[tuple[int, PixelPoint]]] = {}
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
+    with _csv_rows(path, ("track_id", "sample_index", "u_px", "v_px")) as reader:
+        for row in reader:
             rows.setdefault(row["track_id"], []).append(
                 (int(row["sample_index"]), PixelPoint(float(row["u_px"]), float(row["v_px"])))
             )
@@ -279,16 +308,15 @@ def write_fixes_csv(
 def read_fixes_csv(path: str | Path) -> list[tuple[int, int, PositionFix]]:
     """Fix rows with status ok; failed rows are skipped."""
     fixes: list[tuple[int, int, PositionFix]] = []
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
+    # Every column but the free-text message is read.
+    with _csv_rows(path, FIX_COLUMNS[:-1]) as reader:
+        for row in reader:
             if row["status"] != "ok":
                 continue
             diag = Diagnostics(
                 height_cm=float(row["height_cm"]),
                 image_pair_distance_mm=float(row["image_pair_distance_mm"]),
                 world_pair_distance_cm=float(row["world_pair_distance_cm"]),
-                image_radii_mm={},
-                world_radii_cm={},
                 yaw_rad=float(row["yaw_rad"]) if row["yaw_rad"] else None,
             )
             fix = PositionFix(
@@ -345,3 +373,40 @@ def report_summary_lines(report: ErrorReport, label: str) -> list[str]:
             f"enclosing_radius={fmt(d.enclosing_radius)} samples={d.sample_count}"
         )
     return lines
+
+
+def write_summary_csv(reports: Mapping[tuple[Method, str], ErrorReport], path: str | Path) -> None:
+    """Headline statistics, one row per (method, calibration) report."""
+    with open(path, "w", newline="") as handle:
+        out = _writer(handle)
+        out.writerow(["method", "calibration", "mean_cm", "p90_cm", "max_cm", "rms_cm", "trials"])
+        for (method, calibration), r in reports.items():
+            stats = (r.mean, r.p90, r.max_error, r.rms)
+            out.writerow([method.value, calibration, *map(fmt, stats), len(r.per_trial_errors)])
+
+
+def write_comparisons_csv(
+    comparisons: Sequence[tuple[Method, str, str, ReportComparison]], path: str | Path
+) -> None:
+    """Rows are (method, reference calibration, variant calibration, comparison)."""
+    with open(path, "w", newline="") as handle:
+        out = _writer(handle)
+        header = "method,reference,variant,mean_ratio,p90_ratio,max_ratio,mean_diff_cm,p90_diff_cm,max_diff_cm"
+        out.writerow(header.split(","))
+        for method, reference, variant, c in comparisons:
+            stats = (c.mean_ratio, c.p90_ratio, c.max_ratio, c.mean_diff, c.p90_diff, c.max_diff)
+            out.writerow([method.value, reference, variant, *map(fmt, stats)])
+
+
+def format_circle_fit(fit: CircleFit) -> str:
+    return (
+        f"center=({fmt(fit.center[0])}, {fmt(fit.center[1])}) "
+        f"radius={fmt(fit.radius)} rms={fmt(fit.rms_residual)}"
+    )
+
+
+def format_dispersion(summary: DispersionSummary) -> str:
+    return (
+        f"mean_offset=({fmt(summary.mean_offset[0])}, {fmt(summary.mean_offset[1])}) "
+        f"enclosing_radius={fmt(summary.enclosing_radius)} samples={summary.sample_count}"
+    )

@@ -57,8 +57,6 @@ class Diagnostics:
     height_cm: float  # vertical distance from camera to the beacon plane
     image_pair_distance_mm: float  # between the two reference beacon images
     world_pair_distance_cm: float  # between the same beacons on the ceiling
-    image_radii_mm: dict[str, float]  # per-beacon distance from the principal point
-    world_radii_cm: dict[str, float]  # per-beacon horizontal distance from the camera
     yaw_rad: float | None = None  # two-beacon fixes only
 
 
@@ -81,17 +79,21 @@ def _beacon_index(beacons: Iterable[LedBeacon]) -> dict[str, LedBeacon]:
 
 
 def _resolve(
-    detections: Iterable[Detection], index: dict[str, LedBeacon], expected: int
+    detections: Iterable[Detection], index: dict[str, LedBeacon], expected: int | None = None
 ) -> list[Detection]:
+    """Detections sorted by id: distinct, known, finite, and exactly expected many when given."""
     dets = sorted(detections, key=lambda d: d.beacon_id)
-    if len(dets) != expected:
+    if expected is not None and len(dets) != expected:
         raise ValueError(f"expected {expected} detections, got {len(dets)}")
     ids = [d.beacon_id for d in dets]
-    if len(set(ids)) != expected:
+    if len(set(ids)) != len(ids):
         raise ValueError(f"detections must reference distinct beacons, got {ids}")
     missing = [i for i in ids if i not in index]
     if missing:
         raise UnknownBeacon(f"beacon id(s) {missing} are not in the beacon set")
+    for d in dets:
+        if not (math.isfinite(d.pixel.u) and math.isfinite(d.pixel.v)):
+            raise ValueError(f"beacon {d.beacon_id!r} has non-finite pixel ({d.pixel.u}, {d.pixel.v})")
     return dets
 
 
@@ -184,11 +186,9 @@ def trilaterate_three(
     heights = [_height_from_pair(d_img, d_world, k) for d_img, d_world in geoms]
     height = heights[0] if height_pair == "first" else fmean(heights)
 
-    image_radii = {led.id: math.hypot(img.i, img.j) for led, img in zip(leds, imgs)}
-    world_radii = {bid: height * r / k.focal_length for bid, r in image_radii.items()}
-
     (x1, y1), (x2, y2), (x3, y3) = [(led.position[0], led.position[1]) for led in leds]
-    r1, r2, r3 = (world_radii[led.id] for led in leds)
+    # Horizontal world distance from the camera to each beacon.
+    r1, r2, r3 = (height * math.hypot(img.i, img.j) / k.focal_length for img in imgs)
     m00, m01 = x2 - x1, y2 - y1
     m10, m11 = x3 - x1, y3 - y1
     det = m00 * m11 - m01 * m10
@@ -206,8 +206,6 @@ def trilaterate_three(
         height_cm=height,
         image_pair_distance_mm=geoms[0][0],
         world_pair_distance_cm=geoms[0][1],
-        image_radii_mm=image_radii,
-        world_radii_cm=world_radii,
     )
     return PositionFix((xc, yc, leds[0].position[2] - height), Method.THREE_LED, diag)
 
@@ -251,17 +249,10 @@ def locate_two(
     xc = (x1 + x2) / 2.0 - off_wx
     yc = (y1 + y2) / 2.0 - off_wy
 
-    image_radii = {
-        led1.id: math.hypot(img1.i, img1.j),
-        led2.id: math.hypot(img2.i, img2.j),
-    }
-    world_radii = {bid: height * r / k.focal_length for bid, r in image_radii.items()}
     diag = Diagnostics(
         height_cm=height,
         image_pair_distance_mm=d_img,
         world_pair_distance_cm=d_world,
-        image_radii_mm=image_radii,
-        world_radii_cm=world_radii,
         yaw_rad=yaw,
     )
     return PositionFix((xc, yc, led1.position[2] - height), Method.TWO_LED, diag)
@@ -276,13 +267,7 @@ def widest_pair(
     pixel noise. Ties break toward the lexicographically smallest id pair.
     """
     index = _beacon_index(beacons)
-    dets = sorted(detections, key=lambda d: d.beacon_id)
-    ids = [d.beacon_id for d in dets]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"detections must reference distinct beacons, got {ids}")
-    missing = [i for i in ids if i not in index]
-    if missing:
-        raise UnknownBeacon(f"beacon id(s) {missing} are not in the beacon set")
+    dets = _resolve(detections, index)
     if len(dets) < 2:
         raise ValueError(f"need at least 2 detections, got {len(dets)}")
     best: tuple[Detection, Detection] | None = None

@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line surface."""
 
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -372,6 +374,86 @@ def test_replicate_emits_full_report(tmp_path):
             assert (out / f"errors_{method}_{calibration}.csv").exists()
     assert (out / "tracks_rotation.csv").exists()
     assert (out / "summary.txt").read_text().count("average positioning error") == 6
+
+
+GOLDEN_CSV_DIGESTS = Path(__file__).parent / "data" / "golden_replicate_csv.sha256"
+
+
+def test_replicate_seed_7_csvs_match_golden_digests(tmp_path):
+    out = tmp_path / "rep"
+    assert main(["replicate", "--out", str(out), "--seed", "7"]) == 0
+    # sha256sum format: "<digest>  <file name>" per line.
+    expected = {
+        name: digest
+        for digest, name in (line.split(None, 1) for line in GOLDEN_CSV_DIGESTS.read_text().splitlines())
+    }
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.glob("*.csv")}
+    assert got == expected
+
+
+@pytest.mark.parametrize("method", ["two-led", "three-led"])
+def test_locate_fails_only_the_row_with_a_non_finite_pixel(tmp_path, method):
+    sim = tmp_path / "sim"
+    main(["simulate", "--out", str(sim), "--trials", "2"])
+    path = sim / "detections.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    assert cells[:2] == ["0", "0"]
+    cells[3] = "nan"
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    loc = tmp_path / "loc"
+    argv = ["locate", "--scene", str(sim / "scene.json"), "--detections", str(path), "--out", str(loc)]
+    assert main(argv + ["--method", method]) == 0
+    rows = [line.split(",") for line in (loc / "fixes.csv").read_text().splitlines()[1:]]
+    status = {(row[0], row[1]): row[3] for row in rows}
+    assert status.pop(("0", "0")) == "error"
+    assert len(status) == 71 and set(status.values()) == {"ok"}
+
+
+def _drop_u_px(rows):
+    for row in rows:
+        del row[3]
+
+
+def _garble_u_px(rows):
+    rows[2][3] = "abc"
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [(_drop_u_px, ": missing required column(s) 'u_px'"), (_garble_u_px, ":3: could not convert")],
+)
+def test_malformed_detections_csv_is_a_clean_error(tmp_path, capsys, edit, needle):
+    sim = tmp_path / "sim"
+    main(["simulate", "--out", str(sim), "--trials", "1"])
+    rows = [line.split(",") for line in (sim / "detections.csv").read_text().splitlines()]
+    edit(rows)
+    bad = sim / "bad.csv"
+    bad.write_text("".join(",".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    rc = main(["locate", "--scene", str(sim / "scene.json"), "--detections", str(bad), "--out", str(tmp_path / "loc")])
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {bad}{needle}")
+
+
+def test_wrong_or_missing_input_file_is_a_clean_error(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    main(["simulate", "--out", str(sim), "--trials", "1"])
+    detections = sim / "detections.csv"
+    capsys.readouterr()
+    rc = main(
+        ["stats", "--fixes", str(detections), "--ground-truth", str(sim / "ground_truth.csv"), "--out", str(tmp_path)]
+    )
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {detections}: missing required column(s)")
+    assert "'status'" in line
+    missing = sim / "nope.csv"
+    rc = main(["locate", "--scene", str(sim / "scene.json"), "--detections", str(missing), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {missing}: No such file or directory"]
 
 
 def test_subcommand_is_required():

