@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 MM_PER_CM = 10.0
 
@@ -57,7 +57,7 @@ class CameraIntrinsics:
         u1, v1 = self.corrected_principal_point
         if not (math.isfinite(u1) and math.isfinite(v1)):
             raise ValueError("corrected principal point must be finite")
-        if not (0.0 <= u1 <= width and 0.0 <= v1 <= height):
+        if not self.on_sensor(u1, v1):
             raise ValueError(
                 f"corrected principal point ({u1}, {v1}) lies outside the {width}x{height} sensor"
             )
@@ -67,15 +67,14 @@ class CameraIntrinsics:
         width, height = self.resolution
         return (width / 2.0, height / 2.0)
 
+    def on_sensor(self, u: float, v: float) -> bool:
+        """Whether a pixel position lies on the sensor, edges included."""
+        width, height = self.resolution
+        return 0.0 <= u <= width and 0.0 <= v <= height
+
     def with_principal_point(self, u1: float, v1: float) -> "CameraIntrinsics":
-        """Copy of these intrinsics with a new corrected principal point."""
-        return CameraIntrinsics(
-            focal_length=self.focal_length,
-            pitch_i=self.pitch_i,
-            pitch_j=self.pitch_j,
-            resolution=self.resolution,
-            corrected_principal_point=(u1, v1),
-        )
+        """Validated copy of these intrinsics with a new corrected principal point."""
+        return replace(self, corrected_principal_point=(u1, v1))
 
 
 def pixel_to_image(p: PixelPoint, k: CameraIntrinsics) -> ImagePoint:

@@ -411,7 +411,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VlpError as err:
+    # ValueError: an argument the library rejects; OSError: an unusable --out path.
+    except (VlpError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ import csv
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analysis import ErrorReport, ReportComparison
 from .calibration import CircleFit, DispersionSummary
@@ -60,12 +60,14 @@ def _pair(value, where: str) -> tuple[float, float]:
 def read_scene(path: str | Path) -> SceneConfig:
     """Parse a scene JSON file; errors carry the offending line or field."""
     path = Path(path)
-    if not path.exists():
-        raise SceneConfigError(f"scene file {path} does not exist")
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise SceneConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except OSError as err:
+        raise SceneConfigError(f"{path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise SceneConfigError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
     try:
         return _scene_from_dict(raw)
     except ValueError as err:
@@ -82,6 +84,8 @@ def _scene_from_dict(raw: Mapping) -> SceneConfig:
         bid = _require(entry, "id", where)
         if not isinstance(bid, str) or not bid:
             raise SceneConfigError(f"{where}.id: expected a non-empty string")
+        if not bid.isprintable():
+            raise SceneConfigError(f"{where}.id: expected printable text, got {bid!r}")
         beacons.append(LedBeacon(bid, _triple(_require(entry, "position", where), f"{where}.position")))
 
     raw_pose = _require(raw, "camera_pose", "scene")
@@ -157,9 +161,32 @@ def write_scene(scene: SceneConfig, path: str | Path) -> None:
 
 # ---------------------------------------------------------------------- CSVs
 
+# Column order of each CSV format; each reader requires a slice of the same list.
+DETECTION_COLUMNS = ["point_index", "trial_index", "beacon_id", "u_px", "v_px"]
+TRUTH_COLUMNS = ["point_index", "trial_index", "x_cm", "y_cm", "z_cm", "yaw_rad", "seed"]
+TRACK_COLUMNS = ["track_id", "sample_index", "u_px", "v_px"]
+FIX_COLUMNS = [
+    "point_index",
+    "trial_index",
+    "method",
+    "status",
+    "x_cm",
+    "y_cm",
+    "z_cm",
+    "height_cm",
+    "image_pair_distance_mm",
+    "world_pair_distance_cm",
+    "yaw_rad",
+    "message",
+]
 
-def _writer(handle):
-    return csv.writer(handle, lineterminator="\n")
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One header line, then the rows; newline-terminated, quoted only where needed."""
+    with open(path, "w", newline="") as handle:
+        out = csv.writer(handle, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
 
 
 @contextmanager
@@ -185,14 +212,12 @@ def _csv_rows(path: str | Path, required: Sequence[str]) -> Iterator[csv.DictRea
 
 
 def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(["point_index", "trial_index", "beacon_id", "u_px", "v_px"])
-        for rec in records:
-            for det in rec.detections:
-                out.writerow(
-                    [rec.point_index, rec.trial_index, det.beacon_id, fmt(det.pixel.u), fmt(det.pixel.v)]
-                )
+    rows = (
+        [rec.point_index, rec.trial_index, det.beacon_id, fmt(det.pixel.u), fmt(det.pixel.v)]
+        for rec in records
+        for det in rec.detections
+    )
+    _write_csv(path, DETECTION_COLUMNS, rows)
 
 
 def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection]]]:
@@ -201,7 +226,8 @@ def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection
     Files without index columns are treated as a single trial (0, 0).
     """
     groups: dict[tuple[int, int], list[Detection]] = {}
-    with _csv_rows(path, ("beacon_id", "u_px", "v_px")) as reader:
+    # The index columns are optional.
+    with _csv_rows(path, DETECTION_COLUMNS[2:]) as reader:
         for row in reader:
             key = (int(row.get("point_index", 0) or 0), int(row.get("trial_index", 0) or 0))
             det = Detection(row["beacon_id"], PixelPoint(float(row["u_px"]), float(row["v_px"])))
@@ -209,21 +235,20 @@ def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection
     return [(p, t, dets) for (p, t), dets in sorted(groups.items())]
 
 
+def _truth_row(rec: TrialRecord) -> list:
+    x, y, z = rec.pose.position
+    return [rec.point_index, rec.trial_index, fmt(x), fmt(y), fmt(z), fmt(rec.pose.yaw_rad), rec.seed]
+
+
 def write_ground_truth_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(["point_index", "trial_index", "x_cm", "y_cm", "z_cm", "yaw_rad", "seed"])
-        for rec in records:
-            x, y, z = rec.pose.position
-            out.writerow(
-                [rec.point_index, rec.trial_index, fmt(x), fmt(y), fmt(z), fmt(rec.pose.yaw_rad), rec.seed]
-            )
+    _write_csv(path, TRUTH_COLUMNS, map(_truth_row, records))
 
 
 def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float, float, float, float]]:
     """Maps (point_index, trial_index) to (x, y, z, yaw)."""
     truths: dict[tuple[int, int], tuple[float, float, float, float]] = {}
-    with _csv_rows(path, ("point_index", "trial_index", "x_cm", "y_cm", "z_cm")) as reader:
+    # yaw_rad is optional and seed is not read.
+    with _csv_rows(path, TRUTH_COLUMNS[:5]) as reader:
         for row in reader:
             key = (int(row["point_index"]), int(row["trial_index"]))
             truths[key] = (
@@ -236,17 +261,17 @@ def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float
 
 
 def write_tracks_csv(tracks: Mapping[str, Sequence[PixelPoint]], path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(["track_id", "sample_index", "u_px", "v_px"])
-        for track_id in sorted(tracks):
-            for idx, p in enumerate(tracks[track_id]):
-                out.writerow([track_id, idx, fmt(p.u), fmt(p.v)])
+    rows = (
+        [track_id, idx, fmt(p.u), fmt(p.v)]
+        for track_id in sorted(tracks)
+        for idx, p in enumerate(tracks[track_id])
+    )
+    _write_csv(path, TRACK_COLUMNS, rows)
 
 
 def read_tracks_csv(path: str | Path) -> dict[str, list[PixelPoint]]:
     rows: dict[str, list[tuple[int, PixelPoint]]] = {}
-    with _csv_rows(path, ("track_id", "sample_index", "u_px", "v_px")) as reader:
+    with _csv_rows(path, TRACK_COLUMNS) as reader:
         for row in reader:
             rows.setdefault(row["track_id"], []).append(
                 (int(row["sample_index"]), PixelPoint(float(row["u_px"]), float(row["v_px"])))
@@ -257,52 +282,33 @@ def read_tracks_csv(path: str | Path) -> dict[str, list[PixelPoint]]:
     }
 
 
-FIX_COLUMNS = [
-    "point_index",
-    "trial_index",
-    "method",
-    "status",
-    "x_cm",
-    "y_cm",
-    "z_cm",
-    "height_cm",
-    "image_pair_distance_mm",
-    "world_pair_distance_cm",
-    "yaw_rad",
-    "message",
-]
+def _fix_row(point: int, trial: int, method: Method, fix: PositionFix | None, message: str) -> list:
+    if fix is None:
+        return [point, trial, method.value, "error", "", "", "", "", "", "", "", message]
+    diag = fix.diagnostics
+    assert diag is not None
+    yaw = fmt(diag.yaw_rad) if diag.yaw_rad is not None else ""
+    return [
+        point,
+        trial,
+        method.value,
+        "ok",
+        fmt(fix.position[0]),
+        fmt(fix.position[1]),
+        fmt(fix.position[2]),
+        fmt(diag.height_cm),
+        fmt(diag.image_pair_distance_mm),
+        fmt(diag.world_pair_distance_cm),
+        yaw,
+        "",
+    ]
 
 
 def write_fixes_csv(
     rows: Sequence[tuple[int, int, Method, PositionFix | None, str]], path: str | Path
 ) -> None:
     """Rows are (point_index, trial_index, method, fix or None, error message)."""
-    with open(path, "w", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(FIX_COLUMNS)
-        for point, trial, method, fix, message in rows:
-            if fix is None:
-                out.writerow([point, trial, method.value, "error", "", "", "", "", "", "", "", message])
-                continue
-            diag = fix.diagnostics
-            assert diag is not None
-            yaw = fmt(diag.yaw_rad) if diag.yaw_rad is not None else ""
-            out.writerow(
-                [
-                    point,
-                    trial,
-                    method.value,
-                    "ok",
-                    fmt(fix.position[0]),
-                    fmt(fix.position[1]),
-                    fmt(fix.position[2]),
-                    fmt(diag.height_cm),
-                    fmt(diag.image_pair_distance_mm),
-                    fmt(diag.world_pair_distance_cm),
-                    yaw,
-                    "",
-                ]
-            )
+    _write_csv(path, FIX_COLUMNS, (_fix_row(*row) for row in rows))
 
 
 def read_fixes_csv(path: str | Path) -> list[tuple[int, int, PositionFix]]:
@@ -339,22 +345,16 @@ def write_error_report(
 ) -> None:
     """Per-trial errors, CDF table, and histogram table for one report."""
     out_dir = Path(out_dir)
-    with open(out_dir / f"errors_{prefix}.csv", "w", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(["point_index", "trial_index", "error_cm", "error_3d_cm"])
-        for (point, trial), err, err3 in zip(keys, report.per_trial_errors, report.per_trial_errors_3d):
-            out.writerow([point, trial, fmt(err), fmt(err3)])
-    with open(out_dir / f"cdf_{prefix}.csv", "w", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(["error_cm", "cumulative_fraction"])
-        for err, fraction in report.cdf:
-            out.writerow([fmt(err), fmt(fraction)])
+    errors = (
+        [point, trial, fmt(err), fmt(err3)]
+        for (point, trial), err, err3 in zip(keys, report.per_trial_errors, report.per_trial_errors_3d)
+    )
+    _write_csv(out_dir / f"errors_{prefix}.csv", ["point_index", "trial_index", "error_cm", "error_3d_cm"], errors)
+    cdf = ([fmt(err), fmt(fraction)] for err, fraction in report.cdf)
+    _write_csv(out_dir / f"cdf_{prefix}.csv", ["error_cm", "cumulative_fraction"], cdf)
     edges, counts = report.histogram
-    with open(out_dir / f"histogram_{prefix}.csv", "w", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(["bin_left_cm", "bin_right_cm", "count"])
-        for left, right, count in zip(edges[:-1], edges[1:], counts):
-            out.writerow([fmt(left), fmt(right), count])
+    bins = ([fmt(left), fmt(right), count] for left, right, count in zip(edges[:-1], edges[1:], counts))
+    _write_csv(out_dir / f"histogram_{prefix}.csv", ["bin_left_cm", "bin_right_cm", "count"], bins)
 
 
 def report_summary_lines(report: ErrorReport, label: str) -> list[str]:
@@ -377,25 +377,23 @@ def report_summary_lines(report: ErrorReport, label: str) -> list[str]:
 
 def write_summary_csv(reports: Mapping[tuple[Method, str], ErrorReport], path: str | Path) -> None:
     """Headline statistics, one row per (method, calibration) report."""
-    with open(path, "w", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(["method", "calibration", "mean_cm", "p90_cm", "max_cm", "rms_cm", "trials"])
-        for (method, calibration), r in reports.items():
-            stats = (r.mean, r.p90, r.max_error, r.rms)
-            out.writerow([method.value, calibration, *map(fmt, stats), len(r.per_trial_errors)])
+    rows = []
+    for (method, calibration), r in reports.items():
+        stats = (r.mean, r.p90, r.max_error, r.rms)
+        rows.append([method.value, calibration, *map(fmt, stats), len(r.per_trial_errors)])
+    _write_csv(path, ["method", "calibration", "mean_cm", "p90_cm", "max_cm", "rms_cm", "trials"], rows)
 
 
 def write_comparisons_csv(
     comparisons: Sequence[tuple[Method, str, str, ReportComparison]], path: str | Path
 ) -> None:
     """Rows are (method, reference calibration, variant calibration, comparison)."""
-    with open(path, "w", newline="") as handle:
-        out = _writer(handle)
-        header = "method,reference,variant,mean_ratio,p90_ratio,max_ratio,mean_diff_cm,p90_diff_cm,max_diff_cm"
-        out.writerow(header.split(","))
-        for method, reference, variant, c in comparisons:
-            stats = (c.mean_ratio, c.p90_ratio, c.max_ratio, c.mean_diff, c.p90_diff, c.max_diff)
-            out.writerow([method.value, reference, variant, *map(fmt, stats)])
+    header = "method,reference,variant,mean_ratio,p90_ratio,max_ratio,mean_diff_cm,p90_diff_cm,max_diff_cm"
+    rows = []
+    for method, reference, variant, c in comparisons:
+        stats = (c.mean_ratio, c.p90_ratio, c.max_ratio, c.mean_diff, c.p90_diff, c.max_diff)
+        rows.append([method.value, reference, variant, *map(fmt, stats)])
+    _write_csv(path, header.split(","), rows)
 
 
 def format_circle_fit(fit: CircleFit) -> str:

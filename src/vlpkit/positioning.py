@@ -105,10 +105,26 @@ def _check_shared_height(heights: Sequence[float]) -> None:
         )
 
 
+def _observed(
+    detections: Iterable[Detection], beacons: Iterable[LedBeacon], k: CameraIntrinsics, expected: int
+) -> tuple[list[LedBeacon], list[ImagePoint]]:
+    """Beacons and image points of exactly expected detections, in id order, on one ceiling plane."""
+    index = _beacon_index(beacons)
+    dets = _resolve(detections, index, expected)
+    leds = [index[d.beacon_id] for d in dets]
+    _check_shared_height([led.position[2] for led in leds])
+    return leds, [pixel_to_image(d.pixel, k) for d in dets]
+
+
 def _pair_geometry(
-    img_a: ImagePoint, led_a: LedBeacon, img_b: ImagePoint, led_b: LedBeacon
-) -> tuple[float, float]:
-    """Image-plane distance (mm) and world-plane distance (cm) of one beacon pair."""
+    img_a: ImagePoint, led_a: LedBeacon, img_b: ImagePoint, led_b: LedBeacon, k: CameraIntrinsics
+) -> tuple[float, float, float]:
+    """Image-plane distance (mm), world-plane distance (cm) and camera height below one beacon pair (cm).
+
+    The ratio of the pair's ceiling distance to its image distance is the
+    pinhole magnification; scaled by the focal length it gives the vertical
+    camera distance below the beacon plane.
+    """
     d_img = math.hypot(img_a.i - img_b.i, img_a.j - img_b.j)
     if d_img < COINCIDENT_PROJECTION_TOL_MM:
         raise CoincidentProjection(
@@ -117,13 +133,8 @@ def _pair_geometry(
     d_world = math.hypot(
         led_a.position[0] - led_b.position[0], led_a.position[1] - led_b.position[1]
     )
-    return d_img, d_world
-
-
-def _height_from_pair(d_img_mm: float, d_world_cm: float, k: CameraIntrinsics) -> float:
-    d_world_mm = d_world_cm * MM_PER_CM
-    height_mm = d_world_mm / d_img_mm * k.focal_length
-    return height_mm / MM_PER_CM
+    height = d_world * MM_PER_CM / d_img * k.focal_length / MM_PER_CM
+    return d_img, d_world, height
 
 
 def _wrap_angle(a: float) -> float:
@@ -139,18 +150,15 @@ def estimate_height(
 ) -> tuple[float, float]:
     """Vertical camera distance below the beacon plane, from one beacon pair.
 
-    The ratio of the pair's ceiling distance to its image distance is the
-    pinhole magnification; scaled by the focal length it gives the vertical
-    distance. Returns (height_cm, camera_z_cm), where camera z is measured
-    off the first beacon's height.
+    Returns (height_cm, camera_z_cm), where camera z is measured off the
+    first beacon's height.
     """
     img_a, led_a = a
     img_b, led_b = b
     if led_a.id == led_b.id:
         raise ValueError(f"height estimate needs two distinct beacons, got {led_a.id!r} twice")
     _check_shared_height((led_a.position[2], led_b.position[2]))
-    d_img, d_world = _pair_geometry(img_a, led_a, img_b, led_b)
-    height = _height_from_pair(d_img, d_world, k)
+    _, _, height = _pair_geometry(img_a, led_a, img_b, led_b, k)
     return height, led_a.position[2] - height
 
 
@@ -173,17 +181,12 @@ def trilaterate_three(
     """
     if height_pair not in ("average", "first"):
         raise ValueError(f"height_pair must be 'average' or 'first', got {height_pair!r}")
-    index = _beacon_index(beacons)
-    dets = _resolve(detections, index, expected=3)
-    leds = [index[d.beacon_id] for d in dets]
-    _check_shared_height([led.position[2] for led in leds])
-    imgs = [pixel_to_image(d.pixel, k) for d in dets]
-
+    leds, imgs = _observed(detections, beacons, k, expected=3)
     geoms = [
-        _pair_geometry(imgs[a], leds[a], imgs[b], leds[b])
+        _pair_geometry(imgs[a], leds[a], imgs[b], leds[b], k)
         for a, b in itertools.combinations(range(3), 2)
     ]
-    heights = [_height_from_pair(d_img, d_world, k) for d_img, d_world in geoms]
+    heights = [height for _, _, height in geoms]
     height = heights[0] if height_pair == "first" else fmean(heights)
 
     (x1, y1), (x2, y2), (x3, y3) = [(led.position[0], led.position[1]) for led in leds]
@@ -223,14 +226,8 @@ def locate_two(
     midpoint; rotating it into the world frame and subtracting from the
     world midpoint gives the camera position.
     """
-    index = _beacon_index(beacons)
-    dets = _resolve(detections, index, expected=2)
-    led1, led2 = (index[d.beacon_id] for d in dets)
-    _check_shared_height((led1.position[2], led2.position[2]))
-    img1, img2 = (pixel_to_image(d.pixel, k) for d in dets)
-
-    d_img, d_world = _pair_geometry(img1, led1, img2, led2)
-    height = _height_from_pair(d_img, d_world, k)
+    (led1, led2), (img1, img2) = _observed(detections, beacons, k, expected=2)
+    d_img, d_world, height = _pair_geometry(img1, led1, img2, led2, k)
 
     x1, y1 = led1.position[0], led1.position[1]
     x2, y2 = led2.position[0], led2.position[1]

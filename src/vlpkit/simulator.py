@@ -17,7 +17,7 @@ import numpy as np
 
 from .camera import MM_PER_CM, CameraIntrinsics, PixelPoint
 from .errors import BeaconBehindCamera
-from .positioning import Detection, LedBeacon
+from .positioning import Detection, LedBeacon, _beacon_index
 
 POINT_INDEX_LIMIT = 100_000
 TRIAL_INDEX_LIMIT = 10_000
@@ -71,6 +71,7 @@ class SceneConfig:
         object.__setattr__(self, "beacons", tuple(self.beacons))
         if not self.beacons:
             raise ValueError("scene needs at least one beacon")
+        _beacon_index(self.beacons)  # raises on a duplicate id
         cam_z = self.camera_pose.position[2]
         lowest = min(b.position[2] for b in self.beacons)
         if not cam_z < lowest:
@@ -96,11 +97,6 @@ class TrialRecord:
     seed: int
 
 
-def _in_frame(u: float, v: float, resolution: tuple[int, int]) -> bool:
-    width, height = resolution
-    return 0.0 <= u <= width and 0.0 <= v <= height
-
-
 def project(beacon: LedBeacon, scene: SceneConfig) -> tuple[PixelPoint, bool]:
     """Exact pixel position of one beacon, plus whether it lands on the sensor."""
     k = scene.intrinsics
@@ -122,12 +118,14 @@ def project(beacon: LedBeacon, scene: SceneConfig) -> tuple[PixelPoint, bool]:
     u_true, v_true = scene.true_principal_point
     u = u_true + i / k.pitch_i
     v = v_true + j / k.pitch_j
-    return PixelPoint(u, v), _in_frame(u, v, k.resolution)
+    return PixelPoint(u, v), k.on_sensor(u, v)
 
 
-def _perturb(
-    u: float, v: float, noise: NoiseModel, rng: np.random.Generator
-) -> tuple[float, float]:
+def _noisy_pixel(beacon: LedBeacon, scene: SceneConfig, rng: np.random.Generator) -> PixelPoint:
+    """Projected pixel of one beacon with the scene's noise model applied."""
+    pixel, _ = project(beacon, scene)
+    u, v = pixel.u, pixel.v
+    noise = scene.noise
     if noise.pixel_sigma > 0:
         du, dv = rng.normal(0.0, noise.pixel_sigma, size=2)
         u += float(du)
@@ -135,7 +133,7 @@ def _perturb(
     if noise.quantize:
         u = float(np.rint(u))
         v = float(np.rint(v))
-    return u, v
+    return PixelPoint(u, v)
 
 
 def observe(scene: SceneConfig) -> list[Detection]:
@@ -148,10 +146,9 @@ def observe(scene: SceneConfig) -> list[Detection]:
     rng = np.random.default_rng(scene.seed)
     detections: list[Detection] = []
     for beacon in scene.beacons:
-        pixel, _ = project(beacon, scene)
-        u, v = _perturb(pixel.u, pixel.v, scene.noise, rng)
-        if _in_frame(u, v, scene.intrinsics.resolution):
-            detections.append(Detection(beacon.id, PixelPoint(u, v)))
+        pixel = _noisy_pixel(beacon, scene, rng)
+        if scene.intrinsics.on_sensor(pixel.u, pixel.v):
+            detections.append(Detection(beacon.id, pixel))
     return detections
 
 
@@ -175,9 +172,7 @@ def rotation_sweep(
             scene, camera_pose=CameraPose(scene.camera_pose.position, angle)
         )
         for beacon in scene.beacons:
-            pixel, _ = project(beacon, turned)
-            u, v = _perturb(pixel.u, pixel.v, scene.noise, rng)
-            tracks[beacon.id].append(PixelPoint(u, v))
+            tracks[beacon.id].append(_noisy_pixel(beacon, turned, rng))
     return tracks
 
 

@@ -456,6 +456,78 @@ def test_wrong_or_missing_input_file_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {missing}: No such file or directory"]
 
 
+def _off_sensor_dispersion(tmp_path):
+    # A corrected principal point at the sensor edge biases the fixes so far that
+    # the paper-literal correction lands thousands of pixels off the sensor.
+    scene = replicate_scene(0)
+    scene = replace(scene, intrinsics=scene.intrinsics.with_principal_point(799.0, 300.0))
+    scene_path = tmp_path / "scene.json"
+    write_scene(scene, scene_path)
+    sim, loc = tmp_path / "sim", tmp_path / "loc"
+    assert main(["simulate", "--scene", str(scene_path), "--at=-40,5,0", "--trials", "50", "--out", str(sim)]) == 0
+    argv = ["locate", "--scene", str(scene_path), "--detections", str(sim / "detections.csv"), "--out", str(loc)]
+    assert main(argv + ["--method", "two-led"]) == 0
+    fixes = str(loc / "fixes.csv")
+    argv = ["calibrate", "--scene", str(scene_path), "--calibration", "dispersion", "--paper-literal"]
+    return argv + ["--fixes", fixes, "--ground-truth=-40,5,0"]
+
+
+def _scene_is_a_directory(tmp_path):
+    return ["simulate", "--scene", str(tmp_path)]
+
+
+def _scene_is_not_utf8(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_bytes(b'{"beacons": "\xff"}')
+    return ["simulate", "--scene", str(path)]
+
+
+def _out_is_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return ["simulate", "--trials", "1", "--out", str(tmp_path / "taken")]
+
+
+def _out_is_under_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return ["simulate", "--trials", "1", "--out", str(tmp_path / "taken" / "out")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp_path: ["simulate", "--trials", "0"],
+        lambda tmp_path: ["simulate", "--seed", "-1"],
+        lambda tmp_path: ["simulate", "--at=0,0,200"],
+        lambda tmp_path: ["replicate", "--seed", "-3"],
+        _off_sensor_dispersion,
+        _scene_is_a_directory,
+        _scene_is_not_utf8,
+        _out_is_a_file,
+        _out_is_under_a_file,
+    ],
+    ids=[
+        "zero-trials",
+        "negative-seed",
+        "camera-above-ceiling",
+        "replicate-negative-seed",
+        "principal-point-off-sensor",
+        "scene-is-directory",
+        "scene-not-utf8",
+        "out-is-file",
+        "out-under-file",
+    ],
+)
+def test_bad_argument_or_path_is_one_error_line(tmp_path, capsys, argv):
+    args = argv(tmp_path)
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_subcommand_is_required():
     with pytest.raises(SystemExit):
         main([])

@@ -3,14 +3,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlpkit import (
     CameraPose,
+    Detection,
     Diagnostics,
     Method,
     NoiseModel,
     PositionFix,
     SceneConfigError,
+    TrialRecord,
     default_scene,
     error_stats,
     generate_trials,
@@ -105,6 +109,12 @@ def test_scene_field_errors_name_the_field(tmp_path):
     with pytest.raises(SceneConfigError, match=r"scene\.noise\.quantize"):
         read_scene(path)
 
+    bad = scene_to_dict(scene)
+    bad["beacons"][1]["id"] = "L2\r"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(SceneConfigError, match=r"scene\.beacons\[1\]\.id: expected printable text"):
+        read_scene(path)
+
 
 def test_scene_inconsistency_is_wrapped(tmp_path):
     import json
@@ -116,6 +126,12 @@ def test_scene_inconsistency_is_wrapped(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(bad))
     with pytest.raises(SceneConfigError, match="below every beacon"):
+        read_scene(path)
+
+    bad = scene_to_dict(default_scene())
+    bad["beacons"][2]["id"] = bad["beacons"][0]["id"]
+    path.write_text(json.dumps(bad))
+    with pytest.raises(SceneConfigError, match=r"scene\.json: duplicate beacon id 'L1'"):
         read_scene(path)
 
 
@@ -229,6 +245,100 @@ def test_fix_csv_floats_use_six_decimals(tmp_path):
     write_fixes_csv(rows, path)
     line = path.read_text().splitlines()[1]
     assert ",1.000000,2.000000,3.000000," in line
+
+
+# --- CSV round-trip properties ---
+
+# Six decimals round to within 5e-7; parsing the text back adds at most one ulp of the largest value drawn.
+CSV_TOL = 5e-7 + math.ulp(1e6)
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+indices = st.integers(0, 99_999)
+# Printable text (str.isprintable), with the CSV delimiter and quote character drawn often.
+printable = st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"), include_characters=" ")
+ids = st.text(st.sampled_from(',"') | printable, min_size=1, max_size=8)
+pixels = st.builds(PixelPoint, finite, finite)
+# File writes make examples slow enough to trip the default deadline on a loaded machine.
+csv_examples = settings(max_examples=50, deadline=None)
+
+
+def close(a, b):
+    return abs(a - b) <= CSV_TOL
+
+
+def _record(key, detections):
+    return TrialRecord(key[0], key[1], CameraPose((0.0, 0.0, 0.0)), tuple(detections), seed=0)
+
+
+@csv_examples
+@given(st.dictionaries(st.tuples(indices, indices), st.lists(st.builds(Detection, ids, pixels), min_size=1, max_size=3)))
+def test_detections_csv_round_trip_property(tmp_path_factory, trials):
+    path = tmp_path_factory.getbasetemp() / "detections.csv"
+    write_detections_csv([_record(key, dets) for key, dets in trials.items()], path)
+    back = read_detections_csv(path)
+    assert [(p, t) for p, t, _ in back] == sorted(trials)
+    for point, trial, dets in back:
+        written = trials[(point, trial)]
+        assert [d.beacon_id for d in dets] == [d.beacon_id for d in written]
+        for got, want in zip(dets, written):
+            assert close(got.pixel.u, want.pixel.u) and close(got.pixel.v, want.pixel.v)
+
+
+@csv_examples
+@given(st.dictionaries(st.tuples(indices, indices), st.tuples(finite, finite, finite, finite)))
+def test_ground_truth_csv_round_trip_property(tmp_path_factory, truths):
+    records = [
+        TrialRecord(p, t, CameraPose((x, y, z), yaw), (), seed=0) for (p, t), (x, y, z, yaw) in truths.items()
+    ]
+    path = tmp_path_factory.getbasetemp() / "ground_truth.csv"
+    write_ground_truth_csv(records, path)
+    back = read_ground_truth_csv(path)
+    assert back.keys() == truths.keys()
+    for key, values in truths.items():
+        assert all(close(got, want) for got, want in zip(back[key], values, strict=True))
+
+
+@csv_examples
+@given(st.dictionaries(ids, st.lists(pixels, min_size=1, max_size=4)))
+def test_tracks_csv_round_trip_property(tmp_path_factory, tracks):
+    path = tmp_path_factory.getbasetemp() / "tracks.csv"
+    write_tracks_csv(tracks, path)
+    back = read_tracks_csv(path)
+    assert list(back) == sorted(tracks)
+    for track_id, samples in tracks.items():
+        assert len(back[track_id]) == len(samples)
+        for got, want in zip(back[track_id], samples):
+            assert close(got.u, want.u) and close(got.v, want.v)
+
+
+fixes = st.builds(
+    PositionFix,
+    st.tuples(finite, finite, finite),
+    st.sampled_from(Method),
+    st.builds(Diagnostics, finite, finite, finite, st.none() | finite),
+)
+fix_rows = st.lists(
+    st.tuples(indices, indices, st.sampled_from(Method), st.none() | fixes, ids), max_size=6
+)
+
+
+@csv_examples
+@given(fix_rows)
+def test_fixes_csv_round_trip_property(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "fixes.csv"
+    write_fixes_csv(rows, path)
+    back = read_fixes_csv(path)
+    # The method column comes from the row, not from the fix.
+    ok = [(p, t, method, fix) for p, t, method, fix, _ in rows if fix is not None]
+    assert [(p, t) for p, t, _ in back] == [(p, t) for p, t, _, _ in ok]
+    for (_, _, got), (_, _, method, want) in zip(back, ok):
+        assert got.method is method
+        assert all(close(a, b) for a, b in zip(got.position, want.position))
+        g, w = got.diagnostics, want.diagnostics
+        assert close(g.height_cm, w.height_cm)
+        assert close(g.image_pair_distance_mm, w.image_pair_distance_mm)
+        assert close(g.world_pair_distance_cm, w.world_pair_distance_cm)
+        assert (g.yaw_rad is None) == (w.yaw_rad is None)
+        assert g.yaw_rad is None or close(g.yaw_rad, w.yaw_rad)
 
 
 # --- report files ---
