@@ -10,6 +10,7 @@ from vlpkit import (
     CameraPose,
     Detection,
     Diagnostics,
+    InputFormatError,
     Method,
     NoiseModel,
     PositionFix,
@@ -21,6 +22,10 @@ from vlpkit import (
 )
 from vlpkit.camera import PixelPoint
 from vlpkit.io import (
+    DETECTION_COLUMNS,
+    FIX_COLUMNS,
+    TRACK_COLUMNS,
+    TRUTH_COLUMNS,
     read_detections_csv,
     read_fixes_csv,
     read_ground_truth_csv,
@@ -245,6 +250,99 @@ def test_fix_csv_floats_use_six_decimals(tmp_path):
     write_fixes_csv(rows, path)
     line = path.read_text().splitlines()[1]
     assert ",1.000000,2.000000,3.000000," in line
+
+
+# --- reader contract: layouts every CSV reader accepts or rejects ---
+
+# Per reader: the header it writes, two data rows, and how many leading fields
+# of the first row are too few to read it.
+READER_CASES = {
+    "detections": (
+        read_detections_csv,
+        DETECTION_COLUMNS,
+        [["3", "1", "L1", "1.5", "2.5"], ["3", "1", "L2", "3.0", "4.0"]],
+        3,
+    ),
+    "ground_truth": (
+        read_ground_truth_csv,
+        TRUTH_COLUMNS,
+        [["3", "1", "1.5", "-2.25", "0.0", "0.5", "7"], ["3", "2", "4.0", "5.0", "0.0", "", "8"]],
+        3,
+    ),
+    "tracks": (
+        read_tracks_csv,
+        TRACK_COLUMNS,
+        [["L1", "1", "1.5", "2.5"], ["L1", "0", "3.0", "4.0"]],
+        3,
+    ),
+    "fixes": (
+        read_fixes_csv,
+        FIX_COLUMNS,
+        [
+            ["3", "1", "two-led", "ok", "1.5", "2.5", "0.0", "150.0", "2.5", "135.0", "0.5", ""],
+            ["3", "2", "three-led", "error", "", "", "", "", "", "", "", "expected 3 detections, got 2"],
+        ],
+        5,
+    ),
+}
+
+
+def _write_table(path, header, rows, blank_lines=False):
+    lines = [",".join(header), *(",".join(row) for row in rows)]
+    path.write_text(("\n\n" if blank_lines else "\n").join(lines) + "\n")
+
+
+def _read_case(tmp_path, name, header, rows, **kwargs):
+    reader = READER_CASES[name][0]
+    path = tmp_path / f"{name}.csv"
+    _write_table(path, header, rows, **kwargs)
+    return reader(path)
+
+
+@pytest.mark.parametrize("name", READER_CASES)
+def test_reader_layouts_read_the_same_values(tmp_path, name):
+    _, header, rows, _ = READER_CASES[name]
+    reference = _read_case(tmp_path, name, header, rows)
+    assert reference
+    assert _read_case(tmp_path, name, header, rows, blank_lines=True) == reference
+
+    def reorder(fields, extra):
+        # Columns reversed, plus an unknown column in the middle.
+        fields = fields[::-1]
+        return [*fields[:2], extra, *fields[2:]]
+
+    assert _read_case(tmp_path, name, reorder(header, "note"), [reorder(row, "x") for row in rows]) == reference
+
+
+@pytest.mark.parametrize("name", READER_CASES)
+def test_reader_short_row_names_its_line(tmp_path, name):
+    reader, header, rows, short = READER_CASES[name]
+    path = tmp_path / f"{name}.csv"
+    _write_table(path, header, [rows[1], rows[0][:short]])
+    with pytest.raises(InputFormatError, match=rf"{name}\.csv:3: "):
+        reader(path)
+
+
+@pytest.mark.parametrize("name", READER_CASES)
+def test_reader_blank_first_line_is_a_missing_column(tmp_path, name):
+    reader, header, rows, _ = READER_CASES[name]
+    path = tmp_path / f"{name}.csv"
+    _write_table(path, header, rows)
+    path.write_text("\n" + path.read_text())
+    with pytest.raises(InputFormatError, match=rf"{name}\.csv: missing required column"):
+        reader(path)
+
+
+def test_empty_optional_index_and_yaw_values_read_as_zero(tmp_path):
+    path = tmp_path / "detections.csv"
+    _write_table(path, DETECTION_COLUMNS, [["", "", "L1", "1.5", "2.5"]])
+    assert read_detections_csv(path) == [(0, 0, [Detection("L1", PixelPoint(1.5, 2.5))])]
+    path = tmp_path / "ground_truth.csv"
+    _write_table(path, TRUTH_COLUMNS, [["0", "0", "1.5", "2.5", "0.0", "", "7"]])
+    assert read_ground_truth_csv(path) == {(0, 0): (1.5, 2.5, 0.0, 0.0)}
+    # Trailing optional fields may be left off altogether.
+    _write_table(path, TRUTH_COLUMNS, [["0", "0", "1.5", "2.5", "0.0"]])
+    assert read_ground_truth_csv(path) == {(0, 0): (1.5, 2.5, 0.0, 0.0)}
 
 
 # --- CSV round-trip properties ---
