@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 MM_PER_CM = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PixelPoint:
     """Pixel-frame point. May lie off the sensor; visibility is tracked separately."""
 
@@ -16,7 +16,7 @@ class PixelPoint:
     v: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImagePoint:
     """Image-plane point in millimetres, origin at the principal point."""
 

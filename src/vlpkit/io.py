@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -36,6 +37,9 @@ def _require(obj: Mapping, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneConfigError(f"{where}: expected a number, got {value!r}")
+    # json reads NaN and Infinity, which no scene field can use.
+    if not math.isfinite(value):
+        raise SceneConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -190,25 +194,54 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 
 
 @contextmanager
-def _csv_rows(path: str | Path, required: Sequence[str]) -> Iterator[csv.DictReader]:
-    """Rows of a CSV file whose header holds every required column.
+def _csv_rows(
+    path: str | Path, required: Sequence[str], optional: Sequence[str] = ()
+) -> Iterator[tuple[Iterator[list], dict[str, int]]]:
+    """Rows of a CSV file whose header holds every required column, and each column's index.
 
-    A missing file or column, or a value in the block that fails to parse,
-    raises InputFormatError naming the file and, for a value, the line.
+    Rows are read as csv.DictReader reads them: the header is the first line,
+    blank lines are skipped, extra columns are ignored, and a short row is
+    padded with None. An optional column the header lacks is indexed past its
+    end, so it reads as None in every row. A missing file or required column,
+    or a value in the block that fails to parse, raises InputFormatError naming
+    the file and, for a value, the line.
     """
     try:
         with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            missing = [c for c in required if c not in (reader.fieldnames or ())]
-            if missing:
-                names = ", ".join(map(repr, missing))
-                raise InputFormatError(f"{path}: missing required column(s) {names}")
+            reader = csv.reader(handle)
             try:
-                yield reader
+                header = next(reader, [])
+                # Later duplicates of a column name win, as in DictReader.
+                columns = {name: i for i, name in enumerate(header)}
+                missing = [c for c in required if c not in columns]
+                if missing:
+                    names = ", ".join(map(repr, missing))
+                    raise InputFormatError(f"{path}: missing required column(s) {names}")
+                for name in optional:
+                    columns.setdefault(name, len(header))
+                width = max(columns.values()) + 1
+
+                def rows() -> Iterator[list]:
+                    for row in reader:
+                        if len(row) < width:
+                            if not row:
+                                continue
+                            row += [None] * (width - len(row))
+                        yield row
+
+                yield rows(), columns
             except (csv.Error, TypeError, ValueError) as err:
                 raise InputFormatError(f"{path}:{reader.line_num}: {err}") from err
     except OSError as err:
         raise InputFormatError(f"{path}: {err.strerror}") from err
+
+
+def _position(x: str, y: str, z: str) -> tuple[float, float, float]:
+    """Three coordinate fields as floats; ValueError unless all are finite."""
+    position = (float(x), float(y), float(z))
+    if not all(map(math.isfinite, position)):
+        raise ValueError(f"non-finite coordinate in ({x}, {y}, {z})")
+    return position
 
 
 def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
@@ -227,10 +260,11 @@ def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection
     """
     groups: dict[tuple[int, int], list[Detection]] = {}
     # The index columns are optional.
-    with _csv_rows(path, DETECTION_COLUMNS[2:]) as reader:
-        for row in reader:
-            key = (int(row.get("point_index", 0) or 0), int(row.get("trial_index", 0) or 0))
-            det = Detection(row["beacon_id"], PixelPoint(float(row["u_px"]), float(row["v_px"])))
+    with _csv_rows(path, DETECTION_COLUMNS[2:], DETECTION_COLUMNS[:2]) as (rows, col):
+        point, trial, beacon, u, v = map(col.get, DETECTION_COLUMNS)
+        for row in rows:
+            key = (int(row[point] or 0), int(row[trial] or 0))
+            det = Detection(row[beacon], PixelPoint(float(row[u]), float(row[v])))
             groups.setdefault(key, []).append(det)
     return [(p, t, dets) for (p, t), dets in sorted(groups.items())]
 
@@ -248,14 +282,12 @@ def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float
     """Maps (point_index, trial_index) to (x, y, z, yaw)."""
     truths: dict[tuple[int, int], tuple[float, float, float, float]] = {}
     # yaw_rad is optional and seed is not read.
-    with _csv_rows(path, TRUTH_COLUMNS[:5]) as reader:
-        for row in reader:
-            key = (int(row["point_index"]), int(row["trial_index"]))
-            truths[key] = (
-                float(row["x_cm"]),
-                float(row["y_cm"]),
-                float(row["z_cm"]),
-                float(row.get("yaw_rad", 0.0) or 0.0),
+    with _csv_rows(path, TRUTH_COLUMNS[:5], ["yaw_rad"]) as (rows, col):
+        point, trial, x, y, z, yaw = map(col.get, TRUTH_COLUMNS[:6])
+        for row in rows:
+            truths[int(row[point]), int(row[trial])] = (
+                *_position(row[x], row[y], row[z]),
+                float(row[yaw] or 0.0),
             )
     return truths
 
@@ -270,15 +302,15 @@ def write_tracks_csv(tracks: Mapping[str, Sequence[PixelPoint]], path: str | Pat
 
 
 def read_tracks_csv(path: str | Path) -> dict[str, list[PixelPoint]]:
-    rows: dict[str, list[tuple[int, PixelPoint]]] = {}
-    with _csv_rows(path, TRACK_COLUMNS) as reader:
-        for row in reader:
-            rows.setdefault(row["track_id"], []).append(
-                (int(row["sample_index"]), PixelPoint(float(row["u_px"]), float(row["v_px"])))
-            )
+    samples: dict[str, list[tuple[int, PixelPoint]]] = {}
+    with _csv_rows(path, TRACK_COLUMNS) as (rows, col):
+        track, index, u, v = map(col.get, TRACK_COLUMNS)
+        for row in rows:
+            sample = (int(row[index]), PixelPoint(float(row[u]), float(row[v])))
+            samples.setdefault(row[track], []).append(sample)
     return {
-        track_id: [p for _, p in sorted(samples, key=lambda s: s[0])]
-        for track_id, samples in sorted(rows.items())
+        track_id: [p for _, p in sorted(track_samples, key=lambda s: s[0])]
+        for track_id, track_samples in sorted(samples.items())
     }
 
 
@@ -314,23 +346,23 @@ def write_fixes_csv(
 def read_fixes_csv(path: str | Path) -> list[tuple[int, int, PositionFix]]:
     """Fix rows with status ok; failed rows are skipped."""
     fixes: list[tuple[int, int, PositionFix]] = []
+    methods = {m.value: m for m in Method}
     # Every column but the free-text message is read.
-    with _csv_rows(path, FIX_COLUMNS[:-1]) as reader:
-        for row in reader:
-            if row["status"] != "ok":
+    with _csv_rows(path, FIX_COLUMNS[:-1]) as (rows, col):
+        point, trial, method, status, x, y, z, height, image_d, world_d, yaw = map(col.get, FIX_COLUMNS[:-1])
+        for row in rows:
+            if row[status] != "ok":
                 continue
             diag = Diagnostics(
-                height_cm=float(row["height_cm"]),
-                image_pair_distance_mm=float(row["image_pair_distance_mm"]),
-                world_pair_distance_cm=float(row["world_pair_distance_cm"]),
-                yaw_rad=float(row["yaw_rad"]) if row["yaw_rad"] else None,
+                float(row[height]),
+                float(row[image_d]),
+                float(row[world_d]),
+                float(row[yaw]) if row[yaw] else None,
             )
-            fix = PositionFix(
-                (float(row["x_cm"]), float(row["y_cm"]), float(row["z_cm"])),
-                Method(row["method"]),
-                diag,
-            )
-            fixes.append((int(row["point_index"]), int(row["trial_index"]), fix))
+            # An unknown name falls through to Method, which raises ValueError.
+            name = row[method]
+            fix = PositionFix(_position(row[x], row[y], row[z]), methods.get(name) or Method(name), diag)
+            fixes.append((int(row[point]), int(row[trial]), fix))
     return fixes
 
 

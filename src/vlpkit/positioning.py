@@ -34,7 +34,7 @@ class Method(Enum):
     THREE_LED = "three-led"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedBeacon:
     """A ceiling LED with a known world position in cm."""
 
@@ -42,7 +42,7 @@ class LedBeacon:
     position: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One beacon observed at a pixel position."""
 
@@ -50,7 +50,7 @@ class Detection:
     pixel: PixelPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostics:
     """Intermediates of a fix, kept for reporting and calibration."""
 
@@ -60,7 +60,7 @@ class Diagnostics:
     yaw_rad: float | None = None  # two-beacon fixes only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PositionFix:
     """Estimated camera position in cm, with the method and intermediates behind it."""
 

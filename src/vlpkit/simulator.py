@@ -39,11 +39,11 @@ class NoiseModel:
     quantize: bool = False
 
     def __post_init__(self) -> None:
-        if self.pixel_sigma < 0:
+        if not self.pixel_sigma >= 0:  # also rejects NaN
             raise ValueError(f"pixel_sigma must be non-negative, got {self.pixel_sigma}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CameraPose:
     """Camera position in cm and yaw about the vertical axis in rad. No tilt."""
 
@@ -86,7 +86,7 @@ class SceneConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One simulated measurement: where the camera truly was and what it saw."""
 
@@ -121,16 +121,27 @@ def project(beacon: LedBeacon, scene: SceneConfig) -> tuple[PixelPoint, bool]:
     return PixelPoint(u, v), k.on_sensor(u, v)
 
 
-def _noisy_pixel(beacon: LedBeacon, scene: SceneConfig, rng: np.random.Generator) -> PixelPoint:
-    """Projected pixel of one beacon with the scene's noise model applied."""
+def _noise_offsets(scene: SceneConfig, count: int) -> list:
+    """The first count pixel-noise offsets (du, dv) of the stream seeded by scene.seed.
+
+    They are drawn in one call: a draw of shape (count, 2) yields the same
+    values as count draws of two. A noiseless scene draws nothing and gets
+    None per offset.
+    """
+    sigma = scene.noise.pixel_sigma
+    if sigma > 0:
+        return np.random.default_rng(scene.seed).normal(0.0, sigma, size=(count, 2)).tolist()
+    return [None] * count
+
+
+def _noisy_pixel(beacon: LedBeacon, scene: SceneConfig, offset: Sequence[float] | None) -> PixelPoint:
+    """Projected pixel of one beacon shifted by its noise offset, then quantized if the scene says so."""
     pixel, _ = project(beacon, scene)
     u, v = pixel.u, pixel.v
-    noise = scene.noise
-    if noise.pixel_sigma > 0:
-        du, dv = rng.normal(0.0, noise.pixel_sigma, size=2)
-        u += float(du)
-        v += float(dv)
-    if noise.quantize:
+    if offset is not None:
+        u += offset[0]
+        v += offset[1]
+    if scene.noise.quantize:
         u = float(np.rint(u))
         v = float(np.rint(v))
     return PixelPoint(u, v)
@@ -143,10 +154,10 @@ def observe(scene: SceneConfig) -> list[Detection]:
     scene.seed, and draws happen in beacon order whether or not a beacon
     survives the frame check.
     """
-    rng = np.random.default_rng(scene.seed)
+    offsets = _noise_offsets(scene, len(scene.beacons))
     detections: list[Detection] = []
-    for beacon in scene.beacons:
-        pixel = _noisy_pixel(beacon, scene, rng)
+    for beacon, offset in zip(scene.beacons, offsets):
+        pixel = _noisy_pixel(beacon, scene, offset)
         if scene.intrinsics.on_sensor(pixel.u, pixel.v):
             detections.append(Detection(beacon.id, pixel))
     return detections
@@ -159,20 +170,22 @@ def rotation_sweep(
 
     Noiseless tracks lie exactly on circles centred at the true principal
     point, which is what rotation calibration exploits. The scene noise model
-    applies on top. Points are kept even if they drift off the sensor, so
-    every track has one sample per angle.
+    applies on top, drawn from one stream in angle-then-beacon order. Points
+    are kept even if they drift off the sensor, so every track has one sample
+    per angle.
     """
     angle_list = tuple(angles)
     if len(angle_list) < 3:
         raise ValueError(f"a sweep needs at least 3 angles, got {len(angle_list)}")
-    rng = np.random.default_rng(scene.seed)
+    n = len(scene.beacons)
+    offsets = _noise_offsets(scene, len(angle_list) * n)
     tracks: dict[str, list[PixelPoint]] = {b.id: [] for b in scene.beacons}
-    for angle in angle_list:
+    for k, angle in enumerate(angle_list):
         turned = replace(
             scene, camera_pose=CameraPose(scene.camera_pose.position, angle)
         )
-        for beacon in scene.beacons:
-            tracks[beacon.id].append(_noisy_pixel(beacon, turned, rng))
+        for beacon, offset in zip(scene.beacons, offsets[k * n : (k + 1) * n]):
+            tracks[beacon.id].append(_noisy_pixel(beacon, turned, offset))
     return tracks
 
 

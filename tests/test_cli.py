@@ -456,6 +456,24 @@ def test_wrong_or_missing_input_file_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {missing}: No such file or directory"]
 
 
+def test_stats_on_a_non_finite_fix_names_the_line(tmp_path, capsys):
+    sim, loc = tmp_path / "sim", tmp_path / "loc"
+    main(["simulate", "--out", str(sim), "--trials", "1"])
+    main(["locate", "--scene", str(sim / "scene.json"), "--detections", str(sim / "detections.csv"), "--out", str(loc)])
+    fixes = loc / "fixes.csv"
+    lines = fixes.read_text().splitlines()
+    cells = lines[3].split(",")
+    assert cells[3] == "ok"
+    cells[4] = "nan"
+    lines[3] = ",".join(cells)
+    fixes.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["stats", "--fixes", str(fixes), "--ground-truth", str(sim / "ground_truth.csv"), "--out", str(tmp_path)])
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {fixes}:4: non-finite coordinate")
+
+
 def _off_sensor_dispersion(tmp_path):
     # A corrected principal point at the sensor edge biases the fixes so far that
     # the paper-literal correction lands thousands of pixels off the sensor.

@@ -140,6 +140,28 @@ def test_scene_inconsistency_is_wrapped(tmp_path):
         read_scene(path)
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["noise"].update(pixel_sigma_px=math.nan), r"scene\.noise\.pixel_sigma_px"),
+        (lambda d: d.update(true_principal_point_px=[math.inf, 300.0]), r"scene\.true_principal_point_px"),
+        (lambda d: d["camera_pose"].update(position=[-math.inf, 0.0, 0.0]), r"scene\.camera_pose\.position"),
+        (lambda d: d["beacons"][0].update(position=[0.0, math.nan, 150.0]), r"scene\.beacons\[0\]\.position"),
+    ],
+)
+def test_scene_non_finite_number_names_the_field(tmp_path, edit, field):
+    import json
+
+    from vlpkit.io import scene_to_dict
+
+    bad = scene_to_dict(default_scene())
+    edit(bad)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(bad))  # writes NaN / Infinity, which json reads back
+    with pytest.raises(SceneConfigError, match=rf"{field}: expected a finite number"):
+        read_scene(path)
+
+
 # --- CSV round trips ---
 
 
@@ -331,6 +353,23 @@ def test_reader_blank_first_line_is_a_missing_column(tmp_path, name):
     path.write_text("\n" + path.read_text())
     with pytest.raises(InputFormatError, match=rf"{name}\.csv: missing required column"):
         reader(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fixes_and_truth_readers_reject_non_finite_coordinates(tmp_path, value):
+    _, _, (ok, failed), _ = READER_CASES["fixes"]
+    path = tmp_path / "fixes.csv"
+    _write_table(path, FIX_COLUMNS, [failed, ok[:5] + [value] + ok[6:]])
+    with pytest.raises(InputFormatError, match=r"fixes\.csv:3: non-finite coordinate"):
+        read_fixes_csv(path)
+    # A failed row carries no coordinates to check.
+    _write_table(path, FIX_COLUMNS, [failed[:4] + [value] * 3 + failed[7:]])
+    assert read_fixes_csv(path) == []
+
+    path = tmp_path / "ground_truth.csv"
+    _write_table(path, TRUTH_COLUMNS, [["0", "0", "1.5", "2.5", value, "0.0", "7"]])
+    with pytest.raises(InputFormatError, match=r"ground_truth\.csv:2: non-finite coordinate"):
+        read_ground_truth_csv(path)
 
 
 def test_empty_optional_index_and_yaw_values_read_as_zero(tmp_path):

@@ -236,3 +236,38 @@ def test_default_grid_keeps_all_beacons_in_frame():
 def test_noise_model_rejects_negative_sigma():
     with pytest.raises(ValueError):
         NoiseModel(pixel_sigma=-0.1)
+    # NaN fails every comparison, so a `sigma > 0` test would silently mean "no noise".
+    with pytest.raises(ValueError):
+        NoiseModel(pixel_sigma=math.nan)
+
+
+FOUR_BEACONS = (*DEFAULT_BEACONS, LedBeacon("L4", (-30.0, 10.0, 150.0)))
+
+
+def _hand_noisy_pixels(scene, angles, sigma, quantize):
+    """Per-beacon reference: one two-value draw per beacon, angle by angle, from one seeded stream."""
+    rng = np.random.default_rng(scene.seed)
+    pixels = []
+    for angle in angles:
+        turned = dataclasses.replace(scene, camera_pose=CameraPose(scene.camera_pose.position, angle))
+        for beacon in scene.beacons:
+            exact, _ = project(beacon, turned)
+            du, dv = rng.normal(0, sigma, size=2)
+            u, v = exact.u + float(du), exact.v + float(dv)
+            if quantize:
+                u, v = float(np.rint(u)), float(np.rint(v))
+            pixels.append((beacon.id, u, v))
+    return pixels
+
+
+@pytest.mark.parametrize("quantize", [False, True])
+def test_noise_stream_equals_one_draw_per_beacon(quantize):
+    sigma = 0.7
+    scene = scene_with(FOUR_BEACONS, position=(-40.0, 5.0, 0.0), noise=NoiseModel(sigma, quantize), seed=31)
+    expected = _hand_noisy_pixels(scene, [0.0], sigma, quantize)
+    assert [(d.beacon_id, d.pixel.u, d.pixel.v) for d in observe(scene)] == expected
+
+    tracks = rotation_sweep(scene, SWEEP_ANGLES_12)
+    expected = _hand_noisy_pixels(scene, SWEEP_ANGLES_12, sigma, quantize)
+    got = [(b.id, tracks[b.id][k].u, tracks[b.id][k].v) for k in range(len(SWEEP_ANGLES_12)) for b in scene.beacons]
+    assert got == expected
