@@ -69,7 +69,7 @@ def _write_manifest(out_dir: Path, subcommand: str, scene: SceneConfig | None, a
         "tool": "vlpkit",
         "version": __version__,
         "subcommand": subcommand,
-        "seed": getattr(args, "seed", None),
+        "seed": None,
         "scene_sha256": _scene_hash(scene) if scene is not None else None,
         "flags": {
             key: value
@@ -82,8 +82,8 @@ def _write_manifest(out_dir: Path, subcommand: str, scene: SceneConfig | None, a
     (out_dir / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
+def _out_dir(path: str | Path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -104,10 +104,6 @@ def _scene(args: argparse.Namespace, default: SceneConfig) -> SceneConfig:
     return scene if args.seed is None else replace(scene, seed=args.seed)
 
 
-def _groups(records: Sequence[TrialRecord]) -> list[tuple[int, int, list[Detection]]]:
-    return [(rec.point_index, rec.trial_index, list(rec.detections)) for rec in records]
-
-
 def compute_fix(
     detections: Sequence[Detection],
     beacons: Sequence[LedBeacon],
@@ -126,24 +122,56 @@ def compute_fix(
     return trilaterate_three(detections, beacons, intrinsics, height_pair=height_pair)
 
 
-def _locate_rows(
+def _simulate(scene: SceneConfig, grid: Sequence[Sequence[float]], trials: int, out: str | Path) -> list[TrialRecord]:
+    """Trials seeded by scene.seed, written to out with the scene that made them."""
+    records = generate_trials(grid, trials, scene, scene.seed)
+    out = _out_dir(out)
+    write_scene(scene, out / "scene.json")
+    write_detections_csv(records, out / "detections.csv")
+    write_ground_truth_csv(records, out / "ground_truth.csv")
+    return records
+
+
+def _locate(
     groups: Sequence[tuple[int, int, Sequence[Detection]]],
-    scene: SceneConfig,
+    beacons: Sequence[LedBeacon],
     intrinsics,
     method: Method,
     height_pair: str,
-    quiet: bool = False,
+    path: Path,
 ) -> list[tuple[int, int, Method, PositionFix | None, str]]:
-    rows: list[tuple[int, int, Method, PositionFix | None, str]] = []
+    """One fixes row per (point, trial, detections) group, written to path.
+
+    A failed row keeps its message; stderr gets one line per exception type.
+    """
+    rows = []
+    failures: dict[str, list] = {}
     for point, trial, dets in groups:
         try:
-            fix = compute_fix(dets, scene.beacons, intrinsics, method, height_pair)
-            rows.append((point, trial, method, fix, ""))
+            rows.append((point, trial, method, compute_fix(dets, beacons, intrinsics, method, height_pair), ""))
         except (VlpError, ValueError) as err:
-            if not quiet:
-                print(f"warning: trial {point}/{trial}: {err}", file=sys.stderr)
             rows.append((point, trial, method, None, str(err)))
+            failures.setdefault(type(err).__name__, [0, f"{point}/{trial}: {err}"])[0] += 1
+    for name, (count, first) in failures.items():
+        print(f"warning: {count} trial(s) failed with {name}, first {first}", file=sys.stderr)
+    write_fixes_csv(rows, path)
     return rows
+
+
+def _stats(
+    fixes: Sequence[tuple[int, int, PositionFix]],
+    truths: dict[tuple[int, int], Sequence[float]],
+    out: str | Path,
+    prefix: str,
+) -> ErrorReport:
+    """Error report of each (point, trial, fix) against the truth for its key, written to out."""
+    keys = [(point, trial) for point, trial, _ in fixes]
+    missing = next((key for key in keys if key not in truths), None)
+    if missing is not None:
+        raise VlpError(f"no ground truth for trial {missing[0]}/{missing[1]}")
+    report = error_stats([fix for _, _, fix in fixes], [truths[key][:3] for key in keys])
+    write_error_report(report, keys, _out_dir(out), prefix)
+    return report
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -152,12 +180,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         grid = [_parse_triple(args.at, "--at")]
     else:
         grid = default_grid()
-    records = generate_trials(grid, args.trials, scene, scene.seed)
-    out = _out_dir(args)
-    write_scene(scene, out / "scene.json")
-    write_detections_csv(records, out / "detections.csv")
-    write_ground_truth_csv(records, out / "ground_truth.csv")
-    _write_manifest(out, "simulate", scene, args, {"trials": len(records)})
+    out = Path(args.out)
+    records = _simulate(scene, grid, args.trials, out)
+    _write_manifest(out, "simulate", scene, args, {"seed": scene.seed, "trials": len(records)})
     print(f"simulated {len(records)} trials over {len(grid)} points -> {out}")
     return 0
 
@@ -167,9 +192,8 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     groups = read_detections_csv(args.detections)
     method = Method(args.method)
     height_pair = "first" if args.paper_faithful_h else "average"
-    rows = _locate_rows(groups, scene, scene.intrinsics, method, height_pair)
-    out = _out_dir(args)
-    write_fixes_csv(rows, out / "fixes.csv")
+    out = _out_dir(args.out)
+    rows = _locate(groups, scene.beacons, scene.intrinsics, method, height_pair, out / "fixes.csv")
     _write_manifest(out, "locate", scene, args)
     ok = sum(1 for row in rows if row[3] is not None)
     print(f"located {ok}/{len(rows)} trials ({method.value}) -> {out / 'fixes.csv'}")
@@ -178,7 +202,6 @@ def _cmd_locate(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     scene = read_scene(args.scene)
-    out = _out_dir(args)
     before = scene.intrinsics.corrected_principal_point
     report_lines: list[str] = []
     if args.calibration == "rotation":
@@ -200,6 +223,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         report_lines.append(f"dispersion: {format_dispersion(summary)}")
     after = intrinsics.corrected_principal_point
     calibrated = replace(scene, intrinsics=intrinsics)
+    out = _out_dir(args.out)
     write_scene(calibrated, out / "scene_calibrated.json")
     report_lines.insert(
         0,
@@ -216,19 +240,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     fixes = read_fixes_csv(args.fixes)
     truths = read_ground_truth_csv(args.ground_truth)
-    keys = []
-    fix_list = []
-    truth_list = []
-    for point, trial, fix in fixes:
-        if (point, trial) not in truths:
-            raise VlpError(f"no ground truth for trial {point}/{trial}")
-        x, y, z, _ = truths[(point, trial)]
-        keys.append((point, trial))
-        fix_list.append(fix)
-        truth_list.append((x, y, z))
-    report = error_stats(fix_list, truth_list)
-    out = _out_dir(args)
-    write_error_report(report, keys, out, args.label)
+    report = _stats(fixes, truths, args.out, args.label)
+    out = Path(args.out)
     lines = report_summary_lines(report, args.label)
     (out / f"summary_{args.label}.txt").write_text("\n".join(lines) + "\n")
     _write_manifest(out, "stats", None, args)
@@ -250,30 +263,25 @@ def replicate_scene(seed: int) -> SceneConfig:
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
     scene = _scene(args, replicate_scene(DEFAULT_REPLICATE_SEED))
-    base_seed = scene.seed
-    out = _out_dir(args)
-    write_scene(scene, out / "scene.json")
+    out = Path(args.out)
     nominal_intrinsics = scene.intrinsics
-
     grid = default_grid()
-    records = generate_trials(grid, DEFAULT_TRIALS_PER_POINT, scene, base_seed)
-    write_detections_csv(records, out / "detections.csv")
-    write_ground_truth_csv(records, out / "ground_truth.csv")
-    groups = _groups(records)
-    truth_by_key = {
-        (rec.point_index, rec.trial_index): rec.pose.position for rec in records
-    }
+    records = _simulate(scene, grid, DEFAULT_TRIALS_PER_POINT, out)
+    groups = [(rec.point_index, rec.trial_index, rec.detections) for rec in records]
+    truths = {(rec.point_index, rec.trial_index): rec.pose.position for rec in records}
 
     # Spin-in-place tracks, fitted once and shared by both methods.
     sweep_scene = replace(
         scene,
         camera_pose=CameraPose((0.0, 0.0, 0.0)),
-        seed=derive_seed(base_seed, ROTATION_STREAM, 0),
+        seed=derive_seed(scene.seed, ROTATION_STREAM, 0),
     )
     tracks = rotation_sweep(sweep_scene, SWEEP_ANGLES_12)
     write_tracks_csv(tracks, out / "tracks_rotation.csv")
     rotation_intrinsics, fits = calibrate_rotation(tracks, nominal_intrinsics)
     write_scene(replace(scene, intrinsics=rotation_intrinsics), out / "scene_rotation.json")
+    summary_lines = [f"seed: {scene.seed}", f"scene: {_scene_hash(scene)}"]
+    summary_lines.extend(f"rotation track {tid}: {format_circle_fit(fit)}" for tid, fit in sorted(fits.items()))
 
     # Repeated fixes at a surveyed point (the grid centre), calibrated per
     # method.  The centre sits in the low-noise zone, so the mean of the fix
@@ -288,43 +296,28 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         [centre],
         DISPERSION_TRIALS,
         dispersion_scene,
-        derive_seed(base_seed, DISPERSION_STREAM, 0),
+        derive_seed(scene.seed, DISPERSION_STREAM, 0),
     )
-    dispersion_groups = _groups(dispersion_records)
-    dispersion_intrinsics: dict[Method, object] = {}
-    dispersion_lines: list[str] = []
-    for method in (Method.TWO_LED, Method.THREE_LED):
-        rows = _locate_rows(dispersion_groups, scene, nominal_intrinsics, method, "average", quiet=True)
-        write_fixes_csv(rows, out / f"dispersion_fixes_{method.value}.csv")
-        fixes = [row[3] for row in rows if row[3] is not None]
-        intrinsics, summary = calibrate_dispersion(
-            fixes, centre, nominal_intrinsics, mode="physical"
-        )
-        dispersion_intrinsics[method] = intrinsics
-        write_scene(replace(scene, intrinsics=intrinsics), out / f"scene_dispersion_{method.value}.json")
-        dispersion_lines.append(f"dispersion calibration ({method.value}): {format_dispersion(summary)}")
-
+    dispersion_groups = [(rec.point_index, rec.trial_index, rec.detections) for rec in dispersion_records]
     reports: dict[tuple[Method, str], ErrorReport] = {}
     for method in (Method.TWO_LED, Method.THREE_LED):
+        path = out / f"dispersion_fixes_{method.value}.csv"
+        rows = _locate(dispersion_groups, scene.beacons, nominal_intrinsics, method, "average", path)
+        fixes = [fix for _, _, _, fix, _ in rows if fix is not None]
+        dispersion_intrinsics, summary = calibrate_dispersion(fixes, centre, nominal_intrinsics, mode="physical")
+        write_scene(replace(scene, intrinsics=dispersion_intrinsics), out / f"scene_dispersion_{method.value}.json")
+        summary_lines.append(f"dispersion calibration ({method.value}): {format_dispersion(summary)}")
         calibrations = {
             "uncalibrated": nominal_intrinsics,
             "rotation": rotation_intrinsics,
-            "dispersion": dispersion_intrinsics[method],
+            "dispersion": dispersion_intrinsics,
         }
         for calibration, intrinsics in calibrations.items():
-            rows = _locate_rows(groups, scene, intrinsics, method, "average", quiet=True)
             prefix = f"{method.value}_{calibration}"
-            write_fixes_csv(rows, out / f"fixes_{prefix}.csv")
-            ok_keys = [(p, t) for p, t, _, fix, _ in rows if fix is not None]
-            fixes = [fix for _, _, _, fix, _ in rows if fix is not None]
-            truths = [truth_by_key[key] for key in ok_keys]
-            report = error_stats(fixes, truths)
-            reports[(method, calibration)] = report
-            write_error_report(report, ok_keys, out, prefix)
+            rows = _locate(groups, scene.beacons, intrinsics, method, "average", out / f"fixes_{prefix}.csv")
+            ok = [(point, trial, fix) for point, trial, _, fix, _ in rows if fix is not None]
+            reports[(method, calibration)] = _stats(ok, truths, out, prefix)
 
-    summary_lines: list[str] = [f"seed: {base_seed}", f"scene: {_scene_hash(scene)}"]
-    summary_lines.extend(f"rotation track {tid}: {format_circle_fit(fit)}" for tid, fit in sorted(fits.items()))
-    summary_lines.extend(dispersion_lines)
     write_summary_csv(reports, out / "summary.csv")
     comparisons = [
         (method, ref, var, compare_reports(reports[(method, ref)], reports[(method, var)]))
@@ -341,6 +334,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         scene,
         args,
         {
+            "seed": scene.seed,
             "trials": len(records),
             "grid_points": len(grid),
             "dispersion_point": list(centre),

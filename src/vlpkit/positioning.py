@@ -204,13 +204,17 @@ def trilaterate_three(
     b1 = r1 * r1 - r3 * r3 - (x1 * x1 + y1 * y1 - x3 * x3 - y3 * y3)
     xc = 0.5 * (m11 * b0 - m01 * b1) / det
     yc = 0.5 * (m00 * b1 - m10 * b0) / det
+    position = (xc, yc, leds[0].position[2] - height)
+    # Finite but huge pixels overflow the squared radii.
+    if not all(map(math.isfinite, position)):
+        raise ValueError(f"three-led position {position} is not finite")
 
     diag = Diagnostics(
         height_cm=height,
         image_pair_distance_mm=geoms[0][0],
         world_pair_distance_cm=geoms[0][1],
     )
-    return PositionFix((xc, yc, leds[0].position[2] - height), Method.THREE_LED, diag)
+    return PositionFix(position, Method.THREE_LED, diag)
 
 
 def locate_two(

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface."""
 
+import csv
 import hashlib
 import json
 from dataclasses import replace
@@ -79,14 +80,20 @@ def test_locate_noiseless_round_trip(tmp_path, method):
         assert fix.position[2] == pytest.approx(z, abs=1e-5)
 
 
-def test_locate_returns_1_when_every_row_fails(tmp_path):
+def _two_beacon_detections(tmp_path):
+    """A one-trial-per-point simulation with beacon L3 dropped from every trial."""
     sim = tmp_path / "sim"
     main(["simulate", "--out", str(sim), "--trials", "1"])
-    # Drop one beacon from every trial: the three-beacon path then rejects all rows.
     src = (sim / "detections.csv").read_text().splitlines()
     kept = [src[0]] + [line for line in src[1:] if not line.split(",")[2] == "L3"]
     crippled = sim / "two_only.csv"
     crippled.write_text("\n".join(kept) + "\n")
+    return sim, crippled
+
+
+def test_locate_returns_1_when_every_row_fails(tmp_path):
+    # The three-beacon path rejects every row.
+    sim, crippled = _two_beacon_detections(tmp_path)
     loc = tmp_path / "loc"
     rc = main(
         [
@@ -117,6 +124,20 @@ def test_locate_returns_1_when_every_row_fails(tmp_path):
         ]
     )
     assert rc == 0
+
+
+def test_locate_summarizes_failures_by_type(tmp_path, capsys):
+    sim, crippled = _two_beacon_detections(tmp_path)
+    loc = tmp_path / "loc"
+    capsys.readouterr()
+    argv = ["locate", "--scene", str(sim / "scene.json"), "--detections", str(crippled), "--out", str(loc)]
+    assert main(argv + ["--method", "three-led"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "warning: 36 trial(s) failed with ValueError, first 0/0: expected 3 detections, got 2"
+    with open(loc / "fixes.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 36
+    assert {(row["status"], row["message"]) for row in rows} == {("error", "expected 3 detections, got 2")}
 
 
 def test_locate_paper_faithful_height_flag(tmp_path):
@@ -376,6 +397,24 @@ def test_replicate_emits_full_report(tmp_path):
     assert (out / "summary.txt").read_text().count("average positioning error") == 6
 
 
+def test_replicate_fixes_match_standalone_locate(tmp_path):
+    rep = tmp_path / "rep"
+    assert main(["replicate", "--out", str(rep), "--seed", "7"]) == 0
+    # Pixels are quantized, so the detections CSV round trip is exact.
+    for method in ("two-led", "three-led"):
+        scenes = {
+            "uncalibrated": "scene.json",
+            "rotation": "scene_rotation.json",
+            "dispersion": f"scene_dispersion_{method}.json",
+        }
+        for calibration, scene in scenes.items():
+            loc = tmp_path / f"{method}_{calibration}"
+            argv = ["locate", "--scene", str(rep / scene), "--detections", str(rep / "detections.csv")]
+            assert main(argv + ["--out", str(loc), "--method", method]) == 0
+            expected = (rep / f"fixes_{method}_{calibration}.csv").read_bytes()
+            assert (loc / "fixes.csv").read_bytes() == expected, (method, calibration)
+
+
 GOLDEN_CSV_DIGESTS = Path(__file__).parent / "data" / "golden_replicate_csv.sha256"
 
 
@@ -391,15 +430,15 @@ def test_replicate_seed_7_csvs_match_golden_digests(tmp_path):
     assert got == expected
 
 
-@pytest.mark.parametrize("method", ["two-led", "three-led"])
-def test_locate_fails_only_the_row_with_a_non_finite_pixel(tmp_path, method):
+def _assert_only_trial_0_0_fails(tmp_path, method, u_px):
+    """Locate 72 simulated trials after setting trial 0/0's first u_px; only that row may fail."""
     sim = tmp_path / "sim"
     main(["simulate", "--out", str(sim), "--trials", "2"])
     path = sim / "detections.csv"
     lines = path.read_text().splitlines()
     cells = lines[1].split(",")
     assert cells[:2] == ["0", "0"]
-    cells[3] = "nan"
+    cells[3] = u_px
     lines[1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     loc = tmp_path / "loc"
@@ -409,6 +448,27 @@ def test_locate_fails_only_the_row_with_a_non_finite_pixel(tmp_path, method):
     status = {(row[0], row[1]): row[3] for row in rows}
     assert status.pop(("0", "0")) == "error"
     assert len(status) == 71 and set(status.values()) == {"ok"}
+    # Every ok row reads back, so stats accepts the file.
+    argv = ["stats", "--fixes", str(loc / "fixes.csv"), "--ground-truth", str(sim / "ground_truth.csv")]
+    assert main(argv + ["--out", str(tmp_path / "stats")]) == 0
+
+
+@pytest.mark.parametrize("method", ["two-led", "three-led"])
+def test_locate_fails_only_the_row_with_a_non_finite_pixel(tmp_path, method):
+    _assert_only_trial_0_0_fails(tmp_path, method, "nan")
+
+
+def test_three_led_fails_only_the_row_whose_huge_pixel_overflows(tmp_path):
+    _assert_only_trial_0_0_fails(tmp_path, "three-led", "1e200")
+
+
+@pytest.mark.parametrize("argv, seed", [(["simulate", "--trials", "1"], 0), (["replicate"], 7)], ids=["simulate", "replicate"])
+def test_run_json_records_the_seed_used_without_a_seed_flag(tmp_path, argv, seed):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["seed"] == seed
+    assert json.loads((out / "scene.json").read_text())["seed"] == seed
 
 
 def _drop_u_px(rows):

@@ -1,8 +1,11 @@
 """Height stage, three-beacon trilateration, and the two-beacon fix with yaw."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vlpkit.simulator as sim
 from vlpkit import (
@@ -15,6 +18,7 @@ from vlpkit import (
     SingularGeometry,
     UnequalBeaconHeights,
     UnknownBeacon,
+    VlpError,
     estimate_height,
     image_to_pixel,
     locate_two,
@@ -220,6 +224,31 @@ def test_non_finite_pixel_rejected_by_both_estimators(bad):
         trilaterate_three(dets, scene.beacons, scene.intrinsics)
     with pytest.raises(ValueError, match="non-finite"):
         locate_two(dets[:2], scene.beacons, scene.intrinsics)
+
+
+@pytest.mark.parametrize("coordinate", ["u", "v"])
+def test_three_led_rejects_a_huge_pixel_that_overflows(coordinate):
+    scene = make_scene((0.0, 0.0, 0.0))
+    dets = exact_detections(scene)
+    dets[0] = Detection(dets[0].beacon_id, dataclasses.replace(dets[0].pixel, **{coordinate: 1e200}))
+    with pytest.raises(ValueError, match="not finite"):
+        trilaterate_three(dets, scene.beacons, scene.intrinsics)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(finite, finite), min_size=3, max_size=3))
+def test_any_finite_pixels_give_a_finite_fix_or_an_error(pixels):
+    scene = make_scene((0.0, 0.0, 0.0))
+    dets = [Detection(b.id, PixelPoint(u, v)) for b, (u, v) in zip(scene.beacons, pixels)]
+    for locate, used in ((trilaterate_three, dets), (locate_two, dets[:2])):
+        try:
+            fix = locate(used, scene.beacons, scene.intrinsics)
+        except (VlpError, ValueError):
+            continue
+        assert all(map(math.isfinite, fix.position)), (locate.__name__, fix.position)
 
 
 # --- two-beacon fixes ---
