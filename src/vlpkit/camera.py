@@ -77,10 +77,15 @@ class CameraIntrinsics:
         return replace(self, corrected_principal_point=(u1, v1))
 
 
+def _image_coords(u: float, v: float, k: CameraIntrinsics) -> tuple[float, float]:
+    """Pixel position to (i, j) mm image coordinates about the corrected principal point."""
+    u1, v1 = k.corrected_principal_point
+    return ((u - u1) * k.pitch_i, (v - v1) * k.pitch_j)
+
+
 def pixel_to_image(p: PixelPoint, k: CameraIntrinsics) -> ImagePoint:
     """Pixel point to mm image coordinates about the corrected principal point."""
-    u1, v1 = k.corrected_principal_point
-    return ImagePoint((p.u - u1) * k.pitch_i, (p.v - v1) * k.pitch_j)
+    return ImagePoint(*_image_coords(p.u, p.v, k))
 
 
 def image_to_pixel(p: ImagePoint, k: CameraIntrinsics) -> PixelPoint:

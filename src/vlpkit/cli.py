@@ -122,6 +122,20 @@ def compute_fix(
     return trilaterate_three(detections, beacons, intrinsics, height_pair=height_pair)
 
 
+def _check_on_sensor(detections: Sequence[Detection], intrinsics) -> None:
+    """ValueError naming the first detection whose pixel lies off the sensor.
+
+    The estimators take any finite image point, because an exact projection
+    may fall outside the frame; a pixel the camera detected cannot.
+    """
+    for det in detections:
+        if not intrinsics.on_sensor(det.pixel.u, det.pixel.v):
+            width, height = intrinsics.resolution
+            raise ValueError(
+                f"beacon {det.beacon_id!r} has pixel ({det.pixel.u}, {det.pixel.v}) off the {width}x{height} sensor"
+            )
+
+
 def _simulate(scene: SceneConfig, grid: Sequence[Sequence[float]], trials: int, out: str | Path) -> list[TrialRecord]:
     """Trials seeded by scene.seed, written to out with the scene that made them."""
     records = generate_trials(grid, trials, scene, scene.seed)
@@ -142,12 +156,14 @@ def _locate(
 ) -> list[tuple[int, int, Method, PositionFix | None, str]]:
     """One fixes row per (point, trial, detections) group, written to path.
 
-    A failed row keeps its message; stderr gets one line per exception type.
+    A group with a pixel off the sensor fails. A failed row keeps its message;
+    stderr gets one line per exception type.
     """
     rows = []
     failures: dict[str, list] = {}
     for point, trial, dets in groups:
         try:
+            _check_on_sensor(dets, intrinsics)
             rows.append((point, trial, method, compute_fix(dets, beacons, intrinsics, method, height_pair), ""))
         except (VlpError, ValueError) as err:
             rows.append((point, trial, method, None, str(err)))

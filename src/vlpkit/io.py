@@ -1,7 +1,8 @@
 """Reading and writing scene configurations, detection/track/fix CSVs, and reports.
 
 All floats are serialized with six fixed decimals so repeated runs with the
-same seed produce byte-identical files.
+same seed produce byte-identical files. Each CSV row is formatted as one line
+from its layout's template; text fields are quoted by the csv module.
 """
 
 from __future__ import annotations
@@ -10,19 +11,24 @@ import csv
 import json
 import math
 from contextlib import contextmanager
+from io import StringIO
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analysis import ErrorReport, ReportComparison
 from .calibration import CircleFit, DispersionSummary
 from .camera import CameraIntrinsics, PixelPoint
-from .errors import InputFormatError, SceneConfigError
+from .errors import InputFormatError, MissingDiagnostics, SceneConfigError
 from .positioning import Detection, Diagnostics, LedBeacon, Method, PositionFix
 from .simulator import CameraPose, NoiseModel, SceneConfig, TrialRecord
 
 
+# The one float format of every CSV file and report line.
+FLOAT = "%.6f"
+
+
 def fmt(x: float) -> str:
-    return f"{x:.6f}"
+    return FLOAT % x
 
 
 # ---------------------------------------------------------------- scene JSON
@@ -165,10 +171,20 @@ def write_scene(scene: SceneConfig, path: str | Path) -> None:
 
 # ---------------------------------------------------------------------- CSVs
 
-# Column order of each CSV format; each reader requires a slice of the same list.
+
+def _line(*fields: str) -> str:
+    return ",".join(fields) + "\n"
+
+
+# Column order of each CSV format, each followed by the %-template of one of
+# its rows; each reader requires a slice of its format's list. A %s field
+# takes text as _CsvText quotes it.
 DETECTION_COLUMNS = ["point_index", "trial_index", "beacon_id", "u_px", "v_px"]
+DETECTION_LINE = _line("%d", "%d", "%s", FLOAT, FLOAT)
 TRUTH_COLUMNS = ["point_index", "trial_index", "x_cm", "y_cm", "z_cm", "yaw_rad", "seed"]
+TRUTH_LINE = _line("%d", "%d", FLOAT, FLOAT, FLOAT, FLOAT, "%d")
 TRACK_COLUMNS = ["track_id", "sample_index", "u_px", "v_px"]
+TRACK_LINE = _line("%s", "%d", FLOAT, FLOAT)
 FIX_COLUMNS = [
     "point_index",
     "trial_index",
@@ -183,14 +199,47 @@ FIX_COLUMNS = [
     "yaw_rad",
     "message",
 ]
+# The yaw field takes the formatted yaw, or "" for a fix without one. Failed rows hold only the message.
+FIX_LINE = _line("%d", "%d", "%s", "ok", *[FLOAT] * 6, "%s", "")
+FIX_ERROR_LINE = _line("%d", "%d", "%s", "error", *[""] * 7, "%s")
+ERROR_COLUMNS = ["point_index", "trial_index", "error_cm", "error_3d_cm"]
+ERROR_LINE = _line("%d", "%d", FLOAT, FLOAT)
+CDF_COLUMNS = ["error_cm", "cumulative_fraction"]
+CDF_LINE = _line(FLOAT, FLOAT)
+HISTOGRAM_COLUMNS = ["bin_left_cm", "bin_right_cm", "count"]
+HISTOGRAM_LINE = _line(FLOAT, FLOAT, "%d")
+SUMMARY_COLUMNS = ["method", "calibration", "mean_cm", "p90_cm", "max_cm", "rms_cm", "trials"]
+SUMMARY_LINE = _line("%s", "%s", *[FLOAT] * 4, "%d")
+COMPARISON_COLUMNS = [
+    "method",
+    "reference",
+    "variant",
+    "mean_ratio",
+    "p90_ratio",
+    "max_ratio",
+    "mean_diff_cm",
+    "p90_diff_cm",
+    "max_diff_cm",
+]
+COMPARISON_LINE = _line("%s", "%s", "%s", *[FLOAT] * 6)
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """One header line, then the rows; newline-terminated, quoted only where needed."""
+class _CsvText(dict):
+    """Text values as csv.writer writes them inside a row; each distinct value is quoted once."""
+
+    def __missing__(self, text: str) -> str:
+        buffer = StringIO()
+        # The trailing empty field keeps an empty text from being a lone empty field, which csv quotes.
+        csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+        field = self[text] = buffer.getvalue()[:-2]
+        return field
+
+
+def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """The header, then the lines, streamed to the file as they are formatted."""
     with open(path, "w", newline="") as handle:
-        out = csv.writer(handle, lineterminator="\n")
-        out.writerow(header)
-        out.writerows(rows)
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        handle.writelines(lines)
 
 
 @contextmanager
@@ -245,12 +294,13 @@ def _position(x: str, y: str, z: str) -> tuple[float, float, float]:
 
 
 def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
-    rows = (
-        [rec.point_index, rec.trial_index, det.beacon_id, fmt(det.pixel.u), fmt(det.pixel.v)]
+    ids = _CsvText()
+    lines = (
+        DETECTION_LINE % (rec.point_index, rec.trial_index, ids[det.beacon_id], det.pixel.u, det.pixel.v)
         for rec in records
         for det in rec.detections
     )
-    _write_csv(path, DETECTION_COLUMNS, rows)
+    _write_csv(path, DETECTION_COLUMNS, lines)
 
 
 def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection]]]:
@@ -269,13 +319,12 @@ def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection
     return [(p, t, dets) for (p, t), dets in sorted(groups.items())]
 
 
-def _truth_row(rec: TrialRecord) -> list:
-    x, y, z = rec.pose.position
-    return [rec.point_index, rec.trial_index, fmt(x), fmt(y), fmt(z), fmt(rec.pose.yaw_rad), rec.seed]
-
-
 def write_ground_truth_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
-    _write_csv(path, TRUTH_COLUMNS, map(_truth_row, records))
+    lines = (
+        TRUTH_LINE % (rec.point_index, rec.trial_index, *rec.pose.position, rec.pose.yaw_rad, rec.seed)
+        for rec in records
+    )
+    _write_csv(path, TRUTH_COLUMNS, lines)
 
 
 def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float, float, float, float]]:
@@ -293,12 +342,13 @@ def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float
 
 
 def write_tracks_csv(tracks: Mapping[str, Sequence[PixelPoint]], path: str | Path) -> None:
-    rows = (
-        [track_id, idx, fmt(p.u), fmt(p.v)]
+    ids = _CsvText()
+    lines = (
+        TRACK_LINE % (ids[track_id], idx, p.u, p.v)
         for track_id in sorted(tracks)
         for idx, p in enumerate(tracks[track_id])
     )
-    _write_csv(path, TRACK_COLUMNS, rows)
+    _write_csv(path, TRACK_COLUMNS, lines)
 
 
 def read_tracks_csv(path: str | Path) -> dict[str, list[PixelPoint]]:
@@ -314,33 +364,33 @@ def read_tracks_csv(path: str | Path) -> dict[str, list[PixelPoint]]:
     }
 
 
-def _fix_row(point: int, trial: int, method: Method, fix: PositionFix | None, message: str) -> list:
-    if fix is None:
-        return [point, trial, method.value, "error", "", "", "", "", "", "", "", message]
-    diag = fix.diagnostics
-    assert diag is not None
-    yaw = fmt(diag.yaw_rad) if diag.yaw_rad is not None else ""
-    return [
-        point,
-        trial,
-        method.value,
-        "ok",
-        fmt(fix.position[0]),
-        fmt(fix.position[1]),
-        fmt(fix.position[2]),
-        fmt(diag.height_cm),
-        fmt(diag.image_pair_distance_mm),
-        fmt(diag.world_pair_distance_cm),
-        yaw,
-        "",
-    ]
-
-
 def write_fixes_csv(
     rows: Sequence[tuple[int, int, Method, PositionFix | None, str]], path: str | Path
 ) -> None:
     """Rows are (point_index, trial_index, method, fix or None, error message)."""
-    _write_csv(path, FIX_COLUMNS, (_fix_row(*row) for row in rows))
+    text = _CsvText()
+
+    def lines() -> Iterator[str]:
+        for point, trial, method, fix, message in rows:
+            if fix is None:
+                yield FIX_ERROR_LINE % (point, trial, text[method.value], text[message])
+                continue
+            diag = fix.diagnostics
+            if diag is None:
+                raise MissingDiagnostics(f"fix of trial {point}/{trial} has no diagnostics to write")
+            yaw = "" if diag.yaw_rad is None else fmt(diag.yaw_rad)
+            yield FIX_LINE % (
+                point,
+                trial,
+                text[method.value],
+                *fix.position,
+                diag.height_cm,
+                diag.image_pair_distance_mm,
+                diag.world_pair_distance_cm,
+                yaw,
+            )
+
+    _write_csv(path, FIX_COLUMNS, lines())
 
 
 def read_fixes_csv(path: str | Path) -> list[tuple[int, int, PositionFix]]:
@@ -378,15 +428,15 @@ def write_error_report(
     """Per-trial errors, CDF table, and histogram table for one report."""
     out_dir = Path(out_dir)
     errors = (
-        [point, trial, fmt(err), fmt(err3)]
+        ERROR_LINE % (point, trial, err, err3)
         for (point, trial), err, err3 in zip(keys, report.per_trial_errors, report.per_trial_errors_3d)
     )
-    _write_csv(out_dir / f"errors_{prefix}.csv", ["point_index", "trial_index", "error_cm", "error_3d_cm"], errors)
-    cdf = ([fmt(err), fmt(fraction)] for err, fraction in report.cdf)
-    _write_csv(out_dir / f"cdf_{prefix}.csv", ["error_cm", "cumulative_fraction"], cdf)
+    _write_csv(out_dir / f"errors_{prefix}.csv", ERROR_COLUMNS, errors)
+    cdf = (CDF_LINE % (err, fraction) for err, fraction in report.cdf)
+    _write_csv(out_dir / f"cdf_{prefix}.csv", CDF_COLUMNS, cdf)
     edges, counts = report.histogram
-    bins = ([fmt(left), fmt(right), count] for left, right, count in zip(edges[:-1], edges[1:], counts))
-    _write_csv(out_dir / f"histogram_{prefix}.csv", ["bin_left_cm", "bin_right_cm", "count"], bins)
+    bins = (HISTOGRAM_LINE % (left, right, count) for left, right, count in zip(edges[:-1], edges[1:], counts))
+    _write_csv(out_dir / f"histogram_{prefix}.csv", HISTOGRAM_COLUMNS, bins)
 
 
 def report_summary_lines(report: ErrorReport, label: str) -> list[str]:
@@ -409,23 +459,36 @@ def report_summary_lines(report: ErrorReport, label: str) -> list[str]:
 
 def write_summary_csv(reports: Mapping[tuple[Method, str], ErrorReport], path: str | Path) -> None:
     """Headline statistics, one row per (method, calibration) report."""
-    rows = []
-    for (method, calibration), r in reports.items():
-        stats = (r.mean, r.p90, r.max_error, r.rms)
-        rows.append([method.value, calibration, *map(fmt, stats), len(r.per_trial_errors)])
-    _write_csv(path, ["method", "calibration", "mean_cm", "p90_cm", "max_cm", "rms_cm", "trials"], rows)
+    text = _CsvText()
+    lines = (
+        SUMMARY_LINE
+        % (text[method.value], text[calibration], r.mean, r.p90, r.max_error, r.rms, len(r.per_trial_errors))
+        for (method, calibration), r in reports.items()
+    )
+    _write_csv(path, SUMMARY_COLUMNS, lines)
 
 
 def write_comparisons_csv(
     comparisons: Sequence[tuple[Method, str, str, ReportComparison]], path: str | Path
 ) -> None:
     """Rows are (method, reference calibration, variant calibration, comparison)."""
-    header = "method,reference,variant,mean_ratio,p90_ratio,max_ratio,mean_diff_cm,p90_diff_cm,max_diff_cm"
-    rows = []
-    for method, reference, variant, c in comparisons:
-        stats = (c.mean_ratio, c.p90_ratio, c.max_ratio, c.mean_diff, c.p90_diff, c.max_diff)
-        rows.append([method.value, reference, variant, *map(fmt, stats)])
-    _write_csv(path, header.split(","), rows)
+    text = _CsvText()
+    lines = (
+        COMPARISON_LINE
+        % (
+            text[method.value],
+            text[reference],
+            text[variant],
+            c.mean_ratio,
+            c.p90_ratio,
+            c.max_ratio,
+            c.mean_diff,
+            c.p90_diff,
+            c.max_diff,
+        )
+        for method, reference, variant, c in comparisons
+    )
+    _write_csv(path, COMPARISON_COLUMNS, lines)
 
 
 def format_circle_fit(fit: CircleFit) -> str:

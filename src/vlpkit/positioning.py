@@ -14,7 +14,7 @@ from enum import Enum
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from .camera import MM_PER_CM, CameraIntrinsics, ImagePoint, PixelPoint, pixel_to_image
+from .camera import MM_PER_CM, CameraIntrinsics, ImagePoint, PixelPoint, _image_coords
 from .errors import (
     CoincidentProjection,
     SingularGeometry,
@@ -107,17 +107,21 @@ def _check_shared_height(heights: Sequence[float]) -> None:
 
 def _observed(
     detections: Iterable[Detection], beacons: Iterable[LedBeacon], k: CameraIntrinsics, expected: int
-) -> tuple[list[LedBeacon], list[ImagePoint]]:
-    """Beacons and image points of exactly expected detections, in id order, on one ceiling plane."""
+) -> tuple[list[LedBeacon], list[tuple[float, float]]]:
+    """Beacons and (i, j) image coordinates of exactly expected detections, in id order, on one ceiling plane."""
     index = _beacon_index(beacons)
     dets = _resolve(detections, index, expected)
     leds = [index[d.beacon_id] for d in dets]
     _check_shared_height([led.position[2] for led in leds])
-    return leds, [pixel_to_image(d.pixel, k) for d in dets]
+    return leds, [_image_coords(d.pixel.u, d.pixel.v, k) for d in dets]
 
 
 def _pair_geometry(
-    img_a: ImagePoint, led_a: LedBeacon, img_b: ImagePoint, led_b: LedBeacon, k: CameraIntrinsics
+    img_a: tuple[float, float],
+    led_a: LedBeacon,
+    img_b: tuple[float, float],
+    led_b: LedBeacon,
+    k: CameraIntrinsics,
 ) -> tuple[float, float, float]:
     """Image-plane distance (mm), world-plane distance (cm) and camera height below one beacon pair (cm).
 
@@ -125,7 +129,7 @@ def _pair_geometry(
     pinhole magnification; scaled by the focal length it gives the vertical
     camera distance below the beacon plane.
     """
-    d_img = math.hypot(img_a.i - img_b.i, img_a.j - img_b.j)
+    d_img = math.hypot(img_a[0] - img_b[0], img_a[1] - img_b[1])
     if d_img < COINCIDENT_PROJECTION_TOL_MM:
         raise CoincidentProjection(
             f"beacons {led_a.id!r} and {led_b.id!r} project {d_img:.3g} mm apart"
@@ -158,7 +162,7 @@ def estimate_height(
     if led_a.id == led_b.id:
         raise ValueError(f"height estimate needs two distinct beacons, got {led_a.id!r} twice")
     _check_shared_height((led_a.position[2], led_b.position[2]))
-    _, _, height = _pair_geometry(img_a, led_a, img_b, led_b, k)
+    _, _, height = _pair_geometry((img_a.i, img_a.j), led_a, (img_b.i, img_b.j), led_b, k)
     return height, led_a.position[2] - height
 
 
@@ -191,7 +195,7 @@ def trilaterate_three(
 
     (x1, y1), (x2, y2), (x3, y3) = [(led.position[0], led.position[1]) for led in leds]
     # Horizontal world distance from the camera to each beacon.
-    r1, r2, r3 = (height * math.hypot(img.i, img.j) / k.focal_length for img in imgs)
+    r1, r2, r3 = (height * math.hypot(i, j) / k.focal_length for i, j in imgs)
     m00, m01 = x2 - x1, y2 - y1
     m10, m11 = x3 - x1, y3 - y1
     det = m00 * m11 - m01 * m10
@@ -235,12 +239,13 @@ def locate_two(
 
     x1, y1 = led1.position[0], led1.position[1]
     x2, y2 = led2.position[0], led2.position[1]
-    phi_image = math.atan2(img1.j - img2.j, img1.i - img2.i)
+    (i1, j1), (i2, j2) = img1, img2
+    phi_image = math.atan2(j1 - j2, i1 - i2)
     phi_world = math.atan2(y1 - y2, x1 - x2)
     yaw = _wrap_angle(phi_world - phi_image)
 
-    mid_i = (img1.i + img2.i) / 2.0
-    mid_j = (img1.j + img2.j) / 2.0
+    mid_i = (i1 + i2) / 2.0
+    mid_j = (j1 + j2) / 2.0
     # Camera-frame offset from camera to the beacon midpoint, in cm.
     off_x = height * mid_i / k.focal_length
     off_y = height * mid_j / k.focal_length

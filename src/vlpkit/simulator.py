@@ -121,16 +121,16 @@ def project(beacon: LedBeacon, scene: SceneConfig) -> tuple[PixelPoint, bool]:
     return PixelPoint(u, v), k.on_sensor(u, v)
 
 
-def _noise_offsets(scene: SceneConfig, count: int) -> list:
-    """The first count pixel-noise offsets (du, dv) of the stream seeded by scene.seed.
+def _noise_offsets(noise: NoiseModel, seed: int, count: int) -> list:
+    """The first count pixel-noise offsets (du, dv) of the stream seeded by seed.
 
     They are drawn in one call: a draw of shape (count, 2) yields the same
     values as count draws of two. A noiseless scene draws nothing and gets
     None per offset.
     """
-    sigma = scene.noise.pixel_sigma
+    sigma = noise.pixel_sigma
     if sigma > 0:
-        return np.random.default_rng(scene.seed).normal(0.0, sigma, size=(count, 2)).tolist()
+        return np.random.default_rng(seed).normal(0.0, sigma, size=(count, 2)).tolist()
     return [None] * count
 
 
@@ -147,14 +147,19 @@ def _noisy_pixel(beacon: LedBeacon, scene: SceneConfig, offset: Sequence[float] 
     return PixelPoint(u, v)
 
 
-def observe(scene: SceneConfig) -> list[Detection]:
+def observe(scene: SceneConfig, seed: int | None = None) -> list[Detection]:
     """Noisy detections of every beacon that lands on the sensor.
 
-    Deterministic for a given scene: the noise stream is seeded from
-    scene.seed, and draws happen in beacon order whether or not a beacon
-    survives the frame check.
+    Deterministic for a given scene and seed: the noise stream is seeded from
+    seed, or from scene.seed when no seed is given, and draws happen in beacon
+    order whether or not a beacon survives the frame check. observe(scene, s)
+    equals observe(replace(scene, seed=s)) without building a new scene.
     """
-    offsets = _noise_offsets(scene, len(scene.beacons))
+    if seed is None:
+        seed = scene.seed
+    elif seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    offsets = _noise_offsets(scene.noise, seed, len(scene.beacons))
     detections: list[Detection] = []
     for beacon, offset in zip(scene.beacons, offsets):
         pixel = _noisy_pixel(beacon, scene, offset)
@@ -178,7 +183,7 @@ def rotation_sweep(
     if len(angle_list) < 3:
         raise ValueError(f"a sweep needs at least 3 angles, got {len(angle_list)}")
     n = len(scene.beacons)
-    offsets = _noise_offsets(scene, len(angle_list) * n)
+    offsets = _noise_offsets(scene.noise, scene.seed, len(angle_list) * n)
     tracks: dict[str, list[PixelPoint]] = {b.id: [] for b in scene.beacons}
     for k, angle in enumerate(angle_list):
         turned = replace(
@@ -209,22 +214,23 @@ def generate_trials(
     """Repeated observations over a grid of camera positions.
 
     Every trial gets its own derived seed, so regenerating any single trial
-    in isolation reproduces it bit for bit.
+    in isolation reproduces it bit for bit. The scene is posed and validated
+    once per grid point; each trial observes it with its own seed.
     """
     if trials_per_point <= 0:
         raise ValueError(f"trials_per_point must be positive, got {trials_per_point}")
     records: list[TrialRecord] = []
     for point_index, position in enumerate(grid):
         pose = CameraPose(tuple(float(c) for c in position), scene.camera_pose.yaw_rad)
+        point_scene = replace(scene, camera_pose=pose)
         for trial_index in range(trials_per_point):
             seed = derive_seed(base_seed, point_index, trial_index)
-            trial_scene = replace(scene, camera_pose=pose, seed=seed)
             records.append(
                 TrialRecord(
                     point_index=point_index,
                     trial_index=trial_index,
                     pose=pose,
-                    detections=tuple(observe(trial_scene)),
+                    detections=tuple(observe(point_scene, seed)),
                     seed=seed,
                 )
             )

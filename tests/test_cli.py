@@ -430,8 +430,8 @@ def test_replicate_seed_7_csvs_match_golden_digests(tmp_path):
     assert got == expected
 
 
-def _assert_only_trial_0_0_fails(tmp_path, method, u_px):
-    """Locate 72 simulated trials after setting trial 0/0's first u_px; only that row may fail."""
+def _locate_with_trial_0_0_u(tmp_path, method, u_px):
+    """Locate 72 simulated trials after setting trial 0/0's first u_px; the fixes.csv rows and the simulate dir."""
     sim = tmp_path / "sim"
     main(["simulate", "--out", str(sim), "--trials", "2"])
     path = sim / "detections.csv"
@@ -444,13 +444,20 @@ def _assert_only_trial_0_0_fails(tmp_path, method, u_px):
     loc = tmp_path / "loc"
     argv = ["locate", "--scene", str(sim / "scene.json"), "--detections", str(path), "--out", str(loc)]
     assert main(argv + ["--method", method]) == 0
-    rows = [line.split(",") for line in (loc / "fixes.csv").read_text().splitlines()[1:]]
-    status = {(row[0], row[1]): row[3] for row in rows}
+    with open(loc / "fixes.csv", newline="") as handle:
+        return list(csv.DictReader(handle)), sim
+
+
+def _assert_only_trial_0_0_fails(tmp_path, method, u_px):
+    """Locate 72 simulated trials after setting trial 0/0's first u_px; only that row may fail. Returns its message."""
+    rows, sim = _locate_with_trial_0_0_u(tmp_path, method, u_px)
+    status = {(row["point_index"], row["trial_index"]): row["status"] for row in rows}
     assert status.pop(("0", "0")) == "error"
     assert len(status) == 71 and set(status.values()) == {"ok"}
     # Every ok row reads back, so stats accepts the file.
-    argv = ["stats", "--fixes", str(loc / "fixes.csv"), "--ground-truth", str(sim / "ground_truth.csv")]
+    argv = ["stats", "--fixes", str(tmp_path / "loc" / "fixes.csv"), "--ground-truth", str(sim / "ground_truth.csv")]
     assert main(argv + ["--out", str(tmp_path / "stats")]) == 0
+    return rows[0]["message"]
 
 
 @pytest.mark.parametrize("method", ["two-led", "three-led"])
@@ -460,6 +467,21 @@ def test_locate_fails_only_the_row_with_a_non_finite_pixel(tmp_path, method):
 
 def test_three_led_fails_only_the_row_whose_huge_pixel_overflows(tmp_path):
     _assert_only_trial_0_0_fails(tmp_path, "three-led", "1e200")
+
+
+@pytest.mark.parametrize("method", ["two-led", "three-led"])
+@pytest.mark.parametrize("u_px", ["-0.5", "800.5", "1e200"])
+def test_locate_fails_only_the_row_with_a_pixel_off_the_sensor(tmp_path, method, u_px):
+    message = _assert_only_trial_0_0_fails(tmp_path, method, u_px)
+    assert message.startswith("beacon 'L1' has pixel (") and message.endswith(") off the 800x600 sensor")
+    assert str(float(u_px)) in message
+
+
+@pytest.mark.parametrize("method", ["two-led", "three-led"])
+@pytest.mark.parametrize("u_px", ["0", "800"])
+def test_locate_accepts_a_pixel_on_the_sensor_edge(tmp_path, method, u_px):
+    rows, _ = _locate_with_trial_0_0_u(tmp_path, method, u_px)
+    assert {row["status"] for row in rows} == {"ok"}
 
 
 @pytest.mark.parametrize("argv, seed", [(["simulate", "--trials", "1"], 0), (["replicate"], 7)], ids=["simulate", "replicate"])

@@ -1,5 +1,6 @@
 """Scene JSON, CSV round trips, and report files."""
 
+import csv
 import math
 
 import pytest
@@ -10,8 +11,10 @@ from vlpkit import (
     CameraPose,
     Detection,
     Diagnostics,
+    ErrorReport,
     InputFormatError,
     Method,
+    MissingDiagnostics,
     NoiseModel,
     PositionFix,
     SceneConfigError,
@@ -476,6 +479,139 @@ def test_fixes_csv_round_trip_property(tmp_path_factory, rows):
         assert close(g.world_pair_distance_cm, w.world_pair_distance_cm)
         assert (g.yaw_rad is None) == (w.yaw_rad is None)
         assert g.yaw_rad is None or close(g.yaw_rad, w.yaw_rad)
+
+
+# --- writer bytes against a csv.writer reference ---
+
+# Every character csv quotes for, empty text included, and floats at the edges of the six-decimal format.
+text = st.text(st.sampled_from(',"\r\n ') | printable, max_size=6)
+edgy = st.sampled_from([-0.0, 1e15, -1e15, 999_999_999_999_999.9]) | st.floats(-1.1e15, 1.1e15, allow_nan=False)
+edgy_pixels = st.builds(PixelPoint, edgy, edgy)
+records = st.lists(
+    st.builds(
+        TrialRecord,
+        indices,
+        indices,
+        st.builds(CameraPose, st.tuples(edgy, edgy, edgy), edgy),
+        st.lists(st.builds(Detection, text, edgy_pixels), max_size=3).map(tuple),
+        st.integers(0, 2**63),
+    ),
+    max_size=4,
+)
+edgy_fix_rows = st.lists(
+    st.tuples(
+        indices,
+        indices,
+        st.sampled_from(Method),
+        st.none()
+        | st.builds(
+            PositionFix,
+            st.tuples(edgy, edgy, edgy),
+            st.sampled_from(Method),
+            st.builds(Diagnostics, edgy, edgy, edgy, st.none() | edgy),
+        ),
+        text,
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def error_reports(draw):
+    """Keys and a report whose per-trial, CDF and histogram tables are arbitrary."""
+    n = draw(st.integers(0, 4))
+    column = st.lists(edgy, min_size=n, max_size=n)
+    keys = draw(st.lists(st.tuples(indices, indices), min_size=n, max_size=n))
+    edges = draw(st.lists(edgy, min_size=1, max_size=4))
+    counts = draw(st.lists(st.integers(0, 10**9), min_size=len(edges) - 1, max_size=len(edges) - 1))
+    cdf = tuple(zip(draw(column), draw(column)))
+    report = ErrorReport(tuple(draw(column)), tuple(draw(column)), 0.0, 0.0, 0.0, 0.0, cdf, (tuple(edges), tuple(counts)))
+    return keys, report
+
+
+def six(x):
+    return f"{x:.6f}"
+
+
+def reference_csv(path, header, rows):
+    """What csv.writer writes for the header and the rows, with floats already formatted."""
+    with open(path, "w", newline="") as handle:
+        out = csv.writer(handle, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
+    return path.read_bytes()
+
+
+def reference_fix_row(point, trial, method, fix, message):
+    if fix is None:
+        return [point, trial, method.value, "error", "", "", "", "", "", "", "", message]
+    d = fix.diagnostics
+    yaw = "" if d.yaw_rad is None else six(d.yaw_rad)
+    return [point, trial, method.value, "ok", *map(six, fix.position), six(d.height_cm),
+            six(d.image_pair_distance_mm), six(d.world_pair_distance_cm), yaw, ""]
+
+
+writer_examples = settings(max_examples=25, deadline=None)
+
+
+@writer_examples
+@given(records)
+def test_detection_and_truth_writers_match_a_csv_writer_reference(tmp_path_factory, recs):
+    out = tmp_path_factory.getbasetemp()
+    detection_rows = [
+        [r.point_index, r.trial_index, d.beacon_id, six(d.pixel.u), six(d.pixel.v)] for r in recs for d in r.detections
+    ]
+    truth_rows = [[r.point_index, r.trial_index, *map(six, (*r.pose.position, r.pose.yaw_rad)), r.seed] for r in recs]
+    write_detections_csv(recs, out / "detections.csv")
+    assert (out / "detections.csv").read_bytes() == reference_csv(out / "ref.csv", DETECTION_COLUMNS, detection_rows)
+    write_ground_truth_csv(recs, out / "truth.csv")
+    assert (out / "truth.csv").read_bytes() == reference_csv(out / "ref.csv", TRUTH_COLUMNS, truth_rows)
+
+
+@writer_examples
+@given(st.dictionaries(text, st.lists(edgy_pixels, max_size=3)))
+def test_tracks_writer_matches_a_csv_writer_reference(tmp_path_factory, tracks):
+    out = tmp_path_factory.getbasetemp()
+    rows = [[tid, i, six(p.u), six(p.v)] for tid in sorted(tracks) for i, p in enumerate(tracks[tid])]
+    write_tracks_csv(tracks, out / "tracks.csv")
+    assert (out / "tracks.csv").read_bytes() == reference_csv(out / "ref.csv", TRACK_COLUMNS, rows)
+
+
+@writer_examples
+@given(edgy_fix_rows)
+def test_fixes_writer_matches_a_csv_writer_reference(tmp_path_factory, rows):
+    out = tmp_path_factory.getbasetemp()
+    write_fixes_csv(rows, out / "fixes.csv")
+    want = reference_csv(out / "ref.csv", FIX_COLUMNS, [reference_fix_row(*row) for row in rows])
+    assert (out / "fixes.csv").read_bytes() == want
+
+
+@writer_examples
+@given(error_reports())
+def test_error_report_writer_matches_a_csv_writer_reference(tmp_path_factory, keyed_report):
+    out = tmp_path_factory.getbasetemp()
+    keys, report = keyed_report
+    write_error_report(report, keys, out, "p")
+    edges, counts = report.histogram
+    tables = {
+        "errors_p.csv": (
+            ["point_index", "trial_index", "error_cm", "error_3d_cm"],
+            [[p, t, six(e), six(e3)] for (p, t), e, e3 in zip(keys, report.per_trial_errors, report.per_trial_errors_3d)],
+        ),
+        "cdf_p.csv": (["error_cm", "cumulative_fraction"], [[six(e), six(f)] for e, f in report.cdf]),
+        "histogram_p.csv": (
+            ["bin_left_cm", "bin_right_cm", "count"],
+            [[six(a), six(b), c] for a, b, c in zip(edges[:-1], edges[1:], counts)],
+        ),
+    }
+    for name, (header, rows) in tables.items():
+        assert (out / name).read_bytes() == reference_csv(out / "ref.csv", header, rows), name
+
+
+def test_fixes_writer_rejects_an_ok_fix_without_diagnostics(tmp_path):
+    rows = [(0, 0, Method.THREE_LED, PositionFix((1.0, 2.0, 3.0), Method.THREE_LED), "")]
+    with pytest.raises(MissingDiagnostics, match="0/0"):
+        write_fixes_csv(rows, tmp_path / "fixes.csv")
 
 
 # --- report files ---

@@ -235,6 +235,20 @@ def test_three_led_rejects_a_huge_pixel_that_overflows(coordinate):
         trilaterate_three(dets, scene.beacons, scene.intrinsics)
 
 
+def test_three_led_rejects_a_plan_so_wide_it_overflows():
+    # Pixels well inside the sensor; the squared beacon coordinates overflow.
+    beacons = (
+        LedBeacon("A", (-1e200, 0.0, 150.0)),
+        LedBeacon("B", (1e200, 0.0, 150.0)),
+        LedBeacon("C", (0.0, 1e200, 150.0)),
+    )
+    intrinsics = sim.default_intrinsics()
+    dets = [Detection(b.id, PixelPoint(u, v)) for b, (u, v) in zip(beacons, [(300.0, 300.0), (500.0, 300.0), (400.0, 400.0)])]
+    assert all(intrinsics.on_sensor(d.pixel.u, d.pixel.v) for d in dets)
+    with pytest.raises(ValueError, match="not finite"):
+        trilaterate_three(dets, beacons, intrinsics)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -220,6 +220,23 @@ def test_generate_trials_single_trial_reproducible_in_isolation():
     assert tuple(observe(lone)) == probe.detections
 
 
+@pytest.mark.parametrize("z", [150.0, 151.0], ids=["at", "above"])
+def test_generate_trials_rejects_a_grid_point_at_or_above_the_beacon_plane(z):
+    grid = [(-40.0, 5.0, 0.0), (-40.0, 5.0, z)]
+    with pytest.raises(ValueError, match="strictly below every beacon"):
+        generate_trials(grid, 2, default_scene(), base_seed=7)
+
+
+@pytest.mark.parametrize("quantize", [False, True])
+def test_observe_with_a_seed_equals_observing_a_scene_with_that_seed(quantize):
+    scene = default_scene(camera_pose=CameraPose((-40.0, 5.0, 0.0)), noise=NoiseModel(0.5, quantize), seed=3)
+    for seed in (0, 11, derive_seed(7, 35, 11)):
+        assert observe(scene, seed=seed) == observe(dataclasses.replace(scene, seed=seed))
+    assert observe(scene, seed=None) == observe(scene)
+    with pytest.raises(ValueError, match="non-negative"):
+        observe(scene, seed=-1)
+
+
 def test_default_grid_keeps_all_beacons_in_frame():
     scene = default_scene()
     for position in default_grid():
