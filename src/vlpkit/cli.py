@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -419,12 +420,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # The per-row objects a command builds hold no reference cycles, so
+    # refcounting frees them; the cyclic collector would only rescan them.
+    # It is paused for the command and left as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     # ValueError: an argument the library rejects; OSError: an unusable --out path.
     except (VlpError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

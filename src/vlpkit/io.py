@@ -67,6 +67,12 @@ def _pair(value, where: str) -> tuple[float, float]:
     return (_number(value[0], where), _number(value[1], where))
 
 
+def _object(value, where: str) -> Mapping:
+    if not isinstance(value, dict):
+        raise SceneConfigError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
 def read_scene(path: str | Path) -> SceneConfig:
     """Parse a scene JSON file; errors carry the offending line or field."""
     path = Path(path)
@@ -84,28 +90,29 @@ def read_scene(path: str | Path) -> SceneConfig:
         raise SceneConfigError(f"{path}: {err}") from err
 
 
-def _scene_from_dict(raw: Mapping) -> SceneConfig:
+def _scene_from_dict(raw) -> SceneConfig:
+    raw = _object(raw, "scene")
     beacons = []
     raw_beacons = _require(raw, "beacons", "scene")
     if not isinstance(raw_beacons, list) or not raw_beacons:
         raise SceneConfigError("scene.beacons: expected a non-empty list")
     for idx, entry in enumerate(raw_beacons):
         where = f"scene.beacons[{idx}]"
-        bid = _require(entry, "id", where)
+        bid = _require(_object(entry, where), "id", where)
         if not isinstance(bid, str) or not bid:
             raise SceneConfigError(f"{where}.id: expected a non-empty string")
         if not bid.isprintable():
             raise SceneConfigError(f"{where}.id: expected printable text, got {bid!r}")
         beacons.append(LedBeacon(bid, _triple(_require(entry, "position", where), f"{where}.position")))
 
-    raw_pose = _require(raw, "camera_pose", "scene")
+    raw_pose = _object(_require(raw, "camera_pose", "scene"), "scene.camera_pose")
     pose = CameraPose(
         position=_triple(_require(raw_pose, "position", "scene.camera_pose"), "scene.camera_pose.position"),
         yaw_rad=_number(raw_pose.get("yaw_rad", 0.0), "scene.camera_pose.yaw_rad"),
     )
 
-    raw_k = _require(raw, "intrinsics", "scene")
     where = "scene.intrinsics"
+    raw_k = _object(_require(raw, "intrinsics", "scene"), where)
     resolution = _pair(_require(raw_k, "resolution_px", where), f"{where}.resolution_px")
     if resolution != (int(resolution[0]), int(resolution[1])):
         raise SceneConfigError(f"{where}.resolution_px: expected integers, got {resolution}")
@@ -121,7 +128,7 @@ def _scene_from_dict(raw: Mapping) -> SceneConfig:
     )
 
     true_pp = raw.get("true_principal_point_px")
-    raw_noise = raw.get("noise", {})
+    raw_noise = _object(raw.get("noise", {}), "scene.noise")
     noise = NoiseModel(
         pixel_sigma=_number(raw_noise.get("pixel_sigma_px", 0.0), "scene.noise.pixel_sigma_px"),
         quantize=_boolean(raw_noise.get("quantize", False), "scene.noise.quantize"),

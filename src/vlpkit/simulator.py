@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,7 +58,7 @@ class SceneConfig:
 
     The true principal point is what projection actually uses; the corrected
     one inside the intrinsics is what estimators believe. Calibration tries
-    to close that gap.
+    to close that gap. Not slotted: exact_pixels is cached in __dict__.
     """
 
     beacons: tuple[LedBeacon, ...]
@@ -84,6 +85,17 @@ class SceneConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+
+    @cached_property
+    def exact_pixels(self) -> np.ndarray:
+        """Read-only (beacons, 2) array of each beacon's projected (u, v) at this pose.
+
+        A scene is frozen, so it is projected once; a replaced pose is a new
+        scene with its own cache.
+        """
+        pixels = np.array([(p.u, p.v) for p, _ in (project(b, self) for b in self.beacons)])
+        pixels.flags.writeable = False
+        return pixels
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,30 +133,29 @@ def project(beacon: LedBeacon, scene: SceneConfig) -> tuple[PixelPoint, bool]:
     return PixelPoint(u, v), k.on_sensor(u, v)
 
 
-def _noise_offsets(noise: NoiseModel, seed: int, count: int) -> list:
+def _noise_offsets(noise: NoiseModel, seed: int, count: int) -> np.ndarray | None:
     """The first count pixel-noise offsets (du, dv) of the stream seeded by seed.
 
     They are drawn in one call: a draw of shape (count, 2) yields the same
     values as count draws of two. A noiseless scene draws nothing and gets
-    None per offset.
+    None.
     """
     sigma = noise.pixel_sigma
     if sigma > 0:
-        return np.random.default_rng(seed).normal(0.0, sigma, size=(count, 2)).tolist()
-    return [None] * count
+        return np.random.default_rng(seed).normal(0.0, sigma, size=(count, 2))
+    return None
 
 
-def _noisy_pixel(beacon: LedBeacon, scene: SceneConfig, offset: Sequence[float] | None) -> PixelPoint:
-    """Projected pixel of one beacon shifted by its noise offset, then quantized if the scene says so."""
-    pixel, _ = project(beacon, scene)
-    u, v = pixel.u, pixel.v
-    if offset is not None:
-        u += offset[0]
-        v += offset[1]
-    if scene.noise.quantize:
-        u = float(np.rint(u))
-        v = float(np.rint(v))
-    return PixelPoint(u, v)
+def _noisy_pixels(exact: np.ndarray, offsets: np.ndarray | None, quantize: bool) -> list[list[float]]:
+    """Exact pixels shifted by their noise offsets, then quantized if asked, as [u, v] lists.
+
+    Float64 addition and rint give the same bits as the per-coordinate
+    scalar arithmetic. The result is a new array; exact is never written.
+    """
+    pixels = exact if offsets is None else exact + offsets
+    if quantize:
+        pixels = np.rint(pixels)
+    return pixels.tolist()
 
 
 def observe(scene: SceneConfig, seed: int | None = None) -> list[Detection]:
@@ -160,12 +171,12 @@ def observe(scene: SceneConfig, seed: int | None = None) -> list[Detection]:
     elif seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     offsets = _noise_offsets(scene.noise, seed, len(scene.beacons))
-    detections: list[Detection] = []
-    for beacon, offset in zip(scene.beacons, offsets):
-        pixel = _noisy_pixel(beacon, scene, offset)
-        if scene.intrinsics.on_sensor(pixel.u, pixel.v):
-            detections.append(Detection(beacon.id, pixel))
-    return detections
+    on_sensor = scene.intrinsics.on_sensor
+    return [
+        Detection(beacon.id, PixelPoint(u, v))
+        for beacon, (u, v) in zip(scene.beacons, _noisy_pixels(scene.exact_pixels, offsets, scene.noise.quantize))
+        if on_sensor(u, v)
+    ]
 
 
 def rotation_sweep(
@@ -182,16 +193,14 @@ def rotation_sweep(
     angle_list = tuple(angles)
     if len(angle_list) < 3:
         raise ValueError(f"a sweep needs at least 3 angles, got {len(angle_list)}")
+    position = scene.camera_pose.position
+    exact = np.concatenate(
+        [replace(scene, camera_pose=CameraPose(position, angle)).exact_pixels for angle in angle_list]
+    )
+    offsets = _noise_offsets(scene.noise, scene.seed, len(exact))
+    pixels = _noisy_pixels(exact, offsets, scene.noise.quantize)
     n = len(scene.beacons)
-    offsets = _noise_offsets(scene.noise, scene.seed, len(angle_list) * n)
-    tracks: dict[str, list[PixelPoint]] = {b.id: [] for b in scene.beacons}
-    for k, angle in enumerate(angle_list):
-        turned = replace(
-            scene, camera_pose=CameraPose(scene.camera_pose.position, angle)
-        )
-        for beacon, offset in zip(scene.beacons, offsets[k * n : (k + 1) * n]):
-            tracks[beacon.id].append(_noisy_pixel(beacon, turned, offset))
-    return tracks
+    return {beacon.id: [PixelPoint(u, v) for u, v in pixels[i::n]] for i, beacon in enumerate(scene.beacons)}
 
 
 def derive_seed(base_seed: int, point_index: int, trial_index: int) -> int:

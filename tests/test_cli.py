@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
 import csv
+import gc
 import hashlib
 import json
 from dataclasses import replace
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from vlpkit import cli
 from vlpkit.cli import main, replicate_scene
 from vlpkit.io import (
     read_fixes_csv,
     read_ground_truth_csv,
+    scene_to_dict,
     write_scene,
     write_tracks_csv,
 )
@@ -19,6 +22,7 @@ from vlpkit.simulator import (
     SWEEP_ANGLES_12,
     CameraPose,
     NoiseModel,
+    default_scene,
     rotation_sweep,
 )
 
@@ -582,6 +586,14 @@ def _scene_is_not_utf8(tmp_path):
     return ["simulate", "--scene", str(path)]
 
 
+def _scene_pose_is_not_an_object(tmp_path):
+    path = tmp_path / "scene.json"
+    raw = scene_to_dict(default_scene())
+    raw["camera_pose"] = 5
+    path.write_text(json.dumps(raw))
+    return ["simulate", "--scene", str(path)]
+
+
 def _out_is_a_file(tmp_path):
     (tmp_path / "taken").write_text("")
     return ["simulate", "--trials", "1", "--out", str(tmp_path / "taken")]
@@ -602,6 +614,7 @@ def _out_is_under_a_file(tmp_path):
         _off_sensor_dispersion,
         _scene_is_a_directory,
         _scene_is_not_utf8,
+        _scene_pose_is_not_an_object,
         _out_is_a_file,
         _out_is_under_a_file,
     ],
@@ -613,6 +626,7 @@ def _out_is_under_a_file(tmp_path):
         "principal-point-off-sensor",
         "scene-is-directory",
         "scene-not-utf8",
+        "scene-pose-not-object",
         "out-is-file",
         "out-under-file",
     ],
@@ -631,3 +645,47 @@ def test_bad_argument_or_path_is_one_error_line(tmp_path, capsys, argv):
 def test_subcommand_is_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("trials, rc", [("1", 0), ("0", 1)], ids=["ok", "error"])
+def test_main_pauses_the_collector_and_leaves_it_as_found(tmp_path, monkeypatch, capsys, enabled, trials, rc):
+    seen = []
+    generate_trials = cli.generate_trials
+    monkeypatch.setattr(cli, "generate_trials", lambda *args: seen.append(gc.isenabled()) or generate_trials(*args))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["simulate", "--at=-40,5,0", "--trials", trials, "--out", str(tmp_path)]) == rc
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False]
+
+
+def test_cyclic_garbage_of_a_command_chain_does_not_grow_with_the_input(tmp_path, capsys):
+    # The 110-cm scene drops beacons off the frame, so locate writes failure rows too.
+    raw = scene_to_dict(replicate_scene(7))
+    for beacon in raw["beacons"]:
+        beacon["position"][2] = 110.0
+    scene = tmp_path / "low.json"
+    scene.write_text(json.dumps(raw))
+
+    def cyclic_garbage(trials):
+        sim, loc, out = (tmp_path / f"{name}{trials}" for name in ("sim", "loc", "stats"))
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            main(["simulate", "--scene", str(scene), "--trials", str(trials), "--out", str(sim)])
+            locate = ["locate", "--scene", str(scene), "--detections", str(sim / "detections.csv"), "--out", str(loc)]
+            assert main(locate + ["--method", "three-led"]) == 0
+            assert main(["stats", "--fixes", str(loc / "fixes.csv"), "--ground-truth", str(sim / "ground_truth.csv"), "--out", str(out)]) == 0
+            return gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    small = cyclic_garbage(2)
+    assert "failed with ValueError" in capsys.readouterr().err
+    assert cyclic_garbage(12) == small

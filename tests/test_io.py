@@ -165,6 +165,29 @@ def test_scene_non_finite_number_names_the_field(tmp_path, edit, field):
         read_scene(path)
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: 5, r"scene"),
+        (lambda d: {**d, "camera_pose": 5}, r"scene\.camera_pose"),
+        (lambda d: {**d, "intrinsics": 3}, r"scene\.intrinsics"),
+        (lambda d: {**d, "noise": [1]}, r"scene\.noise"),
+        (lambda d: {**d, "beacons": [5]}, r"scene\.beacons\[0\]"),
+        (lambda d: {**d, "beacons": [d["beacons"][0], "id"]}, r"scene\.beacons\[1\]"),
+    ],
+    ids=["top-level", "camera_pose", "intrinsics", "noise", "beacon-number", "beacon-string"],
+)
+def test_scene_value_that_is_not_an_object_names_the_field(tmp_path, edit, field):
+    import json
+
+    from vlpkit.io import scene_to_dict
+
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(edit(scene_to_dict(default_scene()))))
+    with pytest.raises(SceneConfigError, match=rf"^{field}: expected an object, got "):
+        read_scene(path)
+
+
 # --- CSV round trips ---
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlpkit import (
     BeaconBehindCamera,
@@ -288,3 +290,70 @@ def test_noise_stream_equals_one_draw_per_beacon(quantize):
     expected = _hand_noisy_pixels(scene, SWEEP_ANGLES_12, sigma, quantize)
     got = [(b.id, tracks[b.id][k].u, tracks[b.id][k].v) for k in range(len(SWEEP_ANGLES_12)) for b in scene.beacons]
     assert got == expected
+
+
+def _hex(pixels):
+    return [(bid, u.hex(), v.hex()) for bid, u, v in pixels]
+
+
+def _scalar_observe(scene, seed):
+    """observe's reference: the per-beacon draws at the scene's own yaw, kept when on the sensor."""
+    scene = dataclasses.replace(scene, seed=seed)
+    noise = scene.noise
+    pixels = _hand_noisy_pixels(scene, [scene.camera_pose.yaw_rad], noise.pixel_sigma, noise.quantize)
+    return _hex(p for p in pixels if scene.intrinsics.on_sensor(p[1], p[2]))
+
+
+coordinate = st.floats(-120.0, 120.0)
+posed_scenes = st.builds(
+    lambda beacons, x, y, z, yaw, sigma, quantize, offset, seed: scene_with(
+        beacons,
+        position=(x, y, z),
+        yaw=yaw,
+        noise=NoiseModel(sigma, quantize),
+        true_principal_point=(400.0 + offset[0], 300.0 + offset[1]),
+        seed=seed,
+    ),
+    st.sampled_from([DEFAULT_BEACONS, FOUR_BEACONS]),
+    coordinate,
+    coordinate,
+    st.floats(-60.0, 149.0),
+    st.floats(-math.pi, math.pi),
+    st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+    st.booleans(),
+    st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+    st.integers(0, 2**32),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scene=posed_scenes,
+    seed=st.integers(0, 2**40),
+    pose=st.tuples(coordinate, coordinate, st.floats(-60.0, 149.0)),
+    angles=st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=6),
+)
+def test_observe_and_sweep_equal_a_scalar_reference(scene, seed, pose, angles):
+    def observed(scene, seed):
+        return _hex((d.beacon_id, d.pixel.u, d.pixel.v) for d in observe(scene, seed))
+
+    assert observed(scene, seed) == _scalar_observe(scene, seed)
+    assert observed(scene, None) == _scalar_observe(scene, scene.seed)
+    tracks = rotation_sweep(scene, angles)
+    swept = [(b.id, tracks[b.id][k].u, tracks[b.id][k].v) for k in range(len(angles)) for b in scene.beacons]
+    noise = scene.noise
+    assert _hex(swept) == _hex(_hand_noisy_pixels(scene, angles, noise.pixel_sigma, noise.quantize))
+    # A scene observed once and then moved sees the new pose.
+    moved = dataclasses.replace(scene, camera_pose=CameraPose(pose, scene.camera_pose.yaw_rad))
+    assert observed(moved, seed) == _scalar_observe(moved, seed)
+
+
+def test_cached_projection_is_read_only():
+    scene = default_scene(camera_pose=CameraPose((-40.0, 5.0, 0.0)), noise=NoiseModel(0.5, quantize=True))
+    exact = scene.exact_pixels
+    assert exact.shape == (3, 2) and not exact.flags.writeable
+    assert exact.tolist() == [[p.u, p.v] for p, _ in (project(b, scene) for b in scene.beacons)]
+    with pytest.raises(ValueError, match="read-only"):
+        np.rint(exact, out=exact)
+    observe(scene, 5)
+    assert scene.exact_pixels is exact
