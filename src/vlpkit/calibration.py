@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .camera import CameraIntrinsics
+from .camera import CameraIntrinsics, PixelPoint
 from .errors import DegenerateCircle, EmptyInput, InsufficientTracks, MissingDiagnostics
 from .positioning import PositionFix
 
@@ -40,21 +40,15 @@ class DispersionSummary:
     sample_count: int
 
 
-def _xy(p) -> tuple[float, float]:
-    if hasattr(p, "u"):
-        return float(p.u), float(p.v)
-    return float(p[0]), float(p[1])
-
-
-def fit_circle(points: Iterable) -> CircleFit:
-    """Algebraic least-squares circle.
+def fit_circle(points: Iterable[tuple[float, float]]) -> CircleFit:
+    """Algebraic least-squares circle through (x, y) points.
 
     The circle equation is linearized about the centroid, which keeps the
     normal equations well conditioned for tracks far from the pixel origin
     and reproduces exact circles to machine precision. The reported residual
     is the geometric rms (point distance minus radius).
     """
-    xy = np.asarray([_xy(p) for p in points], dtype=float)
+    xy = np.asarray(list(points), dtype=float)
     if len(xy) < 3:
         raise DegenerateCircle(f"circle fit needs at least 3 points, got {len(xy)}")
     x, y = xy[:, 0], xy[:, 1]
@@ -79,7 +73,7 @@ def fit_circle(points: Iterable) -> CircleFit:
 
 
 def calibrate_rotation(
-    tracks: Mapping[str, Sequence], k: CameraIntrinsics
+    tracks: Mapping[str, Sequence[PixelPoint]], k: CameraIntrinsics
 ) -> tuple[CameraIntrinsics, dict[str, CircleFit]]:
     """Corrected principal point from spin-in-place beacon tracks.
 
@@ -94,7 +88,7 @@ def calibrate_rotation(
     last_error: DegenerateCircle | None = None
     for track_id in sorted(tracks):
         try:
-            fits[track_id] = fit_circle(tracks[track_id])
+            fits[track_id] = fit_circle([(p.u, p.v) for p in tracks[track_id]])
         except DegenerateCircle as err:
             last_error = err
     if not fits:
@@ -154,8 +148,8 @@ def dispersion_summary(fixes: Sequence[PositionFix], ground_truth: Sequence[floa
     return DispersionSummary(offset, center, radius, len(xs))
 
 
-def min_enclosing_circle(points: Iterable) -> tuple[tuple[float, float], float]:
-    """Exact smallest circle containing every point.
+def min_enclosing_circle(points: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], float]:
+    """Exact smallest circle containing every (x, y) point.
 
     Incremental construction in expected linear time: each point outside the
     current circle is promoted to a boundary point and the circle is rebuilt
@@ -163,7 +157,7 @@ def min_enclosing_circle(points: Iterable) -> tuple[tuple[float, float], float]:
     fixed shuffle seed keeps the arithmetic (and hence serialized output)
     reproducible run to run.
     """
-    pts = [_xy(p) for p in points]
+    pts = [(float(x), float(y)) for x, y in points]
     if not pts:
         raise EmptyInput("minimum enclosing circle needs at least one point")
     random.Random(_MEC_SHUFFLE_SEED).shuffle(pts)

@@ -16,14 +16,6 @@ class PixelPoint:
     v: float
 
 
-@dataclass(frozen=True, slots=True)
-class ImagePoint:
-    """Image-plane point in millimetres, origin at the principal point."""
-
-    i: float
-    j: float
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole parameters of the receiver camera.
@@ -77,18 +69,7 @@ class CameraIntrinsics:
         return replace(self, corrected_principal_point=(u1, v1))
 
 
-def _image_coords(u: float, v: float, k: CameraIntrinsics) -> tuple[float, float]:
-    """Pixel position to (i, j) mm image coordinates about the corrected principal point."""
+def pixel_to_image(p: PixelPoint, k: CameraIntrinsics) -> tuple[float, float]:
+    """Pixel point to (i, j) mm image coordinates about the corrected principal point."""
     u1, v1 = k.corrected_principal_point
-    return ((u - u1) * k.pitch_i, (v - v1) * k.pitch_j)
-
-
-def pixel_to_image(p: PixelPoint, k: CameraIntrinsics) -> ImagePoint:
-    """Pixel point to mm image coordinates about the corrected principal point."""
-    return ImagePoint(*_image_coords(p.u, p.v, k))
-
-
-def image_to_pixel(p: ImagePoint, k: CameraIntrinsics) -> PixelPoint:
-    """Inverse of pixel_to_image."""
-    u1, v1 = k.corrected_principal_point
-    return PixelPoint(u1 + p.i / k.pitch_i, v1 + p.j / k.pitch_j)
+    return ((p.u - u1) * k.pitch_i, (p.v - v1) * k.pitch_j)

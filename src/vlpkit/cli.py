@@ -6,6 +6,7 @@ import argparse
 import gc
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -94,9 +95,12 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise VlpError(f"{flag} expects X,Y,Z, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+        triple = tuple(float(p) for p in parts)
     except ValueError as err:
         raise VlpError(f"{flag} expects numbers, got {text!r}") from err
+    if not all(map(math.isfinite, triple)):
+        raise VlpError(f"{flag} expects finite numbers, got {text!r}")
+    return triple  # type: ignore[return-value]
 
 
 def _scene(args: argparse.Namespace, default: SceneConfig) -> SceneConfig:

@@ -292,12 +292,12 @@ def _csv_rows(
         raise InputFormatError(f"{path}: {err.strerror}") from err
 
 
-def _position(x: str, y: str, z: str) -> tuple[float, float, float]:
-    """Three coordinate fields as floats; ValueError unless all are finite."""
-    position = (float(x), float(y), float(z))
-    if not all(map(math.isfinite, position)):
-        raise ValueError(f"non-finite coordinate in ({x}, {y}, {z})")
-    return position
+def _finite(*fields: str) -> tuple[float, ...]:
+    """Coordinate fields as floats; ValueError unless all are finite."""
+    values = tuple(map(float, fields))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite coordinate in ({', '.join(fields)})")
+    return values
 
 
 def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
@@ -342,7 +342,7 @@ def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float
         point, trial, x, y, z, yaw = map(col.get, TRUTH_COLUMNS[:6])
         for row in rows:
             truths[int(row[point]), int(row[trial])] = (
-                *_position(row[x], row[y], row[z]),
+                *_finite(row[x], row[y], row[z]),
                 float(row[yaw] or 0.0),
             )
     return truths
@@ -363,7 +363,7 @@ def read_tracks_csv(path: str | Path) -> dict[str, list[PixelPoint]]:
     with _csv_rows(path, TRACK_COLUMNS) as (rows, col):
         track, index, u, v = map(col.get, TRACK_COLUMNS)
         for row in rows:
-            sample = (int(row[index]), PixelPoint(float(row[u]), float(row[v])))
+            sample = (int(row[index]), PixelPoint(*_finite(row[u], row[v])))
             samples.setdefault(row[track], []).append(sample)
     return {
         track_id: [p for _, p in sorted(track_samples, key=lambda s: s[0])]
@@ -418,7 +418,7 @@ def read_fixes_csv(path: str | Path) -> list[tuple[int, int, PositionFix]]:
             )
             # An unknown name falls through to Method, which raises ValueError.
             name = row[method]
-            fix = PositionFix(_position(row[x], row[y], row[z]), methods.get(name) or Method(name), diag)
+            fix = PositionFix(_finite(row[x], row[y], row[z]), methods.get(name) or Method(name), diag)
             fixes.append((int(row[point]), int(row[trial]), fix))
     return fixes
 

@@ -14,7 +14,7 @@ from enum import Enum
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from .camera import MM_PER_CM, CameraIntrinsics, ImagePoint, PixelPoint, _image_coords
+from .camera import MM_PER_CM, CameraIntrinsics, PixelPoint, pixel_to_image
 from .errors import (
     CoincidentProjection,
     SingularGeometry,
@@ -113,7 +113,7 @@ def _observed(
     dets = _resolve(detections, index, expected)
     leds = [index[d.beacon_id] for d in dets]
     _check_shared_height([led.position[2] for led in leds])
-    return leds, [_image_coords(d.pixel.u, d.pixel.v, k) for d in dets]
+    return leds, [pixel_to_image(d.pixel, k) for d in dets]
 
 
 def _pair_geometry(
@@ -145,25 +145,6 @@ def _wrap_angle(a: float) -> float:
     """Wrap into (-pi, pi]."""
     a = math.remainder(a, math.tau)
     return a + math.tau if a <= -math.pi else a
-
-
-def estimate_height(
-    a: tuple[ImagePoint, LedBeacon],
-    b: tuple[ImagePoint, LedBeacon],
-    k: CameraIntrinsics,
-) -> tuple[float, float]:
-    """Vertical camera distance below the beacon plane, from one beacon pair.
-
-    Returns (height_cm, camera_z_cm), where camera z is measured off the
-    first beacon's height.
-    """
-    img_a, led_a = a
-    img_b, led_b = b
-    if led_a.id == led_b.id:
-        raise ValueError(f"height estimate needs two distinct beacons, got {led_a.id!r} twice")
-    _check_shared_height((led_a.position[2], led_b.position[2]))
-    _, _, height = _pair_geometry((img_a.i, img_a.j), led_a, (img_b.i, img_b.j), led_b, k)
-    return height, led_a.position[2] - height
 
 
 def trilaterate_three(

@@ -270,19 +270,13 @@ def default_scene(
     )
 
 
-def default_grid(
-    nx: int = 6,
-    ny: int = 6,
-    x_range: tuple[float, float] = (-51.0, -31.0),
-    y_range: tuple[float, float] = (-3.0, 17.0),
-    z: float = 0.0,
-) -> list[tuple[float, float, float]]:
-    """Evenly spaced camera positions for the default beacon layout.
+def default_grid() -> list[tuple[float, float, float]]:
+    """6 x 6 camera positions on the floor (z = 0), x from -51 to -31 cm, y from -3 to 17 cm.
 
-    The default window keeps every beacon inside the 800x600 frame and sits in
-    the zone where the near-collinear beacon pair amplifies pixel noise least,
-    so measured error reflects the principal-point bias rather than geometry.
+    The window keeps every beacon inside the 800x600 frame and sits in the
+    zone where the near-collinear beacon pair amplifies pixel noise least, so
+    measured error reflects the principal-point bias rather than geometry.
     """
-    xs = np.linspace(x_range[0], x_range[1], nx)
-    ys = np.linspace(y_range[0], y_range[1], ny)
-    return [(float(x), float(y), z) for y in ys for x in xs]
+    xs = np.linspace(-51.0, -31.0, 6)
+    ys = np.linspace(-3.0, 17.0, 6)
+    return [(float(x), float(y), 0.0) for y in ys for x in xs]

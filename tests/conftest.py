@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import Phase, settings
 
 from vlpkit import CameraIntrinsics, LedBeacon
+
+# One profile for every property test: no per-example deadline, since file
+# writes make examples slow enough to trip it on a loaded machine, and no
+# explain phase, which after a failure can spend minutes and gigabytes
+# tracing the failing example.
+settings.register_profile("vlpkit", deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("vlpkit")
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ TRUE_PP = (406.3, 295.9)
 
 def circle_points(cx, cy, r, n=12, phase=0.0):
     return [
-        PixelPoint(cx + r * math.cos(phase + k * math.tau / n), cy + r * math.sin(phase + k * math.tau / n))
+        (cx + r * math.cos(phase + k * math.tau / n), cy + r * math.sin(phase + k * math.tau / n))
         for k in range(n)
     ]
 
@@ -59,18 +59,11 @@ def test_fit_circle_recovers_exact_circle():
     assert fit.rms_residual < 1e-9
 
 
-def test_fit_circle_accepts_pixel_points_and_tuples():
-    pts = circle_points(10.0, -4.0, 3.0, n=8)
-    fit_a = fit_circle(pts)
-    fit_b = fit_circle([(p.u, p.v) for p in pts])
-    assert fit_a == fit_b
-
-
 def test_fit_circle_residual_reports_scatter():
     rng = random.Random(5)
     pts = [
-        (p.u + rng.uniform(-0.1, 0.1), p.v + rng.uniform(-0.1, 0.1))
-        for p in circle_points(0.0, 0.0, 20.0, n=40)
+        (x + rng.uniform(-0.1, 0.1), y + rng.uniform(-0.1, 0.1))
+        for x, y in circle_points(0.0, 0.0, 20.0, n=40)
     ]
     fit = fit_circle(pts)
     assert 0.0 < fit.rms_residual < 0.12

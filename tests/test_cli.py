@@ -576,6 +576,12 @@ def _off_sensor_dispersion(tmp_path):
     return argv + ["--fixes", fixes, "--ground-truth=-40,5,0"]
 
 
+def _non_finite_ground_truth(tmp_path):
+    scene_path, fixes_path = _noiseless_fixes_at_origin(tmp_path)
+    argv = ["calibrate", "--scene", str(scene_path), "--calibration", "dispersion", "--fixes", str(fixes_path)]
+    return argv + ["--ground-truth", "nan,0,0"]
+
+
 def _scene_is_a_directory(tmp_path):
     return ["simulate", "--scene", str(tmp_path)]
 
@@ -610,8 +616,10 @@ def _out_is_under_a_file(tmp_path):
         lambda tmp_path: ["simulate", "--trials", "0"],
         lambda tmp_path: ["simulate", "--seed", "-1"],
         lambda tmp_path: ["simulate", "--at=0,0,200"],
+        lambda tmp_path: ["simulate", "--at", "inf,0,0"],
         lambda tmp_path: ["replicate", "--seed", "-3"],
         _off_sensor_dispersion,
+        _non_finite_ground_truth,
         _scene_is_a_directory,
         _scene_is_not_utf8,
         _scene_pose_is_not_an_object,
@@ -622,8 +630,10 @@ def _out_is_under_a_file(tmp_path):
         "zero-trials",
         "negative-seed",
         "camera-above-ceiling",
+        "at-not-finite",
         "replicate-negative-seed",
         "principal-point-off-sensor",
+        "ground-truth-not-finite",
         "scene-is-directory",
         "scene-not-utf8",
         "scene-pose-not-object",
@@ -640,6 +650,18 @@ def test_bad_argument_or_path_is_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_triple_names_its_flag(tmp_path, capsys):
+    cases = [
+        (["simulate", "--at", "inf,0,0"], "--at", "inf,0,0"),
+        (_non_finite_ground_truth(tmp_path), "--ground-truth", "nan,0,0"),
+    ]
+    for argv, flag, text in cases:
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {flag} expects finite numbers, got '{text}'\n"
 
 
 def test_subcommand_is_required():

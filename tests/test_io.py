@@ -397,6 +397,11 @@ def test_fixes_and_truth_readers_reject_non_finite_coordinates(tmp_path, value):
     with pytest.raises(InputFormatError, match=r"ground_truth\.csv:2: non-finite coordinate"):
         read_ground_truth_csv(path)
 
+    path = tmp_path / "tracks.csv"
+    _write_table(path, TRACK_COLUMNS, [["L1", "0", "1.5", "2.5"], ["L1", "1", value, "2.5"]])
+    with pytest.raises(InputFormatError, match=r"tracks\.csv:3: non-finite coordinate"):
+        read_tracks_csv(path)
+
 
 def test_empty_optional_index_and_yaw_values_read_as_zero(tmp_path):
     path = tmp_path / "detections.csv"
@@ -420,8 +425,7 @@ indices = st.integers(0, 99_999)
 printable = st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"), include_characters=" ")
 ids = st.text(st.sampled_from(',"') | printable, min_size=1, max_size=8)
 pixels = st.builds(PixelPoint, finite, finite)
-# File writes make examples slow enough to trip the default deadline on a loaded machine.
-csv_examples = settings(max_examples=50, deadline=None)
+csv_examples = settings(max_examples=50)
 
 
 def close(a, b):
@@ -574,7 +578,7 @@ def reference_fix_row(point, trial, method, fix, message):
             six(d.image_pair_distance_mm), six(d.world_pair_distance_cm), yaw, ""]
 
 
-writer_examples = settings(max_examples=25, deadline=None)
+writer_examples = settings(max_examples=25)
 
 
 @writer_examples

@@ -11,7 +11,6 @@ import vlpkit.simulator as sim
 from vlpkit import (
     CoincidentProjection,
     Detection,
-    ImagePoint,
     LedBeacon,
     Method,
     PixelPoint,
@@ -19,8 +18,6 @@ from vlpkit import (
     UnequalBeaconHeights,
     UnknownBeacon,
     VlpError,
-    estimate_height,
-    image_to_pixel,
     locate_two,
     trilaterate_three,
     widest_pair,
@@ -45,55 +42,64 @@ def make_scene(position, yaw=0.0, beacons=sim.DEFAULT_BEACONS):
 
 def test_height_from_magnification_ratio(intrinsics):
     # A 135.124 cm ceiling baseline seen 2.70248 mm wide through a 3 mm lens
-    # puts the camera 150 cm below the beacon plane.
-    led_a = LedBeacon("A", (0.0, 0.0, 150.0))
-    led_b = LedBeacon("B", (92.5, 98.5, 150.0))
-    d_world = math.hypot(92.5, 98.5)
-    assert d_world == pytest.approx(135.1240171102088, abs=1e-12)
-    img_a = ImagePoint(0.0, 0.0)
-    img_b = ImagePoint(92.5 * 10.0 * 3.0 / 1500.0, 98.5 * 10.0 * 3.0 / 1500.0)
-    height, cam_z = estimate_height((img_a, led_a), (img_b, led_b), intrinsics)
-    assert height == pytest.approx(150.0, abs=1e-9)
-    assert cam_z == pytest.approx(0.0, abs=1e-9)
+    # puts the camera 150 cm below the beacon plane. At 0.006 mm/px a
+    # ceiling offset d cm lands d * 3 / 150 / 0.006 = d / 0.3 px from centre.
+    beacons = (LedBeacon("A", (0.0, 0.0, 150.0)), LedBeacon("B", (92.5, 98.5, 150.0)))
+    assert math.hypot(92.5, 98.5) == pytest.approx(135.1240171102088, abs=1e-12)
+    dets = [
+        Detection("A", PixelPoint(400.0, 300.0)),
+        Detection("B", PixelPoint(400.0 + 92.5 / 0.3, 300.0 + 98.5 / 0.3)),
+    ]
+    fix = locate_two(dets, beacons, intrinsics)
+    assert fix.diagnostics.height_cm == pytest.approx(150.0, abs=1e-9)
+    assert fix.position[2] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_height_halves_when_image_span_doubles(intrinsics):
-    led_a = LedBeacon("A", (0.0, 0.0, 150.0))
-    led_b = LedBeacon("B", (100.0, 0.0, 150.0))
-    near = estimate_height((ImagePoint(0.0, 0.0), led_a), (ImagePoint(4.0, 0.0), led_b), intrinsics)
-    far = estimate_height((ImagePoint(0.0, 0.0), led_a), (ImagePoint(2.0, 0.0), led_b), intrinsics)
-    assert near[0] == pytest.approx(far[0] / 2.0, rel=1e-12)
+    beacons = (LedBeacon("A", (0.0, 0.0, 150.0)), LedBeacon("B", (100.0, 0.0, 150.0)))
+
+    def height(u_b):
+        dets = [Detection("A", PixelPoint(400.0, 300.0)), Detection("B", PixelPoint(u_b, 300.0))]
+        return locate_two(dets, beacons, intrinsics).diagnostics.height_cm
+
+    assert height(800.0) == pytest.approx(height(600.0) / 2.0, rel=1e-12)
 
 
 def test_camera_z_is_referenced_to_first_beacon(intrinsics):
-    led_a = LedBeacon("A", (0.0, 0.0, 150.0))
-    led_b = LedBeacon("B", (100.0, 0.0, 150.05))
-    pair_a = (ImagePoint(0.0, 0.0), led_a)
-    pair_b = (ImagePoint(2.0, 0.0), led_b)
-    height, z_ab = estimate_height(pair_a, pair_b, intrinsics)
-    _, z_ba = estimate_height(pair_b, pair_a, intrinsics)
-    assert z_ab == 150.0 - height
-    assert z_ba == 150.05 - height
+    # First in id order: the detections' order does not matter.
+    beacons = (LedBeacon("A", (0.0, 0.0, 150.0)), LedBeacon("B", (100.0, 0.0, 150.05)))
+    dets = [Detection("A", PixelPoint(400.0, 300.0)), Detection("B", PixelPoint(600.0, 300.0))]
+    for order in (dets, dets[::-1]):
+        fix = locate_two(order, beacons, intrinsics)
+        assert fix.position[2] == 150.0 - fix.diagnostics.height_cm
 
 
-def test_coincident_projections_rejected(intrinsics):
-    led_a = LedBeacon("A", (0.0, 0.0, 150.0))
-    led_b = LedBeacon("B", (100.0, 0.0, 150.0))
+def test_coincident_projections_rejected(intrinsics, ceiling_beacons):
+    same = PixelPoint(401.0, 301.0)
+    dets = [Detection("L1", same), Detection("L2", same), Detection("L3", PixelPoint(500.0, 400.0))]
     with pytest.raises(CoincidentProjection):
-        estimate_height((ImagePoint(1.0, 1.0), led_a), (ImagePoint(1.0, 1.0), led_b), intrinsics)
+        trilaterate_three(dets, ceiling_beacons, intrinsics)
 
 
 def test_unequal_beacon_heights_rejected(intrinsics):
-    led_a = LedBeacon("A", (0.0, 0.0, 150.0))
-    led_b = LedBeacon("B", (100.0, 0.0, 151.0))
+    beacons = (
+        LedBeacon("A", (0.0, 0.0, 150.0)),
+        LedBeacon("B", (100.0, 0.0, 151.0)),
+        LedBeacon("C", (0.0, 100.0, 150.0)),
+    )
+    dets = [
+        Detection("A", PixelPoint(400.0, 300.0)),
+        Detection("B", PixelPoint(500.0, 300.0)),
+        Detection("C", PixelPoint(400.0, 400.0)),
+    ]
     with pytest.raises(UnequalBeaconHeights):
-        estimate_height((ImagePoint(0.0, 0.0), led_a), (ImagePoint(2.0, 0.0), led_b), intrinsics)
+        trilaterate_three(dets, beacons, intrinsics)
 
 
-def test_same_beacon_twice_rejected(intrinsics):
-    led = LedBeacon("A", (0.0, 0.0, 150.0))
-    with pytest.raises(ValueError):
-        estimate_height((ImagePoint(0.0, 0.0), led), (ImagePoint(2.0, 0.0), led), intrinsics)
+def test_same_beacon_twice_rejected(intrinsics, ceiling_beacons):
+    dets = [Detection("L1", PixelPoint(400.0, 300.0)), Detection("L1", PixelPoint(600.0, 300.0))]
+    with pytest.raises(ValueError, match="distinct"):
+        locate_two(dets, ceiling_beacons, intrinsics)
 
 
 # --- three-beacon fixes ---
@@ -252,7 +258,7 @@ def test_three_led_rejects_a_plan_so_wide_it_overflows():
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.tuples(finite, finite), min_size=3, max_size=3))
 def test_any_finite_pixels_give_a_finite_fix_or_an_error(pixels):
     scene = make_scene((0.0, 0.0, 0.0))
@@ -367,8 +373,8 @@ def test_two_led_rejects_unequal_heights(intrinsics):
         LedBeacon("B", (20.0, 0.0, 149.0)),
     )
     dets = [
-        Detection("A", image_to_pixel(ImagePoint(-0.4, 0.0), intrinsics)),
-        Detection("B", image_to_pixel(ImagePoint(0.4, 0.0), intrinsics)),
+        Detection("A", PixelPoint(350.0, 300.0)),
+        Detection("B", PixelPoint(450.0, 300.0)),
     ]
     with pytest.raises(UnequalBeaconHeights):
         locate_two(dets, beacons, intrinsics)

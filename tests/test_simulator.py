@@ -326,7 +326,7 @@ posed_scenes = st.builds(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     scene=posed_scenes,
     seed=st.integers(0, 2**40),
