@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .camera import CameraIntrinsics, PixelPoint
+from .camera import CameraIntrinsics
 from .errors import DegenerateCircle, EmptyInput, InsufficientTracks, MissingDiagnostics
 from .positioning import PositionFix
 
@@ -73,7 +73,7 @@ def fit_circle(points: Iterable[tuple[float, float]]) -> CircleFit:
 
 
 def calibrate_rotation(
-    tracks: Mapping[str, Sequence[PixelPoint]], k: CameraIntrinsics
+    tracks: Mapping[str, Sequence[tuple[float, float]]], k: CameraIntrinsics
 ) -> tuple[CameraIntrinsics, dict[str, CircleFit]]:
     """Corrected principal point from spin-in-place beacon tracks.
 
@@ -88,7 +88,7 @@ def calibrate_rotation(
     last_error: DegenerateCircle | None = None
     for track_id in sorted(tracks):
         try:
-            fits[track_id] = fit_circle([(p.u, p.v) for p in tracks[track_id]])
+            fits[track_id] = fit_circle(tracks[track_id])
         except DegenerateCircle as err:
             last_error = err
     if not fits:
@@ -129,6 +129,8 @@ def calibrate_dispersion(
     dx, dy = summary.mean_offset
     if mode == "physical":
         mean_height = fmean(fix.diagnostics.height_cm for fix in fix_list)
+        if not mean_height > 0:
+            raise ValueError(f"mean fix height must be positive, got {mean_height}")
         # cm over cm cancels; mm focal length over mm-per-px pitch leaves px.
         du = dx * k.focal_length / (mean_height * k.pitch_i)
         dv = dy * k.focal_length / (mean_height * k.pitch_j)

@@ -8,14 +8,6 @@ from dataclasses import dataclass, replace
 MM_PER_CM = 10.0
 
 
-@dataclass(frozen=True, slots=True)
-class PixelPoint:
-    """Pixel-frame point. May lie off the sensor; visibility is tracked separately."""
-
-    u: float
-    v: float
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole parameters of the receiver camera.
@@ -69,7 +61,8 @@ class CameraIntrinsics:
         return replace(self, corrected_principal_point=(u1, v1))
 
 
-def pixel_to_image(p: PixelPoint, k: CameraIntrinsics) -> tuple[float, float]:
-    """Pixel point to (i, j) mm image coordinates about the corrected principal point."""
+def pixel_to_image(p: tuple[float, float], k: CameraIntrinsics) -> tuple[float, float]:
+    """(u, v) pixel to (i, j) mm image coordinates about the corrected principal point."""
+    u, v = p
     u1, v1 = k.corrected_principal_point
-    return ((p.u - u1) * k.pitch_i, (p.v - v1) * k.pitch_j)
+    return ((u - u1) * k.pitch_i, (v - v1) * k.pitch_j)

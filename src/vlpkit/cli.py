@@ -134,11 +134,10 @@ def _check_on_sensor(detections: Sequence[Detection], intrinsics) -> None:
     may fall outside the frame; a pixel the camera detected cannot.
     """
     for det in detections:
-        if not intrinsics.on_sensor(det.pixel.u, det.pixel.v):
+        u, v = det.pixel
+        if not intrinsics.on_sensor(u, v):
             width, height = intrinsics.resolution
-            raise ValueError(
-                f"beacon {det.beacon_id!r} has pixel ({det.pixel.u}, {det.pixel.v}) off the {width}x{height} sensor"
-            )
+            raise ValueError(f"beacon {det.beacon_id!r} has pixel ({u}, {v}) off the {width}x{height} sensor")
 
 
 def _simulate(scene: SceneConfig, grid: Sequence[Sequence[float]], trials: int, out: str | Path) -> list[TrialRecord]:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analysis import ErrorReport, ReportComparison
 from .calibration import CircleFit, DispersionSummary
-from .camera import CameraIntrinsics, PixelPoint
+from .camera import CameraIntrinsics
 from .errors import InputFormatError, MissingDiagnostics, SceneConfigError
 from .positioning import Detection, Diagnostics, LedBeacon, Method, PositionFix
 from .simulator import CameraPose, NoiseModel, SceneConfig, TrialRecord
@@ -43,10 +43,14 @@ def _require(obj: Mapping, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
     # json reads NaN and Infinity, which no scene field can use.
-    if not math.isfinite(value):
+    if not math.isfinite(number):
         raise SceneConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _boolean(value, where: str) -> bool:
@@ -84,6 +88,9 @@ def read_scene(path: str | Path) -> SceneConfig:
         raise SceneConfigError(f"{path}: {err.strerror}") from err
     except UnicodeDecodeError as err:
         raise SceneConfigError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
+    # An integer past the interpreter's digit limit, or nesting past its recursion limit.
+    except (ValueError, RecursionError) as err:
+        raise SceneConfigError(f"{path}: {err}") from err
     try:
         return _scene_from_dict(raw)
     except ValueError as err:
@@ -256,11 +263,12 @@ def _csv_rows(
     """Rows of a CSV file whose header holds every required column, and each column's index.
 
     Rows are read as csv.DictReader reads them: the header is the first line,
-    blank lines are skipped, extra columns are ignored, and a short row is
-    padded with None. An optional column the header lacks is indexed past its
-    end, so it reads as None in every row. A missing file or required column,
-    or a value in the block that fails to parse, raises InputFormatError naming
-    the file and, for a value, the line.
+    blank lines are skipped and extra columns are ignored. A row cut short
+    after its last required column is padded with None; one cut before it
+    raises. An optional column the header lacks is indexed past its end, so it
+    reads as None in every row. A missing file or required column, a short
+    row, or a value in the block that fails to parse raises InputFormatError
+    naming the file and, for a row or value, the line.
     """
     try:
         with open(path, newline="") as handle:
@@ -273,6 +281,7 @@ def _csv_rows(
                 if missing:
                     names = ", ".join(map(repr, missing))
                     raise InputFormatError(f"{path}: missing required column(s) {names}")
+                needed = max(columns[c] for c in required) + 1
                 for name in optional:
                     columns.setdefault(name, len(header))
                 width = max(columns.values()) + 1
@@ -282,6 +291,8 @@ def _csv_rows(
                         if len(row) < width:
                             if not row:
                                 continue
+                            if len(row) < needed:
+                                raise ValueError(f"row has {len(row)} field(s), the required columns need {needed}")
                             row += [None] * (width - len(row))
                         yield row
 
@@ -292,18 +303,18 @@ def _csv_rows(
         raise InputFormatError(f"{path}: {err.strerror}") from err
 
 
-def _finite(*fields: str) -> tuple[float, ...]:
-    """Coordinate fields as floats; ValueError unless all are finite."""
+def _finite(*fields: str, kind: str = "coordinate") -> tuple[float, ...]:
+    """Fields as floats; ValueError naming the kind of value unless all are finite."""
     values = tuple(map(float, fields))
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"non-finite coordinate in ({', '.join(fields)})")
+        raise ValueError(f"non-finite {kind} in ({', '.join(fields)})")
     return values
 
 
 def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
     ids = _CsvText()
     lines = (
-        DETECTION_LINE % (rec.point_index, rec.trial_index, ids[det.beacon_id], det.pixel.u, det.pixel.v)
+        DETECTION_LINE % (rec.point_index, rec.trial_index, ids[det.beacon_id], *det.pixel)
         for rec in records
         for det in rec.detections
     )
@@ -321,7 +332,7 @@ def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection
         point, trial, beacon, u, v = map(col.get, DETECTION_COLUMNS)
         for row in rows:
             key = (int(row[point] or 0), int(row[trial] or 0))
-            det = Detection(row[beacon], PixelPoint(float(row[u]), float(row[v])))
+            det = Detection(row[beacon], (float(row[u]), float(row[v])))
             groups.setdefault(key, []).append(det)
     return [(p, t, dets) for (p, t), dets in sorted(groups.items())]
 
@@ -348,22 +359,22 @@ def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float
     return truths
 
 
-def write_tracks_csv(tracks: Mapping[str, Sequence[PixelPoint]], path: str | Path) -> None:
+def write_tracks_csv(tracks: Mapping[str, Sequence[tuple[float, float]]], path: str | Path) -> None:
     ids = _CsvText()
     lines = (
-        TRACK_LINE % (ids[track_id], idx, p.u, p.v)
+        TRACK_LINE % (ids[track_id], idx, *p)
         for track_id in sorted(tracks)
         for idx, p in enumerate(tracks[track_id])
     )
     _write_csv(path, TRACK_COLUMNS, lines)
 
 
-def read_tracks_csv(path: str | Path) -> dict[str, list[PixelPoint]]:
-    samples: dict[str, list[tuple[int, PixelPoint]]] = {}
+def read_tracks_csv(path: str | Path) -> dict[str, list[tuple[float, float]]]:
+    samples: dict[str, list[tuple[int, tuple[float, ...]]]] = {}
     with _csv_rows(path, TRACK_COLUMNS) as (rows, col):
         track, index, u, v = map(col.get, TRACK_COLUMNS)
         for row in rows:
-            sample = (int(row[index]), PixelPoint(*_finite(row[u], row[v])))
+            sample = (int(row[index]), _finite(row[u], row[v]))
             samples.setdefault(row[track], []).append(sample)
     return {
         track_id: [p for _, p in sorted(track_samples, key=lambda s: s[0])]
@@ -411,10 +422,8 @@ def read_fixes_csv(path: str | Path) -> list[tuple[int, int, PositionFix]]:
             if row[status] != "ok":
                 continue
             diag = Diagnostics(
-                float(row[height]),
-                float(row[image_d]),
-                float(row[world_d]),
-                float(row[yaw]) if row[yaw] else None,
+                *_finite(row[height], row[image_d], row[world_d], kind="diagnostic"),
+                _finite(row[yaw], kind="diagnostic")[0] if row[yaw] else None,
             )
             # An unknown name falls through to Method, which raises ValueError.
             name = row[method]

@@ -14,7 +14,7 @@ from enum import Enum
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from .camera import MM_PER_CM, CameraIntrinsics, PixelPoint, pixel_to_image
+from .camera import MM_PER_CM, CameraIntrinsics, pixel_to_image
 from .errors import (
     CoincidentProjection,
     SingularGeometry,
@@ -44,10 +44,10 @@ class LedBeacon:
 
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """One beacon observed at a pixel position."""
+    """One beacon observed at a (u, v) pixel position."""
 
     beacon_id: str
-    pixel: PixelPoint
+    pixel: tuple[float, float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +92,9 @@ def _resolve(
     if missing:
         raise UnknownBeacon(f"beacon id(s) {missing} are not in the beacon set")
     for d in dets:
-        if not (math.isfinite(d.pixel.u) and math.isfinite(d.pixel.v)):
-            raise ValueError(f"beacon {d.beacon_id!r} has non-finite pixel ({d.pixel.u}, {d.pixel.v})")
+        u, v = d.pixel
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise ValueError(f"beacon {d.beacon_id!r} has non-finite pixel ({u}, {v})")
     return dets
 
 

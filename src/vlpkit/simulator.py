@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .camera import MM_PER_CM, CameraIntrinsics, PixelPoint
+from .camera import MM_PER_CM, CameraIntrinsics
 from .errors import BeaconBehindCamera
 from .positioning import Detection, LedBeacon, _beacon_index
 
@@ -93,7 +93,7 @@ class SceneConfig:
         A scene is frozen, so it is projected once; a replaced pose is a new
         scene with its own cache.
         """
-        pixels = np.array([(p.u, p.v) for p, _ in (project(b, self) for b in self.beacons)])
+        pixels = np.array([project(b, self)[0] for b in self.beacons])
         pixels.flags.writeable = False
         return pixels
 
@@ -109,8 +109,8 @@ class TrialRecord:
     seed: int
 
 
-def project(beacon: LedBeacon, scene: SceneConfig) -> tuple[PixelPoint, bool]:
-    """Exact pixel position of one beacon, plus whether it lands on the sensor."""
+def project(beacon: LedBeacon, scene: SceneConfig) -> tuple[tuple[float, float], bool]:
+    """Exact (u, v) pixel of one beacon, plus whether it lands on the sensor."""
     k = scene.intrinsics
     cam_x, cam_y, cam_z = scene.camera_pose.position
     led_x, led_y, led_z = beacon.position
@@ -130,7 +130,7 @@ def project(beacon: LedBeacon, scene: SceneConfig) -> tuple[PixelPoint, bool]:
     u_true, v_true = scene.true_principal_point
     u = u_true + i / k.pitch_i
     v = v_true + j / k.pitch_j
-    return PixelPoint(u, v), k.on_sensor(u, v)
+    return (u, v), k.on_sensor(u, v)
 
 
 def _noise_offsets(noise: NoiseModel, seed: int, count: int) -> np.ndarray | None:
@@ -173,7 +173,7 @@ def observe(scene: SceneConfig, seed: int | None = None) -> list[Detection]:
     offsets = _noise_offsets(scene.noise, seed, len(scene.beacons))
     on_sensor = scene.intrinsics.on_sensor
     return [
-        Detection(beacon.id, PixelPoint(u, v))
+        Detection(beacon.id, (u, v))
         for beacon, (u, v) in zip(scene.beacons, _noisy_pixels(scene.exact_pixels, offsets, scene.noise.quantize))
         if on_sensor(u, v)
     ]
@@ -181,8 +181,8 @@ def observe(scene: SceneConfig, seed: int | None = None) -> list[Detection]:
 
 def rotation_sweep(
     scene: SceneConfig, angles: Iterable[float]
-) -> dict[str, list[PixelPoint]]:
-    """Pixel track per beacon while the camera spins in place through the given yaws.
+) -> dict[str, list[tuple[float, float]]]:
+    """(u, v) pixel track per beacon while the camera spins in place through the given yaws.
 
     Noiseless tracks lie exactly on circles centred at the true principal
     point, which is what rotation calibration exploits. The scene noise model
@@ -200,7 +200,7 @@ def rotation_sweep(
     offsets = _noise_offsets(scene.noise, scene.seed, len(exact))
     pixels = _noisy_pixels(exact, offsets, scene.noise.quantize)
     n = len(scene.beacons)
-    return {beacon.id: [PixelPoint(u, v) for u, v in pixels[i::n]] for i, beacon in enumerate(scene.beacons)}
+    return {beacon.id: [(u, v) for u, v in pixels[i::n]] for i, beacon in enumerate(scene.beacons)}
 
 
 def derive_seed(base_seed: int, point_index: int, trial_index: int) -> int:

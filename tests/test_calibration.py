@@ -17,7 +17,6 @@ from vlpkit import (
     LedBeacon,
     MissingDiagnostics,
     NoiseModel,
-    PixelPoint,
     calibrate_dispersion,
     calibrate_rotation,
     default_intrinsics,
@@ -119,7 +118,7 @@ def test_rotation_calibration_skips_unfittable_tracks():
     scene = default_scene(true_principal_point=TRUE_PP)
     tracks = rotation_sweep(scene, SWEEP_ANGLES_12)
     # A beacon straight overhead never moves; its track is a single point.
-    tracks["stuck"] = [PixelPoint(406.3, 295.9)] * 12
+    tracks["stuck"] = [(406.3, 295.9)] * 12
     k_cal, fits = calibrate_rotation(tracks, scene.intrinsics)
     assert "stuck" not in fits
     assert set(fits) == {"L1", "L2", "L3"}
@@ -128,8 +127,8 @@ def test_rotation_calibration_skips_unfittable_tracks():
 
 def test_rotation_calibration_requires_one_good_track():
     bad = {
-        "a": [PixelPoint(1.0, 1.0), PixelPoint(2.0, 2.0)],
-        "b": [PixelPoint(float(t), 0.0) for t in range(12)],
+        "a": [(1.0, 1.0), (2.0, 2.0)],
+        "b": [(float(t), 0.0) for t in range(12)],
     }
     with pytest.raises(InsufficientTracks):
         calibrate_rotation(bad, default_intrinsics())
@@ -236,6 +235,11 @@ def test_dispersion_error_paths():
     stripped = [dataclasses.replace(f, diagnostics=None) for f in fixes]
     with pytest.raises(MissingDiagnostics):
         calibrate_dispersion(stripped, (0.0, 0.0, 0.0), scene.intrinsics)
+    flat = [dataclasses.replace(f, diagnostics=dataclasses.replace(f.diagnostics, height_cm=0.0)) for f in fixes]
+    with pytest.raises(ValueError, match=r"mean fix height must be positive, got 0\.0"):
+        calibrate_dispersion(flat, (0.0, 0.0, 0.0), scene.intrinsics)
+    # Paper-literal mode does not use the height.
+    calibrate_dispersion(flat, (0.0, 0.0, 0.0), scene.intrinsics, mode="paper_literal")
 
 
 # --- smallest enclosing circle ---

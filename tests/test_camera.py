@@ -6,23 +6,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vlpkit import CameraIntrinsics, PixelPoint, pixel_to_image
+from vlpkit import CameraIntrinsics, pixel_to_image
 
 
 def test_centre_pixel_maps_to_image_origin(intrinsics):
-    assert pixel_to_image(PixelPoint(400.0, 300.0), intrinsics) == (0.0, 0.0)
+    assert pixel_to_image((400.0, 300.0), intrinsics) == (0.0, 0.0)
 
 
 def test_pixel_offset_scales_by_pitch(intrinsics):
     # 50 px to the right of centre at 0.006 mm/px is 0.3 mm.
-    i, j = pixel_to_image(PixelPoint(450.0, 300.0), intrinsics)
+    i, j = pixel_to_image((450.0, 300.0), intrinsics)
     assert i == pytest.approx(0.3, abs=1e-12)
     assert j == 0.0
 
 
 def test_corrected_principal_point_shifts_origin(intrinsics):
     k = intrinsics.with_principal_point(406.3, 295.9)
-    i, j = pixel_to_image(PixelPoint(450.0, 300.0), k)
+    i, j = pixel_to_image((450.0, 300.0), k)
     # (450 - 406.3) * 0.006 and (300 - 295.9) * 0.006
     assert i == pytest.approx(0.2622, abs=1e-12)
     assert j == pytest.approx(0.0246, abs=1e-12)
@@ -45,8 +45,8 @@ def test_pixel_shift_is_linear_in_image_plane(du):
     k = CameraIntrinsics(
         focal_length=3.0, pitch_i=0.006, pitch_j=0.006, resolution=(800, 600)
     )
-    base_i, base_j = pixel_to_image(PixelPoint(400.0, 300.0), k)
-    moved_i, moved_j = pixel_to_image(PixelPoint(400.0 + du, 300.0), k)
+    base_i, base_j = pixel_to_image((400.0, 300.0), k)
+    moved_i, moved_j = pixel_to_image((400.0 + du, 300.0), k)
     assert moved_i - base_i == pytest.approx(du * 0.006, rel=1e-12, abs=1e-12)
     assert moved_j == base_j
 
@@ -55,7 +55,7 @@ def test_anisotropic_pitch_applies_per_axis():
     k = CameraIntrinsics(
         focal_length=3.0, pitch_i=0.006, pitch_j=0.012, resolution=(800, 600)
     )
-    i, j = pixel_to_image(PixelPoint(410.0, 310.0), k)
+    i, j = pixel_to_image((410.0, 310.0), k)
     assert i == pytest.approx(0.06, abs=1e-12)
     assert j == pytest.approx(0.12, abs=1e-12)
 

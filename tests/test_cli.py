@@ -12,6 +12,7 @@ import pytest
 from vlpkit import cli
 from vlpkit.cli import main, replicate_scene
 from vlpkit.io import (
+    FIX_COLUMNS,
     read_fixes_csv,
     read_ground_truth_csv,
     scene_to_dict,
@@ -600,6 +601,39 @@ def _scene_pose_is_not_an_object(tmp_path):
     return ["simulate", "--scene", str(path)]
 
 
+def _default_scene_file(tmp_path):
+    path = tmp_path / "scene.json"
+    write_scene(default_scene(), path)
+    return str(path)
+
+
+def _write_lines(path, *lines):
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _detection_row_lacks_beacon_id(tmp_path):
+    path = _write_lines(
+        tmp_path / "detections.csv", "point_index,trial_index,u_px,v_px,beacon_id", "0,0,300.0,300.0,L1", "0,0,310.0,300.0"
+    )
+    return ["locate", "--scene", _default_scene_file(tmp_path), "--detections", path]
+
+
+def _track_row_lacks_track_id(tmp_path):
+    path = _write_lines(tmp_path / "tracks.csv", "sample_index,u_px,v_px,track_id", "0,1.0,2.0,A", "1,2.0,3.0")
+    return ["calibrate", "--scene", _default_scene_file(tmp_path), "--calibration", "rotation", "--tracks", path]
+
+
+def _dispersion_fixes(tmp_path, height_cm):
+    ok = f"0,0,three-led,ok,1.0,2.0,0.0,{height_cm},2.5,135.0,,"
+    path = _write_lines(tmp_path / "fixes.csv", ",".join(FIX_COLUMNS), ok, ok)
+    return ["calibrate", "--scene", _default_scene_file(tmp_path), "--calibration", "dispersion", "--fixes", path]
+
+
+def _scene_text(tmp_path, text):
+    return ["simulate", "--scene", _write_lines(tmp_path / "scene.json", text)]
+
+
 def _out_is_a_file(tmp_path):
     (tmp_path / "taken").write_text("")
     return ["simulate", "--trials", "1", "--out", str(tmp_path / "taken")]
@@ -623,6 +657,12 @@ def _out_is_under_a_file(tmp_path):
         _scene_is_a_directory,
         _scene_is_not_utf8,
         _scene_pose_is_not_an_object,
+        lambda tmp_path: _scene_text(tmp_path, "[" * 100_000 + "]" * 100_000),
+        lambda tmp_path: _scene_text(tmp_path, "1" * 5_000),
+        _detection_row_lacks_beacon_id,
+        _track_row_lacks_track_id,
+        lambda tmp_path: _dispersion_fixes(tmp_path, "0.0"),
+        lambda tmp_path: _dispersion_fixes(tmp_path, "nan"),
         _out_is_a_file,
         _out_is_under_a_file,
     ],
@@ -637,6 +677,12 @@ def _out_is_under_a_file(tmp_path):
         "scene-is-directory",
         "scene-not-utf8",
         "scene-pose-not-object",
+        "scene-nested-too-deep",
+        "scene-integer-too-long",
+        "detection-row-lacks-beacon-id",
+        "track-row-lacks-track-id",
+        "fix-heights-zero",
+        "fix-height-nan",
         "out-is-file",
         "out-under-file",
     ],

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from vlpkit import (
     error_stats,
     generate_trials,
 )
-from vlpkit.camera import PixelPoint
 from vlpkit.io import (
     DETECTION_COLUMNS,
     FIX_COLUMNS,
@@ -150,6 +150,8 @@ def test_scene_inconsistency_is_wrapped(tmp_path):
         (lambda d: d.update(true_principal_point_px=[math.inf, 300.0]), r"scene\.true_principal_point_px"),
         (lambda d: d["camera_pose"].update(position=[-math.inf, 0.0, 0.0]), r"scene\.camera_pose\.position"),
         (lambda d: d["beacons"][0].update(position=[0.0, math.nan, 150.0]), r"scene\.beacons\[0\]\.position"),
+        # An integer too large for a float.
+        (lambda d: d["camera_pose"].update(yaw_rad=10**400), r"scene\.camera_pose\.yaw_rad"),
     ],
 )
 def test_scene_non_finite_number_names_the_field(tmp_path, edit, field):
@@ -188,6 +190,21 @@ def test_scene_value_that_is_not_an_object_names_the_field(tmp_path, edit, field
         read_scene(path)
 
 
+def test_scene_nested_too_deep_names_the_file(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SceneConfigError, match=r"scene\.json: maximum recursion depth"):
+        read_scene(path)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no integer digit limit")
+def test_scene_integer_past_the_digit_limit_names_the_file(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text("1" * (sys.get_int_max_str_digits() + 700))
+    with pytest.raises(SceneConfigError, match=r"scene\.json: .*digits"):
+        read_scene(path)
+
+
 # --- CSV round trips ---
 
 
@@ -218,7 +235,7 @@ def test_detections_without_index_columns_form_one_trial(tmp_path):
     point, trial, dets = groups[0]
     assert (point, trial) == (0, 0)
     assert [d.beacon_id for d in dets] == ["L1", "L2"]
-    assert dets[0].pixel == PixelPoint(253.0, 135.0)
+    assert dets[0].pixel == (253.0, 135.0)
 
 
 def test_ground_truth_round_trip(tmp_path):
@@ -240,8 +257,8 @@ def test_ground_truth_yaw_column_is_optional(tmp_path):
 
 def test_tracks_round_trip_and_sample_order(tmp_path):
     tracks = {
-        "L2": [PixelPoint(400.25, 300.5), PixelPoint(401.0, 299.0)],
-        "L1": [PixelPoint(100.125, 200.625), PixelPoint(101.0, 201.0)],
+        "L2": [(400.25, 300.5), (401.0, 299.0)],
+        "L1": [(100.125, 200.625), (101.0, 201.0)],
     }
     path = tmp_path / "tracks.csv"
     write_tracks_csv(tracks, path)
@@ -254,7 +271,7 @@ def test_tracks_round_trip_and_sample_order(tmp_path):
         "L1,0,1.000000,0.000000\n"
     )
     back = read_tracks_csv(shuffled)
-    assert back["L1"] == [PixelPoint(1.0, 0.0), PixelPoint(2.0, 0.0)]
+    assert back["L1"] == [(1.0, 0.0), (2.0, 0.0)]
 
 
 def test_fixes_round_trip_skips_failed_rows(tmp_path):
@@ -371,6 +388,24 @@ def test_reader_short_row_names_its_line(tmp_path, name):
         reader(path)
 
 
+# Per reader: a required column that, moved to the end of the header, a row cut by one field lacks.
+LAST_COLUMN = {"detections": "beacon_id", "ground_truth": "z_cm", "tracks": "track_id", "fixes": "status"}
+
+
+@pytest.mark.parametrize("name", READER_CASES)
+def test_reader_row_cut_before_a_required_column_names_its_line(tmp_path, name):
+    reader, header, rows, _ = READER_CASES[name]
+    last = header.index(LAST_COLUMN[name])
+
+    def reorder(fields):
+        return [*fields[:last], *fields[last + 1 :], fields[last]]
+
+    path = tmp_path / f"{name}.csv"
+    _write_table(path, reorder(header), [reorder(rows[1]), reorder(rows[0])[:-1]])
+    with pytest.raises(InputFormatError, match=rf"{name}\.csv:3: row has {len(header) - 1} field\(s\)"):
+        reader(path)
+
+
 @pytest.mark.parametrize("name", READER_CASES)
 def test_reader_blank_first_line_is_a_missing_column(tmp_path, name):
     reader, header, rows, _ = READER_CASES[name]
@@ -403,10 +438,21 @@ def test_fixes_and_truth_readers_reject_non_finite_coordinates(tmp_path, value):
         read_tracks_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("column", ["height_cm", "image_pair_distance_mm", "world_pair_distance_cm", "yaw_rad"])
+def test_fixes_reader_rejects_non_finite_diagnostics(tmp_path, column, value):
+    _, _, (ok, failed), _ = READER_CASES["fixes"]
+    at = FIX_COLUMNS.index(column)
+    path = tmp_path / "fixes.csv"
+    _write_table(path, FIX_COLUMNS, [failed, [*ok[:at], value, *ok[at + 1 :]]])
+    with pytest.raises(InputFormatError, match=r"fixes\.csv:3: non-finite diagnostic"):
+        read_fixes_csv(path)
+
+
 def test_empty_optional_index_and_yaw_values_read_as_zero(tmp_path):
     path = tmp_path / "detections.csv"
     _write_table(path, DETECTION_COLUMNS, [["", "", "L1", "1.5", "2.5"]])
-    assert read_detections_csv(path) == [(0, 0, [Detection("L1", PixelPoint(1.5, 2.5))])]
+    assert read_detections_csv(path) == [(0, 0, [Detection("L1", (1.5, 2.5))])]
     path = tmp_path / "ground_truth.csv"
     _write_table(path, TRUTH_COLUMNS, [["0", "0", "1.5", "2.5", "0.0", "", "7"]])
     assert read_ground_truth_csv(path) == {(0, 0): (1.5, 2.5, 0.0, 0.0)}
@@ -424,7 +470,7 @@ indices = st.integers(0, 99_999)
 # Printable text (str.isprintable), with the CSV delimiter and quote character drawn often.
 printable = st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"), include_characters=" ")
 ids = st.text(st.sampled_from(',"') | printable, min_size=1, max_size=8)
-pixels = st.builds(PixelPoint, finite, finite)
+pixels = st.tuples(finite, finite)
 csv_examples = settings(max_examples=50)
 
 
@@ -447,7 +493,7 @@ def test_detections_csv_round_trip_property(tmp_path_factory, trials):
         written = trials[(point, trial)]
         assert [d.beacon_id for d in dets] == [d.beacon_id for d in written]
         for got, want in zip(dets, written):
-            assert close(got.pixel.u, want.pixel.u) and close(got.pixel.v, want.pixel.v)
+            assert all(map(close, got.pixel, want.pixel))
 
 
 @csv_examples
@@ -474,7 +520,7 @@ def test_tracks_csv_round_trip_property(tmp_path_factory, tracks):
     for track_id, samples in tracks.items():
         assert len(back[track_id]) == len(samples)
         for got, want in zip(back[track_id], samples):
-            assert close(got.u, want.u) and close(got.v, want.v)
+            assert all(map(close, got, want))
 
 
 fixes = st.builds(
@@ -508,12 +554,118 @@ def test_fixes_csv_round_trip_property(tmp_path_factory, rows):
         assert g.yaw_rad is None or close(g.yaw_rad, w.yaw_rad)
 
 
+# --- readers on arbitrary input ---
+
+# A field of a column's kind, or junk: empty, nan, infinite or any text. An unknown column holds text.
+fuzz_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+fuzz_int = st.integers(-2, 99_999).map(str)
+fuzz_float = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+FUZZ_KINDS = {
+    "point_index": fuzz_int,
+    "trial_index": fuzz_int,
+    "sample_index": fuzz_int,
+    "seed": fuzz_int,
+    "beacon_id": fuzz_text,
+    "track_id": fuzz_text,
+    "message": fuzz_text,
+    "note": fuzz_text,
+    "method": st.sampled_from([m.value for m in Method]),
+    "status": st.sampled_from(["ok", "error"]),
+}
+fuzz_junk = st.sampled_from(["", "nan", "inf"]) | fuzz_text
+
+
+def fuzz_row(columns):
+    """Every field of its column's kind, or any field junk."""
+    kinds = [FUZZ_KINDS.get(column, fuzz_float) for column in columns]
+    return st.tuples(*kinds) | st.tuples(*(kind | fuzz_junk for kind in kinds))
+
+
+def _is_float(x):
+    return type(x) is float
+
+
+def _is_finite(*xs):
+    return all(_is_float(x) and math.isfinite(x) for x in xs)
+
+
+def _is_pixel(p):
+    return type(p) is tuple and len(p) == 2 and all(map(_is_float, p))
+
+
+def _is_key(point, trial):
+    return type(point) is int and type(trial) is int
+
+
+def _detections_typed(groups):
+    return all(
+        _is_key(p, t) and all(isinstance(d.beacon_id, str) and _is_pixel(d.pixel) for d in dets)
+        for p, t, dets in groups
+    )
+
+
+def _truths_typed(truths):
+    return all(_is_key(*key) and _is_finite(*xyz) and _is_float(yaw) for key, (*xyz, yaw) in truths.items())
+
+
+def _tracks_typed(tracks):
+    return all(isinstance(tid, str) and all(_is_pixel(p) and _is_finite(*p) for p in ps) for tid, ps in tracks.items())
+
+
+def _fixes_typed(fixes):
+    def diag_ok(d):
+        return _is_finite(d.height_cm, d.image_pair_distance_mm, d.world_pair_distance_cm) and (
+            d.yaw_rad is None or _is_finite(d.yaw_rad)
+        )
+
+    return all(
+        _is_key(p, t) and _is_finite(*fix.position) and fix.method in Method and diag_ok(fix.diagnostics)
+        for p, t, fix in fixes
+    )
+
+
+READ_TYPES = {
+    "detections": _detections_typed,
+    "ground_truth": _truths_typed,
+    "tracks": _tracks_typed,
+    "fixes": _fixes_typed,
+}
+
+
+@settings(max_examples=100)
+@pytest.mark.parametrize("name", READER_CASES)
+@given(data=st.data())
+def test_reader_returns_its_types_or_an_input_error(tmp_path_factory, name, data):
+    reader, header, _, _ = READER_CASES[name]
+    columns = data.draw(st.permutations([*header, "note"]), label="header")
+    rows = data.draw(st.lists(fuzz_row(columns), min_size=1, max_size=2), label="rows")
+    path = tmp_path_factory.getbasetemp() / f"{name}.csv"
+    # The rows are cut at every length, from empty to whole.
+    for length in range(len(columns) + 1):
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows([columns, *(row[:length] for row in rows)])
+        try:
+            result = reader(path)
+        except InputFormatError:
+            continue
+        assert READ_TYPES[name](result), f"rows cut to {length} fields"
+
+
+@settings(max_examples=60)
+@given(st.text() | st.binary())
+def test_scene_reader_on_arbitrary_text_or_bytes_raises_only_scene_errors(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "scene.json"
+    path.write_bytes(content.encode() if isinstance(content, str) else content)
+    with pytest.raises(SceneConfigError):
+        read_scene(path)
+
+
 # --- writer bytes against a csv.writer reference ---
 
 # Every character csv quotes for, empty text included, and floats at the edges of the six-decimal format.
 text = st.text(st.sampled_from(',"\r\n ') | printable, max_size=6)
 edgy = st.sampled_from([-0.0, 1e15, -1e15, 999_999_999_999_999.9]) | st.floats(-1.1e15, 1.1e15, allow_nan=False)
-edgy_pixels = st.builds(PixelPoint, edgy, edgy)
+edgy_pixels = st.tuples(edgy, edgy)
 records = st.lists(
     st.builds(
         TrialRecord,
@@ -586,7 +738,7 @@ writer_examples = settings(max_examples=25)
 def test_detection_and_truth_writers_match_a_csv_writer_reference(tmp_path_factory, recs):
     out = tmp_path_factory.getbasetemp()
     detection_rows = [
-        [r.point_index, r.trial_index, d.beacon_id, six(d.pixel.u), six(d.pixel.v)] for r in recs for d in r.detections
+        [r.point_index, r.trial_index, d.beacon_id, *map(six, d.pixel)] for r in recs for d in r.detections
     ]
     truth_rows = [[r.point_index, r.trial_index, *map(six, (*r.pose.position, r.pose.yaw_rad)), r.seed] for r in recs]
     write_detections_csv(recs, out / "detections.csv")
@@ -599,7 +751,7 @@ def test_detection_and_truth_writers_match_a_csv_writer_reference(tmp_path_facto
 @given(st.dictionaries(text, st.lists(edgy_pixels, max_size=3)))
 def test_tracks_writer_matches_a_csv_writer_reference(tmp_path_factory, tracks):
     out = tmp_path_factory.getbasetemp()
-    rows = [[tid, i, six(p.u), six(p.v)] for tid in sorted(tracks) for i, p in enumerate(tracks[tid])]
+    rows = [[tid, i, *map(six, p)] for tid in sorted(tracks) for i, p in enumerate(tracks[tid])]
     write_tracks_csv(tracks, out / "tracks.csv")
     assert (out / "tracks.csv").read_bytes() == reference_csv(out / "ref.csv", TRACK_COLUMNS, rows)
 

@@ -1,6 +1,5 @@
 """Height stage, three-beacon trilateration, and the two-beacon fix with yaw."""
 
-import dataclasses
 import math
 
 import pytest
@@ -13,7 +12,6 @@ from vlpkit import (
     Detection,
     LedBeacon,
     Method,
-    PixelPoint,
     SingularGeometry,
     UnequalBeaconHeights,
     UnknownBeacon,
@@ -47,8 +45,8 @@ def test_height_from_magnification_ratio(intrinsics):
     beacons = (LedBeacon("A", (0.0, 0.0, 150.0)), LedBeacon("B", (92.5, 98.5, 150.0)))
     assert math.hypot(92.5, 98.5) == pytest.approx(135.1240171102088, abs=1e-12)
     dets = [
-        Detection("A", PixelPoint(400.0, 300.0)),
-        Detection("B", PixelPoint(400.0 + 92.5 / 0.3, 300.0 + 98.5 / 0.3)),
+        Detection("A", (400.0, 300.0)),
+        Detection("B", (400.0 + 92.5 / 0.3, 300.0 + 98.5 / 0.3)),
     ]
     fix = locate_two(dets, beacons, intrinsics)
     assert fix.diagnostics.height_cm == pytest.approx(150.0, abs=1e-9)
@@ -59,7 +57,7 @@ def test_height_halves_when_image_span_doubles(intrinsics):
     beacons = (LedBeacon("A", (0.0, 0.0, 150.0)), LedBeacon("B", (100.0, 0.0, 150.0)))
 
     def height(u_b):
-        dets = [Detection("A", PixelPoint(400.0, 300.0)), Detection("B", PixelPoint(u_b, 300.0))]
+        dets = [Detection("A", (400.0, 300.0)), Detection("B", (u_b, 300.0))]
         return locate_two(dets, beacons, intrinsics).diagnostics.height_cm
 
     assert height(800.0) == pytest.approx(height(600.0) / 2.0, rel=1e-12)
@@ -68,15 +66,15 @@ def test_height_halves_when_image_span_doubles(intrinsics):
 def test_camera_z_is_referenced_to_first_beacon(intrinsics):
     # First in id order: the detections' order does not matter.
     beacons = (LedBeacon("A", (0.0, 0.0, 150.0)), LedBeacon("B", (100.0, 0.0, 150.05)))
-    dets = [Detection("A", PixelPoint(400.0, 300.0)), Detection("B", PixelPoint(600.0, 300.0))]
+    dets = [Detection("A", (400.0, 300.0)), Detection("B", (600.0, 300.0))]
     for order in (dets, dets[::-1]):
         fix = locate_two(order, beacons, intrinsics)
         assert fix.position[2] == 150.0 - fix.diagnostics.height_cm
 
 
 def test_coincident_projections_rejected(intrinsics, ceiling_beacons):
-    same = PixelPoint(401.0, 301.0)
-    dets = [Detection("L1", same), Detection("L2", same), Detection("L3", PixelPoint(500.0, 400.0))]
+    same = (401.0, 301.0)
+    dets = [Detection("L1", same), Detection("L2", same), Detection("L3", (500.0, 400.0))]
     with pytest.raises(CoincidentProjection):
         trilaterate_three(dets, ceiling_beacons, intrinsics)
 
@@ -88,16 +86,16 @@ def test_unequal_beacon_heights_rejected(intrinsics):
         LedBeacon("C", (0.0, 100.0, 150.0)),
     )
     dets = [
-        Detection("A", PixelPoint(400.0, 300.0)),
-        Detection("B", PixelPoint(500.0, 300.0)),
-        Detection("C", PixelPoint(400.0, 400.0)),
+        Detection("A", (400.0, 300.0)),
+        Detection("B", (500.0, 300.0)),
+        Detection("C", (400.0, 400.0)),
     ]
     with pytest.raises(UnequalBeaconHeights):
         trilaterate_three(dets, beacons, intrinsics)
 
 
 def test_same_beacon_twice_rejected(intrinsics, ceiling_beacons):
-    dets = [Detection("L1", PixelPoint(400.0, 300.0)), Detection("L1", PixelPoint(600.0, 300.0))]
+    dets = [Detection("L1", (400.0, 300.0)), Detection("L1", (600.0, 300.0))]
     with pytest.raises(ValueError, match="distinct"):
         locate_two(dets, ceiling_beacons, intrinsics)
 
@@ -225,7 +223,7 @@ def test_three_led_unknown_beacon_and_count_checks(intrinsics, ceiling_beacons):
 def test_non_finite_pixel_rejected_by_both_estimators(bad):
     scene = make_scene((0.0, 0.0, 0.0))
     dets = exact_detections(scene)
-    dets[0] = Detection(dets[0].beacon_id, PixelPoint(bad, dets[0].pixel.v))
+    dets[0] = Detection(dets[0].beacon_id, (bad, dets[0].pixel[1]))
     with pytest.raises(ValueError, match="non-finite"):
         trilaterate_three(dets, scene.beacons, scene.intrinsics)
     with pytest.raises(ValueError, match="non-finite"):
@@ -236,7 +234,9 @@ def test_non_finite_pixel_rejected_by_both_estimators(bad):
 def test_three_led_rejects_a_huge_pixel_that_overflows(coordinate):
     scene = make_scene((0.0, 0.0, 0.0))
     dets = exact_detections(scene)
-    dets[0] = Detection(dets[0].beacon_id, dataclasses.replace(dets[0].pixel, **{coordinate: 1e200}))
+    pixel = list(dets[0].pixel)
+    pixel["uv".index(coordinate)] = 1e200
+    dets[0] = Detection(dets[0].beacon_id, tuple(pixel))
     with pytest.raises(ValueError, match="not finite"):
         trilaterate_three(dets, scene.beacons, scene.intrinsics)
 
@@ -249,8 +249,8 @@ def test_three_led_rejects_a_plan_so_wide_it_overflows():
         LedBeacon("C", (0.0, 1e200, 150.0)),
     )
     intrinsics = sim.default_intrinsics()
-    dets = [Detection(b.id, PixelPoint(u, v)) for b, (u, v) in zip(beacons, [(300.0, 300.0), (500.0, 300.0), (400.0, 400.0)])]
-    assert all(intrinsics.on_sensor(d.pixel.u, d.pixel.v) for d in dets)
+    dets = [Detection(b.id, p) for b, p in zip(beacons, [(300.0, 300.0), (500.0, 300.0), (400.0, 400.0)])]
+    assert all(intrinsics.on_sensor(*d.pixel) for d in dets)
     with pytest.raises(ValueError, match="not finite"):
         trilaterate_three(dets, beacons, intrinsics)
 
@@ -262,7 +262,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @given(st.lists(st.tuples(finite, finite), min_size=3, max_size=3))
 def test_any_finite_pixels_give_a_finite_fix_or_an_error(pixels):
     scene = make_scene((0.0, 0.0, 0.0))
-    dets = [Detection(b.id, PixelPoint(u, v)) for b, (u, v) in zip(scene.beacons, pixels)]
+    dets = [Detection(b.id, p) for b, p in zip(scene.beacons, pixels)]
     for locate, used in ((trilaterate_three, dets), (locate_two, dets[:2])):
         try:
             fix = locate(used, scene.beacons, scene.intrinsics)
@@ -360,7 +360,7 @@ def test_two_led_error_paths(intrinsics, ceiling_beacons):
         locate_two(dets, ceiling_beacons, intrinsics)  # three detections
     with pytest.raises(UnknownBeacon):
         locate_two([Detection("L9", dets[0].pixel), dets[1]], ceiling_beacons, intrinsics)
-    same = PixelPoint(410.0, 315.0)
+    same = (410.0, 315.0)
     with pytest.raises(CoincidentProjection):
         locate_two(
             [Detection("L1", same), Detection("L2", same)], ceiling_beacons, intrinsics
@@ -373,8 +373,8 @@ def test_two_led_rejects_unequal_heights(intrinsics):
         LedBeacon("B", (20.0, 0.0, 149.0)),
     )
     dets = [
-        Detection("A", PixelPoint(350.0, 300.0)),
-        Detection("B", PixelPoint(450.0, 300.0)),
+        Detection("A", (350.0, 300.0)),
+        Detection("B", (450.0, 300.0)),
     ]
     with pytest.raises(UnequalBeaconHeights):
         locate_two(dets, beacons, intrinsics)
@@ -384,7 +384,7 @@ def test_two_led_rejects_unequal_heights(intrinsics):
 
 
 def test_widest_pair_prefers_longest_baseline(ceiling_beacons):
-    dets = [Detection(b.id, PixelPoint(400.0 + i, 300.0)) for i, b in enumerate(ceiling_beacons)]
+    dets = [Detection(b.id, (400.0 + i, 300.0)) for i, b in enumerate(ceiling_beacons)]
     pair = widest_pair(dets, ceiling_beacons)
     assert {pair[0].beacon_id, pair[1].beacon_id} == {"L1", "L3"}
 
@@ -396,20 +396,20 @@ def test_widest_pair_tie_breaks_to_smallest_ids():
         LedBeacon("B", (10.0, 0.0, 150.0)),
         LedBeacon("C", (10.0, 0.0, 150.0)),
     )
-    dets = [Detection(b.id, PixelPoint(400.0, 300.0)) for b in beacons]
+    dets = [Detection(b.id, (400.0, 300.0)) for b in beacons]
     pair = widest_pair(dets, beacons)
     assert (pair[0].beacon_id, pair[1].beacon_id) == ("A", "B")
 
 
 def test_widest_pair_needs_two_detections(ceiling_beacons):
     with pytest.raises(ValueError):
-        widest_pair([Detection("L1", PixelPoint(400.0, 300.0))], ceiling_beacons)
+        widest_pair([Detection("L1", (400.0, 300.0))], ceiling_beacons)
 
 
 def test_widest_pair_rejects_repeated_and_unknown_beacons(ceiling_beacons):
-    d1 = Detection("L1", PixelPoint(400.0, 300.0))
-    d2 = Detection("L2", PixelPoint(410.0, 300.0))
+    d1 = Detection("L1", (400.0, 300.0))
+    d2 = Detection("L2", (410.0, 300.0))
     with pytest.raises(ValueError, match="distinct"):
         widest_pair([d1, d1, d2], ceiling_beacons)
     with pytest.raises(UnknownBeacon):
-        widest_pair([d1, d2, Detection("L9", PixelPoint(420.0, 300.0))], ceiling_beacons)
+        widest_pair([d1, d2, Detection("L9", (420.0, 300.0))], ceiling_beacons)

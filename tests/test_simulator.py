@@ -40,7 +40,7 @@ def test_overhead_beacon_projects_to_true_principal_point():
         [LedBeacon("A", (0.0, 0.0, 150.0))], true_principal_point=(406.3, 295.9)
     )
     pixel, in_frame = project(scene.beacons[0], scene)
-    assert (pixel.u, pixel.v) == (406.3, 295.9)
+    assert pixel == (406.3, 295.9)
     assert in_frame
 
 
@@ -49,15 +49,14 @@ def test_projection_hand_value():
     # u = 400 + 0.92/0.006 and v = 300 + 0.98/0.006.
     scene = scene_with([LedBeacon("L3", (46.0, 49.0, 150.0))])
     pixel, in_frame = project(scene.beacons[0], scene)
-    assert pixel.u == pytest.approx(553.3333333333334, abs=1e-9)
-    assert pixel.v == pytest.approx(463.3333333333333, abs=1e-9)
+    assert pixel == pytest.approx((553.3333333333334, 463.3333333333333), abs=1e-9)
     assert in_frame
 
 
 def test_projection_flags_off_sensor_beacons():
     scene = scene_with([LedBeacon("far", (200.0, 0.0, 150.0))])
     pixel, in_frame = project(scene.beacons[0], scene)
-    assert pixel.u > 800.0
+    assert pixel[0] > 800.0
     assert not in_frame
 
 
@@ -65,11 +64,11 @@ def test_quarter_turn_rotates_image_coordinates():
     beacon = LedBeacon("A", (30.0, 12.0, 150.0))
     flat = scene_with([beacon])
     turned = scene_with([beacon], yaw=math.pi / 2.0)
-    p0, _ = project(beacon, flat)
-    p1, _ = project(beacon, turned)
+    (u0, v0), _ = project(beacon, flat)
+    (u1, v1), _ = project(beacon, turned)
     # (i, j) becomes (j, -i); equal pitches let us compare pixel offsets.
-    assert p1.u - 400.0 == pytest.approx(p0.v - 300.0, abs=1e-9)
-    assert p1.v - 300.0 == pytest.approx(-(p0.u - 400.0), abs=1e-9)
+    assert u1 - 400.0 == pytest.approx(v0 - 300.0, abs=1e-9)
+    assert v1 - 300.0 == pytest.approx(-(u0 - 400.0), abs=1e-9)
 
 
 def test_beacon_below_camera_rejected():
@@ -91,7 +90,7 @@ def test_observe_noiseless_equals_projection():
     for det, beacon in zip(dets, scene.beacons):
         exact, _ = project(beacon, scene)
         assert det.beacon_id == beacon.id
-        assert (det.pixel.u, det.pixel.v) == (exact.u, exact.v)
+        assert det.pixel == exact
 
 
 def test_observe_is_deterministic_per_seed():
@@ -103,12 +102,12 @@ def test_observe_is_deterministic_per_seed():
 
 def test_noise_magnitude_matches_sigma():
     sigma = 0.5
-    exact, _ = project(DEFAULT_BEACONS[0], default_scene())
+    (u, v), _ = project(DEFAULT_BEACONS[0], default_scene())
     offsets = []
     for seed in range(2000):
         scene = default_scene(noise=NoiseModel(pixel_sigma=sigma), seed=seed)
-        det = observe(scene)[0]
-        offsets.append((det.pixel.u - exact.u, det.pixel.v - exact.v))
+        det_u, det_v = observe(scene)[0].pixel
+        offsets.append((det_u - u, det_v - v))
     arr = np.asarray(offsets)
     assert abs(float(arr.mean())) < 0.05
     assert float(arr.std()) == pytest.approx(sigma, abs=0.05)
@@ -118,10 +117,9 @@ def test_quantization_rounds_to_nearest_integer():
     noisy = default_scene(noise=NoiseModel(pixel_sigma=0.3), seed=9)
     rounded = default_scene(noise=NoiseModel(pixel_sigma=0.3, quantize=True), seed=9)
     for det_n, det_q in zip(observe(noisy), observe(rounded)):
-        assert det_q.pixel.u == float(round(det_q.pixel.u))
-        assert det_q.pixel.v == float(round(det_q.pixel.v))
-        assert abs(det_q.pixel.u - det_n.pixel.u) <= 0.5
-        assert abs(det_q.pixel.v - det_n.pixel.v) <= 0.5
+        for q, n in zip(det_q.pixel, det_n.pixel):
+            assert q == float(round(q))
+            assert abs(q - n) <= 0.5
 
 
 def test_observations_off_sensor_are_dropped():
@@ -149,7 +147,7 @@ def test_rotation_sweep_circles_the_true_principal_point():
     assert set(tracks) == {"L1", "L2", "L3"}
     for track in tracks.values():
         assert len(track) == len(SWEEP_ANGLES_12)
-        radii = [math.hypot(p.u - 406.3, p.v - 295.9) for p in track]
+        radii = [math.hypot(u - 406.3, v - 295.9) for u, v in track]
         assert max(radii) - min(radii) < 1e-9
         assert min(radii) > 0.0
 
@@ -159,8 +157,7 @@ def test_rotation_sweep_overhead_beacon_is_a_fixed_point():
         [LedBeacon("A", (0.0, 0.0, 150.0))], true_principal_point=(391.0, 308.5)
     )
     tracks = rotation_sweep(scene, SWEEP_ANGLES_12)
-    for p in tracks["A"]:
-        assert (p.u, p.v) == (391.0, 308.5)
+    assert tracks["A"] == [(391.0, 308.5)] * len(SWEEP_ANGLES_12)
 
 
 def test_rotation_sweep_needs_three_angles():
@@ -175,7 +172,7 @@ def test_rotation_sweep_keeps_off_sensor_samples():
     tracks = rotation_sweep(scene, SWEEP_ANGLES_12)
     assert all(len(track) == len(SWEEP_ANGLES_12) for track in tracks.values())
     off_sensor = [
-        p for p in tracks["L1"] if not (0.0 <= p.u <= 800.0 and 0.0 <= p.v <= 600.0)
+        (u, v) for u, v in tracks["L1"] if not (0.0 <= u <= 800.0 and 0.0 <= v <= 600.0)
     ]
     assert off_sensor
 
@@ -270,9 +267,9 @@ def _hand_noisy_pixels(scene, angles, sigma, quantize):
     for angle in angles:
         turned = dataclasses.replace(scene, camera_pose=CameraPose(scene.camera_pose.position, angle))
         for beacon in scene.beacons:
-            exact, _ = project(beacon, turned)
+            (u, v), _ = project(beacon, turned)
             du, dv = rng.normal(0, sigma, size=2)
-            u, v = exact.u + float(du), exact.v + float(dv)
+            u, v = u + float(du), v + float(dv)
             if quantize:
                 u, v = float(np.rint(u)), float(np.rint(v))
             pixels.append((beacon.id, u, v))
@@ -284,11 +281,11 @@ def test_noise_stream_equals_one_draw_per_beacon(quantize):
     sigma = 0.7
     scene = scene_with(FOUR_BEACONS, position=(-40.0, 5.0, 0.0), noise=NoiseModel(sigma, quantize), seed=31)
     expected = _hand_noisy_pixels(scene, [0.0], sigma, quantize)
-    assert [(d.beacon_id, d.pixel.u, d.pixel.v) for d in observe(scene)] == expected
+    assert [(d.beacon_id, *d.pixel) for d in observe(scene)] == expected
 
     tracks = rotation_sweep(scene, SWEEP_ANGLES_12)
     expected = _hand_noisy_pixels(scene, SWEEP_ANGLES_12, sigma, quantize)
-    got = [(b.id, tracks[b.id][k].u, tracks[b.id][k].v) for k in range(len(SWEEP_ANGLES_12)) for b in scene.beacons]
+    got = [(b.id, *tracks[b.id][k]) for k in range(len(SWEEP_ANGLES_12)) for b in scene.beacons]
     assert got == expected
 
 
@@ -335,12 +332,12 @@ posed_scenes = st.builds(
 )
 def test_observe_and_sweep_equal_a_scalar_reference(scene, seed, pose, angles):
     def observed(scene, seed):
-        return _hex((d.beacon_id, d.pixel.u, d.pixel.v) for d in observe(scene, seed))
+        return _hex((d.beacon_id, *d.pixel) for d in observe(scene, seed))
 
     assert observed(scene, seed) == _scalar_observe(scene, seed)
     assert observed(scene, None) == _scalar_observe(scene, scene.seed)
     tracks = rotation_sweep(scene, angles)
-    swept = [(b.id, tracks[b.id][k].u, tracks[b.id][k].v) for k in range(len(angles)) for b in scene.beacons]
+    swept = [(b.id, *tracks[b.id][k]) for k in range(len(angles)) for b in scene.beacons]
     noise = scene.noise
     assert _hex(swept) == _hex(_hand_noisy_pixels(scene, angles, noise.pixel_sigma, noise.quantize))
     # A scene observed once and then moved sees the new pose.
@@ -352,7 +349,7 @@ def test_cached_projection_is_read_only():
     scene = default_scene(camera_pose=CameraPose((-40.0, 5.0, 0.0)), noise=NoiseModel(0.5, quantize=True))
     exact = scene.exact_pixels
     assert exact.shape == (3, 2) and not exact.flags.writeable
-    assert exact.tolist() == [[p.u, p.v] for p, _ in (project(b, scene) for b in scene.beacons)]
+    assert exact.tolist() == [list(project(b, scene)[0]) for b in scene.beacons]
     with pytest.raises(ValueError, match="read-only"):
         np.rint(exact, out=exact)
     observe(scene, 5)

@@ -7,11 +7,9 @@ import pickle
 import pytest
 
 from vlpkit import CameraPose, Detection, Diagnostics, LedBeacon, Method, PositionFix, TrialRecord
-from vlpkit.camera import PixelPoint
 
-DETECTION = Detection("L1", PixelPoint(253.0, 135.5))
+DETECTION = Detection("L1", (253.0, 135.5))
 VALUES = [
-    PixelPoint(253.0, 135.5),
     LedBeacon("L1", (-46.5, -49.5, 150.0)),
     DETECTION,
     Diagnostics(150.0, 2.5, 135.0, yaw_rad=0.25),
