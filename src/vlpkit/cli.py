@@ -7,6 +7,7 @@ import gc
 import hashlib
 import json
 import math
+import reprlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +18,7 @@ from .analysis import ErrorReport, compare_reports, error_stats
 from .calibration import calibrate_dispersion, calibrate_rotation
 from .errors import VlpError
 from .io import (
+    _SEED_LIMIT,
     fmt,
     format_circle_fit,
     format_dispersion,
@@ -105,6 +107,8 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
 
 def _scene(args: argparse.Namespace, default: SceneConfig) -> SceneConfig:
     """The --scene file, or default, with --seed overriding its seed."""
+    if args.seed is not None and not 0 <= args.seed < _SEED_LIMIT:
+        raise VlpError(f"--seed expects an integer in [0, 2**63), got {reprlib.repr(args.seed)}")
     scene = read_scene(args.scene) if args.scene else default
     return scene if args.seed is None else replace(scene, seed=args.seed)
 

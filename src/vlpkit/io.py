@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
@@ -31,7 +32,13 @@ def fmt(x: float) -> str:
     return FLOAT % x
 
 
+# A scene's seed and --seed lie in [0, _SEED_LIMIT), so every seed derived
+# from one (below 2**124) prints to a CSV far inside the interpreter's digit limit.
+_SEED_LIMIT = 2**63
+
+
 # ---------------------------------------------------------------- scene JSON
+# Errors echo a value through reprlib.repr, which shortens a long one.
 
 
 def _require(obj: Mapping, key: str, where: str):
@@ -42,38 +49,38 @@ def _require(obj: Mapping, key: str, where: str):
 
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SceneConfigError(f"{where}: expected a number, got {value!r}")
+        raise SceneConfigError(f"{where}: expected a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer too large for a float
         number = math.inf
     # json reads NaN and Infinity, which no scene field can use.
     if not math.isfinite(number):
-        raise SceneConfigError(f"{where}: expected a finite number, got {value!r}")
+        raise SceneConfigError(f"{where}: expected a finite number, got {reprlib.repr(value)}")
     return number
 
 
 def _boolean(value, where: str) -> bool:
     if not isinstance(value, bool):
-        raise SceneConfigError(f"{where}: expected true or false, got {value!r}")
+        raise SceneConfigError(f"{where}: expected true or false, got {reprlib.repr(value)}")
     return value
 
 
 def _triple(value, where: str) -> tuple[float, float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise SceneConfigError(f"{where}: expected 3 numbers, got {value!r}")
+        raise SceneConfigError(f"{where}: expected 3 numbers, got {reprlib.repr(value)}")
     return tuple(_number(c, where) for c in value)  # type: ignore[return-value]
 
 
 def _pair(value, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SceneConfigError(f"{where}: expected 2 numbers, got {value!r}")
+        raise SceneConfigError(f"{where}: expected 2 numbers, got {reprlib.repr(value)}")
     return (_number(value[0], where), _number(value[1], where))
 
 
 def _object(value, where: str) -> Mapping:
     if not isinstance(value, dict):
-        raise SceneConfigError(f"{where}: expected an object, got {value!r}")
+        raise SceneConfigError(f"{where}: expected an object, got {reprlib.repr(value)}")
     return value
 
 
@@ -93,7 +100,8 @@ def read_scene(path: str | Path) -> SceneConfig:
         raise SceneConfigError(f"{path}: {err}") from err
     try:
         return _scene_from_dict(raw)
-    except ValueError as err:
+    # A field's own error, or an inconsistency SceneConfig rejects.
+    except (SceneConfigError, ValueError) as err:
         raise SceneConfigError(f"{path}: {err}") from err
 
 
@@ -109,7 +117,7 @@ def _scene_from_dict(raw) -> SceneConfig:
         if not isinstance(bid, str) or not bid:
             raise SceneConfigError(f"{where}.id: expected a non-empty string")
         if not bid.isprintable():
-            raise SceneConfigError(f"{where}.id: expected printable text, got {bid!r}")
+            raise SceneConfigError(f"{where}.id: expected printable text, got {reprlib.repr(bid)}")
         beacons.append(LedBeacon(bid, _triple(_require(entry, "position", where), f"{where}.position")))
 
     raw_pose = _object(_require(raw, "camera_pose", "scene"), "scene.camera_pose")
@@ -122,7 +130,7 @@ def _scene_from_dict(raw) -> SceneConfig:
     raw_k = _object(_require(raw, "intrinsics", "scene"), where)
     resolution = _pair(_require(raw_k, "resolution_px", where), f"{where}.resolution_px")
     if resolution != (int(resolution[0]), int(resolution[1])):
-        raise SceneConfigError(f"{where}.resolution_px: expected integers, got {resolution}")
+        raise SceneConfigError(f"{where}.resolution_px: expected integers, got {reprlib.repr(resolution)}")
     corrected = raw_k.get("corrected_principal_point_px")
     intrinsics = CameraIntrinsics(
         focal_length=_number(_require(raw_k, "focal_length_mm", where), f"{where}.focal_length_mm"),
@@ -141,8 +149,8 @@ def _scene_from_dict(raw) -> SceneConfig:
         quantize=_boolean(raw_noise.get("quantize", False), "scene.noise.quantize"),
     )
     seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SceneConfigError(f"scene.seed: expected an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _SEED_LIMIT:
+        raise SceneConfigError(f"scene.seed: expected an integer in [0, 2**63), got {reprlib.repr(seed)}")
 
     return SceneConfig(
         beacons=tuple(beacons),

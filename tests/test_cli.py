@@ -15,6 +15,7 @@ from vlpkit.io import (
     FIX_COLUMNS,
     read_fixes_csv,
     read_ground_truth_csv,
+    read_scene,
     scene_to_dict,
     write_scene,
     write_tracks_csv,
@@ -634,6 +635,14 @@ def _scene_text(tmp_path, text):
     return ["simulate", "--scene", _write_lines(tmp_path / "scene.json", text)]
 
 
+def _scene_seed_has_4295_digits(tmp_path):
+    raw = scene_to_dict(default_scene())
+    raw["seed"] = 10**4294
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(raw))
+    return ["simulate", "--trials", "1", "--scene", str(path)]
+
+
 def _out_is_a_file(tmp_path):
     (tmp_path / "taken").write_text("")
     return ["simulate", "--trials", "1", "--out", str(tmp_path / "taken")]
@@ -652,6 +661,9 @@ def _out_is_under_a_file(tmp_path):
         lambda tmp_path: ["simulate", "--at=0,0,200"],
         lambda tmp_path: ["simulate", "--at", "inf,0,0"],
         lambda tmp_path: ["replicate", "--seed", "-3"],
+        lambda tmp_path: ["simulate", "--seed", str(2**63)],
+        lambda tmp_path: ["replicate", "--seed", str(2**63)],
+        _scene_seed_has_4295_digits,
         _off_sensor_dispersion,
         _non_finite_ground_truth,
         _scene_is_a_directory,
@@ -672,6 +684,9 @@ def _out_is_under_a_file(tmp_path):
         "camera-above-ceiling",
         "at-not-finite",
         "replicate-negative-seed",
+        "seed-2**63",
+        "replicate-seed-2**63",
+        "scene-seed-4295-digits",
         "principal-point-off-sensor",
         "ground-truth-not-finite",
         "scene-is-directory",
@@ -708,6 +723,24 @@ def test_non_finite_triple_names_its_flag(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {flag} expects finite numbers, got '{text}'\n"
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "replicate"])
+@pytest.mark.parametrize("seed", [-1, 2**63, 10**4294])
+def test_seed_flag_outside_the_int64_range_names_the_flag(tmp_path, capsys, subcommand, seed):
+    capsys.readouterr()
+    assert main([subcommand, "--seed", str(seed), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed expects an integer in [0, 2**63), got ")
+    assert len(err) < 200
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_still_simulates(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--seed", str(2**63 - 1), "--trials", "2", "--out", str(out)]) == 0
+    assert read_scene(out / "scene.json").seed == 2**63 - 1
+    assert len(read_ground_truth_csv(out / "ground_truth.csv")) == 36 * 2
 
 
 def test_subcommand_is_required():

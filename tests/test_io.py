@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import sys
 
 import pytest
@@ -93,35 +94,67 @@ def test_scene_field_errors_name_the_field(tmp_path):
 
     from vlpkit.io import scene_to_dict
 
+    # Each error starts with the file, then the field.
+    prefix = re.escape(f"{path}: ")
+
     bad = scene_to_dict(scene)
     bad["noise"]["pixel_sigma_px"] = "big"
     path.write_text(json.dumps(bad))
-    with pytest.raises(SceneConfigError, match="pixel_sigma_px"):
+    with pytest.raises(SceneConfigError, match=rf"^{prefix}scene\.noise\.pixel_sigma_px"):
         read_scene(path)
 
     bad = scene_to_dict(scene)
     bad["intrinsics"]["resolution_px"] = [800.5, 600]
     path.write_text(json.dumps(bad))
-    with pytest.raises(SceneConfigError, match="resolution_px"):
+    with pytest.raises(SceneConfigError, match=rf"^{prefix}scene\.intrinsics\.resolution_px"):
         read_scene(path)
 
     bad = scene_to_dict(scene)
     bad["beacons"][0]["position"] = [1.0, 2.0]
     path.write_text(json.dumps(bad))
-    with pytest.raises(SceneConfigError, match=r"beacons\[0\].position"):
+    with pytest.raises(SceneConfigError, match=rf"^{prefix}scene\.beacons\[0\]\.position"):
         read_scene(path)
 
     bad = scene_to_dict(scene)
     bad["noise"]["quantize"] = "false"
     path.write_text(json.dumps(bad))
-    with pytest.raises(SceneConfigError, match=r"scene\.noise\.quantize"):
+    with pytest.raises(SceneConfigError, match=rf"^{prefix}scene\.noise\.quantize"):
         read_scene(path)
 
     bad = scene_to_dict(scene)
     bad["beacons"][1]["id"] = "L2\r"
     path.write_text(json.dumps(bad))
-    with pytest.raises(SceneConfigError, match=r"scene\.beacons\[1\]\.id: expected printable text"):
+    with pytest.raises(SceneConfigError, match=rf"^{prefix}scene\.beacons\[1\]\.id: expected printable text"):
         read_scene(path)
+
+    # A long value is shortened, not echoed whole.
+    bad = scene_to_dict(scene)
+    bad["camera_pose"]["yaw_rad"] = int("9" * 400)
+    path.write_text(json.dumps(bad))
+    with pytest.raises(SceneConfigError, match=rf"^{prefix}scene\.camera_pose\.yaw_rad: expected a finite number, got 9+\.\.\.9+$") as err:
+        read_scene(path)
+    assert len(str(err.value)) - len(str(path)) < 200
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 10**4294, 1.5, True], ids=["negative", "2**63", "4295-digit", "float", "bool"])
+def test_scene_seed_must_be_an_integer_in_the_int64_range(tmp_path, seed):
+    import json
+
+    from vlpkit.io import scene_to_dict
+
+    raw = scene_to_dict(default_scene())
+    raw["seed"] = seed
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SceneConfigError, match=rf"^{re.escape(str(path))}: scene\.seed: expected an integer in \[0, 2\*\*63\), got ") as err:
+        read_scene(path)
+    assert len(str(err.value)) - len(str(path)) < 200
+
+
+def test_scene_seed_at_the_top_of_the_range_reads(tmp_path):
+    path = tmp_path / "scene.json"
+    write_scene(default_scene(seed=2**63 - 1), path)
+    assert read_scene(path).seed == 2**63 - 1
 
 
 def test_scene_inconsistency_is_wrapped(tmp_path):
@@ -186,7 +219,7 @@ def test_scene_value_that_is_not_an_object_names_the_field(tmp_path, edit, field
 
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(edit(scene_to_dict(default_scene()))))
-    with pytest.raises(SceneConfigError, match=rf"^{field}: expected an object, got "):
+    with pytest.raises(SceneConfigError, match=rf"^{re.escape(str(path))}: {field}: expected an object, got "):
         read_scene(path)
 
 

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,8 @@ from vlpkit import (
     project,
     rotation_sweep,
 )
-from vlpkit.simulator import DEFAULT_BEACONS, SWEEP_ANGLES_12
+import vlpkit
+from vlpkit.simulator import DEFAULT_BEACONS, SWEEP_ANGLES_12, _PresetSeed, _seed_states
 
 
 def scene_with(beacons, position=(0.0, 0.0, 0.0), yaw=0.0, **kwargs):
@@ -354,3 +359,78 @@ def test_cached_projection_is_read_only():
         np.rint(exact, out=exact)
     observe(scene, 5)
     assert scene.exact_pixels is exact
+
+
+# --- bulk seeding: each trial's stream is still default_rng(derive_seed(...)) ---
+
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128]
+
+
+def _numpy_states(seeds):
+    return np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds], dtype=np.uint64)
+
+
+def test_seed_states_at_word_boundaries_equal_seed_sequence():
+    # One call mixes seeds of one to five 32-bit words.
+    assert np.array_equal(_seed_states(WORD_EDGES), _numpy_states(WORD_EDGES))
+    for seed in WORD_EDGES:
+        assert np.array_equal(_seed_states([seed]), _numpy_states([seed]))
+    assert _seed_states([]).shape == (0, 4)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 2**256 - 1), min_size=1, max_size=12))
+def test_seed_states_equal_seed_sequence(seeds):
+    states = _seed_states(seeds)
+    assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+    assert np.array_equal(states, _numpy_states(seeds))
+
+
+def test_preset_seed_gives_the_stream_of_its_int_seed():
+    seeds = [0, 7, derive_seed(7, 35, 11), 2**100 + 3]
+    for seed, state in zip(seeds, _seed_states(seeds)):
+        draws = np.random.default_rng(_PresetSeed(state)).normal(size=8)
+        assert np.array_equal(draws, np.random.default_rng(seed).normal(size=8))
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        _PresetSeed(state).generate_state(4, np.uint32)
+
+
+# Base seeds of a scene or --seed, and the stream bases replicate derives from them.
+base_seeds = st.integers(0, 2**63 - 1).flatmap(
+    lambda base: st.sampled_from([base, derive_seed(base, 90_000, 0), derive_seed(base, 90_001, 0)])
+)
+
+
+@settings(max_examples=40)
+@given(
+    points=st.lists(st.sampled_from(default_grid()), min_size=1, max_size=3),
+    trials=st.integers(1, 4),
+    sigma=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+    quantize=st.booleans(),
+    base=st.one_of(st.sampled_from([0, 2**63 - 1, 2**63]), base_seeds),
+)
+def test_generate_trials_equals_observing_each_trial_seed(points, trials, sigma, quantize, base):
+    scene = default_scene(noise=NoiseModel(sigma, quantize))
+    records = generate_trials(points, trials, scene, base)
+    assert len(records) == len(points) * trials
+    for record in records:
+        seed = derive_seed(base, record.point_index, record.trial_index)
+        assert record.seed == seed
+        lone = dataclasses.replace(scene, camera_pose=record.pose, seed=seed)
+        expected = [(d.beacon_id, d.pixel[0].hex(), d.pixel[1].hex()) for d in observe(lone)]
+        assert [(d.beacon_id, d.pixel[0].hex(), d.pixel[1].hex()) for d in record.detections] == expected
+
+
+def test_importing_the_cli_or_a_noiseless_run_leaves_numpy_random_unloaded():
+    # numpy 2 loads numpy.random on first use, which costs every command tens of ms.
+    code = (
+        "import sys, vlpkit.cli\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "from vlpkit.simulator import default_grid, default_scene, generate_trials\n"
+        "generate_trials(default_grid(), 2, default_scene(), 7)\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    paths = [str(Path(vlpkit.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
