@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .calibration import DispersionSummary, dispersion_summary
+from .calibration import DispersionSummary, _as_positions, dispersion_summary
 # Unused here, but the benchmark tracer wraps vlpkit.analysis.min_enclosing_circle.
 from .calibration import min_enclosing_circle  # noqa: F401
 from .errors import EmptyInput, LengthMismatch
-from .positioning import PositionFix
 
 HISTOGRAM_BIN_CM = 0.25
 
@@ -44,11 +42,8 @@ class ReportComparison:
     max_diff: float
 
 
-def error_stats(
-    fixes: Sequence[PositionFix],
-    ground_truths: Sequence[Sequence[float]],
-) -> ErrorReport:
-    """Error report for fixes paired with their true camera positions.
+def error_stats(positions, ground_truths) -> ErrorReport:
+    """Error report for (n, 3) fix positions paired with their (n, 3) true camera positions.
 
     Errors are planar (x-y) Euclidean distances; the vertical component is
     kept as a separate 3D error column. The 90th percentile is the
@@ -56,22 +51,20 @@ def error_stats(
     centimetre wide from zero to the max error rounded up to a whole cm.
     Statistics are computed over sorted errors, so trial order never matters.
     When every ground truth is the same point, a dispersion summary of the
-    fixes is attached.
+    positions is attached.
     """
-    if len(fixes) != len(ground_truths):
+    if len(positions) != len(ground_truths):
         raise LengthMismatch(
-            f"{len(fixes)} fixes paired with {len(ground_truths)} ground truths"
+            f"{len(positions)} fixes paired with {len(ground_truths)} ground truths"
         )
-    if not fixes:
+    if not len(positions):
         raise EmptyInput("error_stats received no fixes")
-    planar = []
-    spatial = []
-    for fix, truth in zip(fixes, ground_truths):
-        dx = fix.position[0] - float(truth[0])
-        dy = fix.position[1] - float(truth[1])
-        dz = fix.position[2] - float(truth[2])
-        planar.append(math.hypot(dx, dy))
-        spatial.append(math.hypot(dx, dy, dz))
+    positions = _as_positions(positions)
+    truths = _as_positions(ground_truths)
+    # math.hypot of Python floats, whose last bit np.hypot does not always match.
+    offsets = (positions - truths).tolist()
+    planar = [math.hypot(dx, dy) for dx, dy, _ in offsets]
+    spatial = [math.hypot(dx, dy, dz) for dx, dy, dz in offsets]
 
     errors = np.sort(np.asarray(planar))
     n = len(errors)
@@ -79,16 +72,15 @@ def error_stats(
     max_error = float(errors[-1])
     rms = float(np.sqrt(np.mean(errors * errors)))
     p90 = float(errors[math.ceil(0.9 * n) - 1])
-    cdf = tuple((float(e), (idx + 1) / n) for idx, e in enumerate(errors))
+    cdf = tuple((e, rank / n) for rank, e in enumerate(errors.tolist(), 1))
 
     top = max(1, math.ceil(max_error))
     edges = np.arange(0.0, top + HISTOGRAM_BIN_CM / 2, HISTOGRAM_BIN_CM)
     counts, _ = np.histogram(errors, bins=edges)
 
     dispersion = None
-    truths = [tuple(float(c) for c in t) for t in ground_truths]
-    if all(t == truths[0] for t in truths):
-        dispersion = dispersion_summary(fixes, truths[0])
+    if (truths == truths[0]).all():
+        dispersion = dispersion_summary(positions, truths[0])
 
     return ErrorReport(
         per_trial_errors=tuple(planar),

@@ -11,8 +11,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .errors import DegenerateCircle, EmptyInput, InsufficientTracks, MissingDiagnostics
-from .positioning import PositionFix
+from .errors import DegenerateCircle, EmptyInput, InsufficientTracks, LengthMismatch
 
 # det of the centred scatter matrix, relative to its mean diagonal, below which
 # points are treated as collinear.
@@ -99,36 +98,37 @@ def calibrate_rotation(
 
 
 def calibrate_dispersion(
-    fixes: Iterable[PositionFix],
+    positions,
+    heights,
     ground_truth: Sequence[float],
     k: CameraIntrinsics,
     mode: str = "physical",
 ) -> tuple[CameraIntrinsics, DispersionSummary]:
     """Corrected principal point from the spread of repeated fixes at a known point.
 
-    The mean fix minus the ground truth is the world-plane bias. In
-    "physical" mode it is mapped back through the pinhole magnification
-    (focal length over the mean fix height) to a pixel correction; in
-    "paper_literal" mode the raw cm offset is divided by the pixel pitch with
-    no magnification, replicating the published formulation. Either way the
-    correction is subtracted, so refitting with the updated intrinsics drives
-    the mean offset toward zero. Fixes are assumed to have been collected
-    with the camera axis-aligned (yaw near zero).
+    The fixes are an (n, 3) array of positions and an (n,) array of their
+    heights, in cm. The mean fix minus the ground truth is the world-plane
+    bias. In "physical" mode it is mapped back through the pinhole
+    magnification (focal length over the mean fix height) to a pixel
+    correction; in "paper_literal" mode the raw cm offset is divided by the
+    pixel pitch with no magnification, replicating the published
+    formulation. Either way the correction is subtracted, so refitting with
+    the updated intrinsics drives the mean offset toward zero. Fixes are
+    assumed to have been collected with the camera axis-aligned (yaw near
+    zero).
 
     Returns the updated intrinsics and a scatter summary of the input fixes.
     """
-    fix_list = list(fixes)
-    if not fix_list:
+    if not len(positions):
         raise EmptyInput("dispersion calibration received no fixes")
     if mode not in ("physical", "paper_literal"):
         raise ValueError(f"mode must be 'physical' or 'paper_literal', got {mode!r}")
-    for fix in fix_list:
-        if fix.diagnostics is None:
-            raise MissingDiagnostics("dispersion calibration needs fix height diagnostics")
-    summary = dispersion_summary(fix_list, ground_truth)
+    if len(heights) != len(positions):
+        raise LengthMismatch(f"{len(positions)} fix positions paired with {len(heights)} heights")
+    summary = dispersion_summary(positions, ground_truth)
     dx, dy = summary.mean_offset
     if mode == "physical":
-        mean_height = fmean(fix.diagnostics.height_cm for fix in fix_list)
+        mean_height = fmean(np.asarray(heights, dtype=float).tolist())
         if not mean_height > 0:
             raise ValueError(f"mean fix height must be positive, got {mean_height}")
         # cm over cm cancels; mm focal length over mm-per-px pitch leaves px.
@@ -141,13 +141,22 @@ def calibrate_dispersion(
     return k.with_principal_point(u1 - du, v1 - dv), summary
 
 
-def dispersion_summary(fixes: Sequence[PositionFix], ground_truth: Sequence[float]) -> DispersionSummary:
-    """Mean x-y offset of the fixes from the ground truth, and their smallest enclosing circle."""
-    xs = [fix.position[0] for fix in fixes]
-    ys = [fix.position[1] for fix in fixes]
+def dispersion_summary(positions, ground_truth: Sequence[float]) -> DispersionSummary:
+    """Mean x-y offset of (n, 3) fix positions from the ground truth, and their smallest enclosing circle."""
+    xs, ys, _ = _as_positions(positions).T.tolist()
     center, radius = min_enclosing_circle(zip(xs, ys))
     offset = (fmean(xs) - float(ground_truth[0]), fmean(ys) - float(ground_truth[1]))
     return DispersionSummary(offset, center, radius, len(xs))
+
+
+def _as_positions(positions) -> np.ndarray:
+    """positions as an (n, 3) float array; no positions read as shape (0, 3)."""
+    xyz = np.asarray(positions, dtype=float)
+    if xyz.size == 0:
+        return xyz.reshape(0, 3)
+    if xyz.ndim != 2 or xyz.shape[1] != 3:
+        raise ValueError(f"expected an (n, 3) array of positions, got shape {xyz.shape}")
+    return xyz
 
 
 def min_enclosing_circle(points: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], float]:

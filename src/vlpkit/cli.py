@@ -19,6 +19,8 @@ from .calibration import calibrate_dispersion, calibrate_rotation
 from .errors import VlpError
 from .io import (
     _SEED_LIMIT,
+    FixColumns,
+    fix_columns,
     fmt,
     format_circle_fit,
     format_dispersion,
@@ -41,6 +43,7 @@ from .io import (
 from .positioning import Detection, LedBeacon, Method, PositionFix, locate_two, trilaterate_three, widest_pair
 from .simulator import (
     SWEEP_ANGLES_12,
+    TRIAL_INDEX_LIMIT,
     CameraPose,
     NoiseModel,
     SceneConfig,
@@ -105,6 +108,14 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
     return triple  # type: ignore[return-value]
 
 
+def _integer(text: str) -> int:
+    """argparse type of an integer flag: int(text), or a usage error echoing the text shortened by reprlib.repr."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
+
+
 def _scene(args: argparse.Namespace, default: SceneConfig) -> SceneConfig:
     """The --scene file, or default, with --seed overriding its seed."""
     if args.seed is not None and not 0 <= args.seed < _SEED_LIMIT:
@@ -131,16 +142,16 @@ def compute_fix(
     return trilaterate_three(detections, beacons, intrinsics, height_pair=height_pair)
 
 
-def _check_on_sensor(detections: Sequence[Detection], intrinsics) -> None:
-    """ValueError naming the first detection whose pixel lies off the sensor.
+def _check_on_sensor(detections: Sequence[Detection], width: int, height: int) -> None:
+    """ValueError naming the first detection whose pixel lies off a width x height sensor.
 
     The estimators take any finite image point, because an exact projection
     may fall outside the frame; a pixel the camera detected cannot.
     """
     for det in detections:
         u, v = det.pixel
-        if not intrinsics.on_sensor(u, v):
-            width, height = intrinsics.resolution
+        # CameraIntrinsics.on_sensor's test, on the resolution _locate reads once.
+        if not (0.0 <= u <= width and 0.0 <= v <= height):
             raise ValueError(f"beacon {det.beacon_id!r} has pixel ({u}, {v}) off the {width}x{height} sensor")
 
 
@@ -169,13 +180,19 @@ def _locate(
     """
     rows = []
     failures: dict[str, list] = {}
+    width, height = intrinsics.resolution
     for point, trial, dets in groups:
         try:
-            _check_on_sensor(dets, intrinsics)
+            _check_on_sensor(dets, width, height)
             rows.append((point, trial, method, compute_fix(dets, beacons, intrinsics, method, height_pair), ""))
         except (VlpError, ValueError) as err:
-            rows.append((point, trial, method, None, str(err)))
-            failures.setdefault(type(err).__name__, [0, f"{point}/{trial}: {err}"])[0] += 1
+            message = str(err)
+            rows.append((point, trial, method, None, message))
+            tally = failures.get(type(err).__name__)
+            if tally is None:
+                failures[type(err).__name__] = [1, f"{point}/{trial}: {message}"]
+            else:
+                tally[0] += 1
     for name, (count, first) in failures.items():
         print(f"warning: {count} trial(s) failed with {name}, first {first}", file=sys.stderr)
     write_fixes_csv(rows, path)
@@ -183,22 +200,25 @@ def _locate(
 
 
 def _stats(
-    fixes: Sequence[tuple[int, int, PositionFix]],
+    fixes: FixColumns,
     truths: dict[tuple[int, int], Sequence[float]],
     out: str | Path,
     prefix: str,
 ) -> ErrorReport:
-    """Error report of each (point, trial, fix) against the truth for its key, written to out."""
-    keys = [(point, trial) for point, trial, _ in fixes]
-    missing = next((key for key in keys if key not in truths), None)
-    if missing is not None:
-        raise VlpError(f"no ground truth for trial {missing[0]}/{missing[1]}")
-    report = error_stats([fix for _, _, fix in fixes], [truths[key][:3] for key in keys])
-    write_error_report(report, keys, _out_dir(out), prefix)
+    """Error report of the fixes against the truth for each key, written to out."""
+    try:
+        true_positions = [truths[key][:3] for key in fixes.keys]
+    except KeyError as err:
+        point, trial = err.args[0]
+        raise VlpError(f"no ground truth for trial {point}/{trial}") from None
+    report = error_stats(fixes.positions, true_positions)
+    write_error_report(report, fixes.keys, _out_dir(out), prefix)
     return report
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if not 1 <= args.trials <= TRIAL_INDEX_LIMIT:
+        raise VlpError(f"--trials expects an integer in [1, {TRIAL_INDEX_LIMIT}], got {reprlib.repr(args.trials)}")
     scene = _scene(args, default_scene())
     if args.at:
         grid = [_parse_triple(args.at, "--at")]
@@ -237,13 +257,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     else:
         if not args.fixes:
             raise VlpError("dispersion calibration needs --fixes")
-        fixes = [fix for _, _, fix in read_fixes_csv(args.fixes)]
+        fixes = read_fixes_csv(args.fixes)
         if args.ground_truth:
             truth = _parse_triple(args.ground_truth, "--ground-truth")
         else:
             truth = scene.camera_pose.position
         mode = "paper_literal" if args.paper_literal else "physical"
-        intrinsics, summary = calibrate_dispersion(fixes, truth, scene.intrinsics, mode=mode)
+        intrinsics, summary = calibrate_dispersion(fixes.positions, fixes.heights, truth, scene.intrinsics, mode=mode)
         report_lines.append(f"dispersion: {format_dispersion(summary)}")
     after = intrinsics.corrected_principal_point
     calibrated = replace(scene, intrinsics=intrinsics)
@@ -327,8 +347,10 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     for method in (Method.TWO_LED, Method.THREE_LED):
         path = out / f"dispersion_fixes_{method.value}.csv"
         rows = _locate(dispersion_groups, scene.beacons, nominal_intrinsics, method, "average", path)
-        fixes = [fix for _, _, _, fix, _ in rows if fix is not None]
-        dispersion_intrinsics, summary = calibrate_dispersion(fixes, centre, nominal_intrinsics, mode="physical")
+        fixes = fix_columns(rows)
+        dispersion_intrinsics, summary = calibrate_dispersion(
+            fixes.positions, fixes.heights, centre, nominal_intrinsics, mode="physical"
+        )
         write_scene(replace(scene, intrinsics=dispersion_intrinsics), out / f"scene_dispersion_{method.value}.json")
         summary_lines.append(f"dispersion calibration ({method.value}): {format_dispersion(summary)}")
         calibrations = {
@@ -339,8 +361,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         for calibration, intrinsics in calibrations.items():
             prefix = f"{method.value}_{calibration}"
             rows = _locate(groups, scene.beacons, intrinsics, method, "average", out / f"fixes_{prefix}.csv")
-            ok = [(point, trial, fix) for point, trial, _, fix, _ in rows if fix is not None]
-            reports[(method, calibration)] = _stats(ok, truths, out, prefix)
+            reports[(method, calibration)] = _stats(fix_columns(rows), truths, out, prefix)
 
     write_summary_csv(reports, out / "summary.csv")
     comparisons = [
@@ -379,8 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate detection datasets from a scene")
     p.add_argument("--scene", help="scene JSON (default: built-in scene)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the scene seed")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_PER_POINT, help="trials per grid point")
+    p.add_argument("--seed", type=_integer, help="override the scene seed")
+    p.add_argument("--trials", type=_integer, default=DEFAULT_TRIALS_PER_POINT, help="trials per grid point")
     p.add_argument("--at", help="X,Y,Z single camera position instead of the default grid")
     p.set_defaults(func=_cmd_simulate)
 
@@ -412,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replicate", help="run the full simulated experiment end to end")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, help=f"base seed (default {DEFAULT_REPLICATE_SEED})")
+    p.add_argument("--seed", type=_integer, help=f"base seed (default {DEFAULT_REPLICATE_SEED})")
     p.add_argument("--scene", help="scene JSON overriding the built-in experiment scene")
     p.set_defaults(func=_cmd_replicate)
 

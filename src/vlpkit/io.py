@@ -14,13 +14,15 @@ import reprlib
 from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .analysis import ErrorReport, ReportComparison
 from .calibration import CircleFit, DispersionSummary
 from .camera import CameraIntrinsics
 from .errors import InputFormatError, MissingDiagnostics, SceneConfigError
-from .positioning import Detection, Diagnostics, LedBeacon, Method, PositionFix
+from .positioning import Detection, LedBeacon, Method, PositionFix
 from .simulator import CameraPose, NoiseModel, SceneConfig, TrialRecord
 
 
@@ -356,14 +358,16 @@ def write_ground_truth_csv(records: Sequence[TrialRecord], path: str | Path) -> 
 def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float, float, float, float]]:
     """Maps (point_index, trial_index) to (x, y, z, yaw)."""
     truths: dict[tuple[int, int], tuple[float, float, float, float]] = {}
+    isfinite = math.isfinite
     # yaw_rad is optional and seed is not read.
     with _csv_rows(path, TRUTH_COLUMNS[:5], ["yaw_rad"]) as (rows, col):
         point, trial, x, y, z, yaw = map(col.get, TRUTH_COLUMNS[:6])
         for row in rows:
-            truths[int(row[point]), int(row[trial])] = (
-                *_finite(row[x], row[y], row[z]),
-                float(row[yaw] or 0.0),
-            )
+            # _finite's check inline; _finite itself runs only to raise its message.
+            xyz = float(row[x]), float(row[y]), float(row[z])
+            if not (isfinite(xyz[0]) and isfinite(xyz[1]) and isfinite(xyz[2])):
+                _finite(row[x], row[y], row[z])
+            truths[int(row[point]), int(row[trial])] = (*xyz, float(row[yaw] or 0.0))
     return truths
 
 
@@ -419,25 +423,58 @@ def write_fixes_csv(
     _write_csv(path, FIX_COLUMNS, lines())
 
 
-def read_fixes_csv(path: str | Path) -> list[tuple[int, int, PositionFix]]:
-    """Fix rows with status ok; failed rows are skipped."""
-    fixes: list[tuple[int, int, PositionFix]] = []
-    methods = {m.value: m for m in Method}
+class FixColumns(NamedTuple):
+    """Fixes as columns: (point_index, trial_index) keys, (n, 3) positions and (n,) heights, in cm."""
+
+    keys: list[tuple[int, int]]
+    positions: np.ndarray
+    heights: np.ndarray
+
+
+def fix_columns(rows: Sequence[tuple[int, int, Method, PositionFix | None, str]]) -> FixColumns:
+    """The ok rows of write_fixes_csv's input as read_fixes_csv's columns, without the six-decimal rounding."""
+    ok = [(point, trial, fix) for point, trial, _, fix, _ in rows if fix is not None]
+    return FixColumns(
+        [(point, trial) for point, trial, _ in ok],
+        np.array([fix.position for _, _, fix in ok], dtype=float).reshape(-1, 3),
+        np.array([fix.diagnostics.height_cm for _, _, fix in ok], dtype=float),
+    )
+
+
+def read_fixes_csv(path: str | Path) -> FixColumns:
+    """Fix rows with status ok, as columns; failed rows are skipped.
+
+    Each ok row is checked in this order: finite diagnostics, a finite yaw
+    if there is one, a finite position, a known method, integer indices.
+    The first check a row fails raises at its line. No per-row fix object
+    is built.
+    """
+    keys: list[tuple[int, int]] = []
+    positions: list[tuple[float, float, float]] = []
+    heights: list[float] = []
+    methods = {m.value for m in Method}
+    isfinite = math.isfinite
     # Every column but the free-text message is read.
     with _csv_rows(path, FIX_COLUMNS[:-1]) as (rows, col):
         point, trial, method, status, x, y, z, height, image_d, world_d, yaw = map(col.get, FIX_COLUMNS[:-1])
         for row in rows:
             if row[status] != "ok":
                 continue
-            diag = Diagnostics(
-                *_finite(row[height], row[image_d], row[world_d], kind="diagnostic"),
-                _finite(row[yaw], kind="diagnostic")[0] if row[yaw] else None,
-            )
-            # An unknown name falls through to Method, which raises ValueError.
-            name = row[method]
-            fix = PositionFix(_finite(row[x], row[y], row[z]), methods.get(name) or Method(name), diag)
-            fixes.append((int(row[point]), int(row[trial]), fix))
-    return fixes
+            # _finite's checks inline; _finite itself runs only to raise its message.
+            h, d, w = float(row[height]), float(row[image_d]), float(row[world_d])
+            if not (isfinite(h) and isfinite(d) and isfinite(w)):
+                _finite(row[height], row[image_d], row[world_d], kind="diagnostic")
+            if row[yaw] and not isfinite(float(row[yaw])):
+                _finite(row[yaw], kind="diagnostic")
+            p = (float(row[x]), float(row[y]), float(row[z]))
+            if not (isfinite(p[0]) and isfinite(p[1]) and isfinite(p[2])):
+                _finite(row[x], row[y], row[z])
+            if row[method] not in methods:
+                Method(row[method])
+            keys.append((int(row[point]), int(row[trial])))
+            positions.append(p)
+            heights.append(h)
+    return FixColumns(keys, np.array(positions, dtype=float).reshape(-1, 3), np.array(heights, dtype=float))
 
 
 # ------------------------------------------------------------------- reports

@@ -23,7 +23,6 @@ from vlpkit import (
     Detection,
     LedBeacon,
     Method,
-    PositionFix,
     SingularGeometry,
     calibrate_dispersion,
     calibrate_rotation,
@@ -48,6 +47,11 @@ GOLDEN_SUMMARY = Path(__file__).parent / "data" / "golden_replicate_summary.csv"
 # Replicate output directories shared between criteria 4 and 7, keyed by run
 # label so the determinism check gets two genuinely separate executions.
 _RUNS: dict[str, tuple[Path, float]] = {}
+
+
+def positions_and_heights(fixes):
+    """The positions and heights of fixes, as calibrate_dispersion takes them."""
+    return [f.position for f in fixes], [f.diagnostics.height_cm for f in fixes]
 
 
 @contextmanager
@@ -165,7 +169,7 @@ def test_criterion_3_dispersion_calibration_recovers_offset():
             compute_fix(r.detections, quiet.beacons, nominal, Method.THREE_LED)
             for r in records
         ]
-        corrected, _ = calibrate_dispersion(fixes, origin, nominal, mode="physical")
+        corrected, _ = calibrate_dispersion(*positions_and_heights(fixes), origin, nominal, mode="physical")
         u1, v1 = corrected.corrected_principal_point
         exact_err = math.hypot(u1 - true_pp[0], v1 - true_pp[1])
         assert exact_err <= 1e-6, f"noiseless recovery off by {exact_err:.3e} px"
@@ -189,7 +193,7 @@ def test_criterion_3_dispersion_calibration_recovers_offset():
                 compute_fix(r.detections, noisy.beacons, nominal, Method.TWO_LED)
                 for r in records
             ]
-            corrected, _ = calibrate_dispersion(fixes, origin, nominal, mode="physical")
+            corrected, _ = calibrate_dispersion(*positions_and_heights(fixes), origin, nominal, mode="physical")
             u1, v1 = corrected.corrected_principal_point
             worst = max(worst, math.hypot(u1 - true_pp[0], v1 - true_pp[1]))
         assert worst <= 0.5, f"worst noisy recovery {worst:.4f} px"
@@ -357,11 +361,7 @@ def test_criterion_8_error_stats_matches_hand_computation():
                 else:
                     dx, dy = 0.0, -a
                 dz = quarter(-4, 5)
-                fixes.append(
-                    PositionFix(
-                        (truth[0] + dx, truth[1] + dy, truth[2] + dz), Method.TWO_LED
-                    )
-                )
+                fixes.append((truth[0] + dx, truth[1] + dy, truth[2] + dz))
                 truths.append(truth)
                 distances.append(math.hypot(dx, dy))
             report = error_stats(fixes, truths)

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -10,15 +11,14 @@ from vlpkit import (
     EmptyInput,
     ErrorReport,
     LengthMismatch,
-    Method,
-    PositionFix,
     compare_reports,
     error_stats,
 )
 
 
 def fix_at(x, y, z=0.0):
-    return PositionFix((x, y, z), Method.THREE_LED)
+    """One fix position; error_stats takes a sequence of them or an (n, 3) array."""
+    return (x, y, z)
 
 
 def ladder_report(n=10):
@@ -91,7 +91,7 @@ def test_exact_fixes_give_zero_report():
 
 
 def test_planar_and_3d_errors_differ_by_vertical():
-    fixes = [PositionFix((4.0, 0.0, 3.0), Method.THREE_LED)]
+    fixes = [fix_at(4.0, 0.0, 3.0)]
     truths = [(0.0, 0.0, 0.0)]
     report = error_stats(fixes, truths)
     assert report.per_trial_errors == (4.0,)
@@ -146,8 +146,25 @@ def test_dispersion_mean_offset_is_signed():
 def test_error_paths():
     with pytest.raises(EmptyInput):
         error_stats([], [])
+    with pytest.raises(EmptyInput):
+        error_stats(np.empty((0, 3)), np.empty((0, 3)))
     with pytest.raises(LengthMismatch):
         error_stats([fix_at(0.0, 0.0)], [(0.0, 0.0, 0.0)] * 2)
+    with pytest.raises(ValueError, match=r"\(n, 3\) array of positions, got shape \(3,\)"):
+        error_stats(np.zeros(3), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+        error_stats(np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+def test_errors_of_an_array_are_math_hypot_of_its_floats():
+    rng = np.random.default_rng(5)
+    positions = rng.uniform(-60.0, 60.0, (200, 3))
+    truths = rng.uniform(-60.0, 60.0, (200, 3))
+    report = error_stats(positions, truths)
+    pairs = list(zip(positions.tolist(), truths.tolist()))
+    assert report.per_trial_errors == tuple(math.hypot(p[0] - t[0], p[1] - t[1]) for p, t in pairs)
+    assert report.per_trial_errors_3d == tuple(math.hypot(p[0] - t[0], p[1] - t[1], p[2] - t[2]) for p, t in pairs)
+    assert error_stats([tuple(p) for p in positions.tolist()], truths.tolist()) == report
 
 
 def test_compare_reports_identity_is_unity():

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -15,7 +16,7 @@ from vlpkit import (
     EmptyInput,
     InsufficientTracks,
     LedBeacon,
-    MissingDiagnostics,
+    LengthMismatch,
     NoiseModel,
     calibrate_dispersion,
     calibrate_rotation,
@@ -138,19 +139,18 @@ def test_rotation_calibration_requires_one_good_track():
 
 
 def collect_fixes(scene, count):
-    fixes = []
-    for seed in range(count):
-        posed = dataclasses.replace(scene, seed=seed)
-        dets = sim.observe(posed)
-        fixes.append(trilaterate_three(dets, scene.beacons, scene.intrinsics))
-    return fixes
+    """Positions (count, 3) and heights (count,) of three-led fixes over noise seeds 0..count-1."""
+    fixes = [
+        trilaterate_three(sim.observe(dataclasses.replace(scene, seed=seed)), scene.beacons, scene.intrinsics)
+        for seed in range(count)
+    ]
+    return np.array([fix.position for fix in fixes]), np.array([fix.diagnostics.height_cm for fix in fixes])
 
 
 def test_dispersion_calibration_recovers_offset_centre():
     scene = default_scene(true_principal_point=TRUE_PP)
-    fixes = collect_fixes(scene, 16)
     k_cal, summary = calibrate_dispersion(
-        fixes, scene.camera_pose.position, scene.intrinsics
+        *collect_fixes(scene, 16), scene.camera_pose.position, scene.intrinsics
     )
     assert k_cal.corrected_principal_point[0] == pytest.approx(TRUE_PP[0], abs=1e-6)
     assert k_cal.corrected_principal_point[1] == pytest.approx(TRUE_PP[1], abs=1e-6)
@@ -161,9 +161,8 @@ def test_dispersion_calibration_recovers_offset_centre():
 
 def test_dispersion_calibration_zeroes_the_mean_offset():
     scene = default_scene(true_principal_point=TRUE_PP)
-    fixes = collect_fixes(scene, 8)
     k_cal, summary = calibrate_dispersion(
-        fixes, scene.camera_pose.position, scene.intrinsics
+        *collect_fixes(scene, 8), scene.camera_pose.position, scene.intrinsics
     )
     assert summary.mean_offset[0] == pytest.approx(-1.89, abs=1e-9)
     assert summary.mean_offset[1] == pytest.approx(1.23, abs=1e-9)
@@ -172,16 +171,18 @@ def test_dispersion_calibration_zeroes_the_mean_offset():
     assert refit.position[1] == pytest.approx(0.0, abs=1e-9)
 
 
+def shifted_fix(scene):
+    """One fix of the scene moved by (1.2, -0.8) cm, as a (1, 3) position and its height."""
+    base = trilaterate_three(sim.observe(scene), scene.beacons, scene.intrinsics)
+    x, y, z = base.position
+    return [(x + 1.2, y - 0.8, z)], [base.diagnostics.height_cm]
+
+
 def test_dispersion_pixel_correction_physical_hand_value():
     # Mean fix offset (1.2, -0.8) cm at 150 cm height through a 3 mm lens:
     # 1.2 * 3 / (150 * 0.006) = 4 px and -0.8 * 3 / (150 * 0.006) = -8/3 px.
     scene = default_scene()
-    dets = sim.observe(scene)
-    base = trilaterate_three(dets, scene.beacons, scene.intrinsics)
-    shifted = dataclasses.replace(
-        base, position=(base.position[0] + 1.2, base.position[1] - 0.8, base.position[2])
-    )
-    k_cal, _ = calibrate_dispersion([shifted], (0.0, 0.0, 0.0), scene.intrinsics)
+    k_cal, _ = calibrate_dispersion(*shifted_fix(scene), (0.0, 0.0, 0.0), scene.intrinsics)
     assert k_cal.corrected_principal_point[0] == pytest.approx(400.0 - 4.0, abs=1e-9)
     assert k_cal.corrected_principal_point[1] == pytest.approx(300.0 + 8.0 / 3.0, abs=1e-9)
 
@@ -189,13 +190,8 @@ def test_dispersion_pixel_correction_physical_hand_value():
 def test_dispersion_pixel_correction_literal_hand_value():
     # Literal mode divides the raw cm offset by the pitch: 1.2 / 0.006 = 200 px.
     scene = default_scene()
-    dets = sim.observe(scene)
-    base = trilaterate_three(dets, scene.beacons, scene.intrinsics)
-    shifted = dataclasses.replace(
-        base, position=(base.position[0] + 1.2, base.position[1] - 0.8, base.position[2])
-    )
     k_cal, _ = calibrate_dispersion(
-        [shifted], (0.0, 0.0, 0.0), scene.intrinsics, mode="paper_literal"
+        *shifted_fix(scene), (0.0, 0.0, 0.0), scene.intrinsics, mode="paper_literal"
     )
     assert k_cal.corrected_principal_point[0] == pytest.approx(400.0 - 200.0, abs=1e-9)
     assert k_cal.corrected_principal_point[1] == pytest.approx(300.0 + 8.0 / 0.06, abs=1e-9)
@@ -203,9 +199,8 @@ def test_dispersion_pixel_correction_literal_hand_value():
 
 def test_dispersion_with_zero_offset_keeps_intrinsics():
     scene = default_scene()
-    fixes = collect_fixes(scene, 4)
     k_cal, summary = calibrate_dispersion(
-        fixes, scene.camera_pose.position, scene.intrinsics
+        *collect_fixes(scene, 4), scene.camera_pose.position, scene.intrinsics
     )
     assert abs(summary.mean_offset[0]) < 1e-9
     assert k_cal.corrected_principal_point[0] == pytest.approx(400.0, abs=1e-9)
@@ -216,11 +211,11 @@ def test_dispersion_summary_circle_contains_every_fix():
     scene = default_scene(
         true_principal_point=TRUE_PP, noise=NoiseModel(pixel_sigma=0.5, quantize=True)
     )
-    fixes = collect_fixes(scene, 40)
-    _, summary = calibrate_dispersion(fixes, (0.0, 0.0, 0.0), scene.intrinsics)
+    positions, heights = collect_fixes(scene, 40)
+    _, summary = calibrate_dispersion(positions, heights, (0.0, 0.0, 0.0), scene.intrinsics)
     cx, cy = summary.enclosing_center
-    for fix in fixes:
-        d = math.hypot(fix.position[0] - cx, fix.position[1] - cy)
+    for x, y, _ in positions:
+        d = math.hypot(x - cx, y - cy)
         assert d <= summary.enclosing_radius + 1e-9
     assert summary.sample_count == 40
 
@@ -228,18 +223,20 @@ def test_dispersion_summary_circle_contains_every_fix():
 def test_dispersion_error_paths():
     scene = default_scene()
     with pytest.raises(EmptyInput):
-        calibrate_dispersion([], (0.0, 0.0, 0.0), scene.intrinsics)
-    fixes = collect_fixes(scene, 2)
+        calibrate_dispersion([], [], (0.0, 0.0, 0.0), scene.intrinsics)
+    positions, heights = collect_fixes(scene, 2)
     with pytest.raises(ValueError):
-        calibrate_dispersion(fixes, (0.0, 0.0, 0.0), scene.intrinsics, mode="mystery")
-    stripped = [dataclasses.replace(f, diagnostics=None) for f in fixes]
-    with pytest.raises(MissingDiagnostics):
-        calibrate_dispersion(stripped, (0.0, 0.0, 0.0), scene.intrinsics)
-    flat = [dataclasses.replace(f, diagnostics=dataclasses.replace(f.diagnostics, height_cm=0.0)) for f in fixes]
+        calibrate_dispersion(positions, heights, (0.0, 0.0, 0.0), scene.intrinsics, mode="mystery")
+    # A fix without a height.
+    with pytest.raises(LengthMismatch, match="2 fix positions paired with 1 heights"):
+        calibrate_dispersion(positions, heights[:1], (0.0, 0.0, 0.0), scene.intrinsics)
+    with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+        calibrate_dispersion(positions[:, :2], heights, (0.0, 0.0, 0.0), scene.intrinsics)
+    flat = np.zeros_like(heights)
     with pytest.raises(ValueError, match=r"mean fix height must be positive, got 0\.0"):
-        calibrate_dispersion(flat, (0.0, 0.0, 0.0), scene.intrinsics)
+        calibrate_dispersion(positions, flat, (0.0, 0.0, 0.0), scene.intrinsics)
     # Paper-literal mode does not use the height.
-    calibrate_dispersion(flat, (0.0, 0.0, 0.0), scene.intrinsics, mode="paper_literal")
+    calibrate_dispersion(positions, flat, (0.0, 0.0, 0.0), scene.intrinsics, mode="paper_literal")
 
 
 # --- smallest enclosing circle ---

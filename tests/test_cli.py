@@ -77,13 +77,13 @@ def test_locate_noiseless_round_trip(tmp_path, method):
     assert rc == 0
     truths = read_ground_truth_csv(sim / "ground_truth.csv")
     fixes = read_fixes_csv(loc / "fixes.csv")
-    assert len(fixes) == 36
-    for point, trial, fix in fixes:
-        x, y, z, _ = truths[(point, trial)]
+    assert len(fixes.keys) == 36
+    for key, position in zip(fixes.keys, fixes.positions.tolist()):
+        x, y, z, _ = truths[key]
         # CSV carries 6 decimals, so exactness survives only to that scale.
-        assert fix.position[0] == pytest.approx(x, abs=1e-5)
-        assert fix.position[1] == pytest.approx(y, abs=1e-5)
-        assert fix.position[2] == pytest.approx(z, abs=1e-5)
+        assert position[0] == pytest.approx(x, abs=1e-5)
+        assert position[1] == pytest.approx(y, abs=1e-5)
+        assert position[2] == pytest.approx(z, abs=1e-5)
 
 
 def _two_beacon_detections(tmp_path):
@@ -164,7 +164,7 @@ def test_locate_paper_faithful_height_flag(tmp_path):
     assert rc == 0
     # Noiseless input: the single-pair height agrees with the averaged one.
     fixes = read_fixes_csv(tmp_path / "loc" / "fixes.csv")
-    assert len(fixes) == 36
+    assert len(fixes.keys) == 36
 
 
 def test_calibrate_rotation_cli_recovers_offset(tmp_path):
@@ -436,6 +436,39 @@ def test_replicate_seed_7_csvs_match_golden_digests(tmp_path):
     assert got == expected
 
 
+GOLDEN_STATS_DIGESTS = Path(__file__).parent / "data" / "golden_stats_csv.sha256"
+
+
+def test_stats_and_calibrate_read_from_csv_match_golden_digests(tmp_path, capsys):
+    # The replicate scene's noisy seed-7 detections, over the grid and at its centre.
+    write_scene(replicate_scene(7), tmp_path / "scene.json")
+    files = {}
+    for tag, at in (("grid", []), ("at", ["--at=-41,7,0"])):
+        sim = tmp_path / f"sim_{tag}"
+        argv = ["simulate", "--scene", str(tmp_path / "scene.json"), "--seed", "7", "--trials", "12"]
+        assert main([*argv, "--out", str(sim), *at]) == 0
+        for method in ("two-led", "three-led"):
+            loc = tmp_path / f"loc_{tag}_{method}"
+            argv = ["locate", "--scene", str(sim / "scene.json"), "--detections", str(sim / "detections.csv")]
+            assert main([*argv, "--out", str(loc), "--method", method]) == 0
+            label = f"{tag}_{method}"
+            argv = ["stats", "--fixes", str(loc / "fixes.csv"), "--ground-truth", str(sim / "ground_truth.csv")]
+            assert main([*argv, "--out", str(tmp_path / "stats"), "--label", label]) == 0
+            if at:
+                cal = tmp_path / f"cal_{method}"
+                argv = ["calibrate", "--scene", str(sim / "scene.json"), "--calibration", "dispersion", "--fixes"]
+                assert main([*argv, str(loc / "fixes.csv"), "--ground-truth=-41,7,0", "--out", str(cal)]) == 0
+                files[f"calibration_{label}.txt"] = cal / "calibration.txt"
+    # errors_*, cdf_* and histogram_* CSVs and summary_*.txt; run.json holds paths.
+    files.update((path.name, path) for path in (tmp_path / "stats").glob("*_*.*"))
+    expected = {
+        name: digest
+        for digest, name in (line.split(None, 1) for line in GOLDEN_STATS_DIGESTS.read_text().splitlines())
+    }
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+    assert got == expected
+
+
 def _locate_with_trial_0_0_u(tmp_path, method, u_px):
     """Locate 72 simulated trials after setting trial 0/0's first u_px; the fixes.csv rows and the simulate dir."""
     sim = tmp_path / "sim"
@@ -657,6 +690,7 @@ def _out_is_under_a_file(tmp_path):
     "argv",
     [
         lambda tmp_path: ["simulate", "--trials", "0"],
+        lambda tmp_path: ["simulate", "--trials", "20000"],
         lambda tmp_path: ["simulate", "--seed", "-1"],
         lambda tmp_path: ["simulate", "--at=0,0,200"],
         lambda tmp_path: ["simulate", "--at", "inf,0,0"],
@@ -680,6 +714,7 @@ def _out_is_under_a_file(tmp_path):
     ],
     ids=[
         "zero-trials",
+        "too-many-trials",
         "negative-seed",
         "camera-above-ceiling",
         "at-not-finite",
@@ -736,6 +771,32 @@ def test_seed_flag_outside_the_int64_range_names_the_flag(tmp_path, capsys, subc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--seed"], ["replicate", "--seed"], ["simulate", "--trials"]],
+    ids=["simulate-seed", "replicate-seed", "simulate-trials"],
+)
+def test_integer_flag_too_long_for_int_is_echoed_short(tmp_path, capsys, argv):
+    # 5,000 digits: past the interpreter's 4,300-digit limit, so int() itself fails.
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "9" * 5_000, "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: invalid int value: '9999" in err
+    assert len(err.encode()) < 300
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "20000"])
+def test_trials_outside_its_range_names_the_flag(tmp_path, capsys, trials):
+    capsys.readouterr()
+    assert main(["simulate", "--trials", trials, "--at=0,0,0", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: --trials expects an integer in [1, 10000], got {trials}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_largest_seed_still_simulates(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--seed", str(2**63 - 1), "--trials", "2", "--out", str(out)]) == 0
@@ -749,15 +810,16 @@ def test_subcommand_is_required():
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-@pytest.mark.parametrize("trials, rc", [("1", 0), ("0", 1)], ids=["ok", "error"])
-def test_main_pauses_the_collector_and_leaves_it_as_found(tmp_path, monkeypatch, capsys, enabled, trials, rc):
+# The camera above the ceiling fails inside generate_trials, while the collector is paused.
+@pytest.mark.parametrize("at, rc", [("-40,5,0", 0), ("0,0,200", 1)], ids=["ok", "error"])
+def test_main_pauses_the_collector_and_leaves_it_as_found(tmp_path, monkeypatch, capsys, enabled, at, rc):
     seen = []
     generate_trials = cli.generate_trials
     monkeypatch.setattr(cli, "generate_trials", lambda *args: seen.append(gc.isenabled()) or generate_trials(*args))
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        assert main(["simulate", "--at=-40,5,0", "--trials", trials, "--out", str(tmp_path)]) == rc
+        assert main(["simulate", f"--at={at}", "--trials", "1", "--out", str(tmp_path)]) == rc
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from vlpkit.io import (
     FIX_COLUMNS,
     TRACK_COLUMNS,
     TRUTH_COLUMNS,
+    FixColumns,
     read_detections_csv,
     read_fixes_csv,
     read_ground_truth_csv,
@@ -327,18 +329,17 @@ def test_fixes_round_trip_skips_failed_rows(tmp_path):
     path = tmp_path / "fixes.csv"
     write_fixes_csv(rows, path)
     back = read_fixes_csv(path)
-    assert [(p, t) for p, t, _ in back] == [(0, 0), (1, 0)]
-    first = back[0][2]
-    assert first.position == (25.25, -15.5, 0.125)
-    assert first.method is Method.THREE_LED
-    assert first.diagnostics.height_cm == 150.25
-    assert first.diagnostics.yaw_rad is None
-    second = back[1][2]
-    assert second.diagnostics.yaw_rad == 0.5
+    assert isinstance(back, FixColumns)
+    assert back.keys == [(0, 0), (1, 0)]
+    assert back.positions.tolist() == [[25.25, -15.5, 0.125], [-3.5, 4.75, 1.5]]
+    assert back.heights.tolist() == [150.25, 148.5]
 
+    # The reader returns no method or yaw; the file holds them.
     text = path.read_text().splitlines()
+    assert text[1].startswith("0,0,three-led,ok,") and text[1].endswith(",,")
     assert text[2].startswith("0,1,three-led,error")
     assert text[2].endswith("project 0 mm apart")
+    assert text[3].startswith("1,0,two-led,ok,") and text[3].endswith(",0.500000,")
 
 
 def test_fix_csv_floats_use_six_decimals(tmp_path):
@@ -391,10 +392,14 @@ def _write_table(path, header, rows, blank_lines=False):
 
 
 def _read_case(tmp_path, name, header, rows, **kwargs):
+    """What the reader returns, with fix columns as lists so that results compare with ==."""
     reader = READER_CASES[name][0]
     path = tmp_path / f"{name}.csv"
     _write_table(path, header, rows, **kwargs)
-    return reader(path)
+    result = reader(path)
+    if isinstance(result, FixColumns):
+        return result.keys, result.positions.tolist(), result.heights.tolist()
+    return result
 
 
 @pytest.mark.parametrize("name", READER_CASES)
@@ -458,7 +463,8 @@ def test_fixes_and_truth_readers_reject_non_finite_coordinates(tmp_path, value):
         read_fixes_csv(path)
     # A failed row carries no coordinates to check.
     _write_table(path, FIX_COLUMNS, [failed[:4] + [value] * 3 + failed[7:]])
-    assert read_fixes_csv(path) == []
+    back = read_fixes_csv(path)
+    assert back.keys == [] and back.positions.shape == (0, 3) and back.heights.shape == (0,)
 
     path = tmp_path / "ground_truth.csv"
     _write_table(path, TRUTH_COLUMNS, [["0", "0", "1.5", "2.5", value, "0.0", "7"]])
@@ -480,6 +486,41 @@ def test_fixes_reader_rejects_non_finite_diagnostics(tmp_path, column, value):
     _write_table(path, FIX_COLUMNS, [failed, [*ok[:at], value, *ok[at + 1 :]]])
     with pytest.raises(InputFormatError, match=r"fixes\.csv:3: non-finite diagnostic"):
         read_fixes_csv(path)
+
+
+def test_fixes_reader_rejects_an_unknown_method(tmp_path):
+    _, _, (ok, failed), _ = READER_CASES["fixes"]
+    path = tmp_path / "fixes.csv"
+    # A failed row's method is not checked.
+    _write_table(path, FIX_COLUMNS, [[*failed[:2], "four-led", *failed[3:]], ok])
+    assert read_fixes_csv(path).keys == [(3, 1)]
+    _write_table(path, FIX_COLUMNS, [failed, [*ok[:2], "four-led", *ok[3:]]])
+    with pytest.raises(InputFormatError, match=r"fixes\.csv:3: 'four-led' is not a valid Method"):
+        read_fixes_csv(path)
+
+
+def test_fixes_reader_reports_the_first_check_a_row_fails(tmp_path):
+    # The checks run in this order: diagnostics, yaw, position, method, indices.
+    _, _, (ok, _), _ = READER_CASES["fixes"]
+    bad = {
+        "height_cm": ("nan", "non-finite diagnostic in (nan, 2.5, 135.0)"),
+        "yaw_rad": ("inf", "non-finite diagnostic in (inf)"),
+        "x_cm": ("abc", "could not convert string to float: 'abc'"),
+        "z_cm": ("-inf", "non-finite coordinate in (1.5, 2.5, -inf)"),
+        "method": ("four-led", "'four-led' is not a valid Method"),
+        "point_index": ("1.5", "invalid literal for int() with base 10: '1.5'"),
+    }
+    path = tmp_path / "fixes.csv"
+    row = list(ok)
+    for column, (value, _) in bad.items():
+        row[FIX_COLUMNS.index(column)] = value
+    for column, (_, message) in bad.items():
+        _write_table(path, FIX_COLUMNS, [row])
+        with pytest.raises(InputFormatError, match=re.escape(f"fixes.csv:2: {message}")):
+            read_fixes_csv(path)
+        row[FIX_COLUMNS.index(column)] = ok[FIX_COLUMNS.index(column)]
+    _write_table(path, FIX_COLUMNS, [row])
+    assert read_fixes_csv(path).keys == [(3, 1)]
 
 
 def test_empty_optional_index_and_yaw_values_read_as_zero(tmp_path):
@@ -556,14 +597,14 @@ def test_tracks_csv_round_trip_property(tmp_path_factory, tracks):
             assert all(map(close, got, want))
 
 
-fixes = st.builds(
+fix_values = st.builds(
     PositionFix,
     st.tuples(finite, finite, finite),
     st.sampled_from(Method),
     st.builds(Diagnostics, finite, finite, finite, st.none() | finite),
 )
 fix_rows = st.lists(
-    st.tuples(indices, indices, st.sampled_from(Method), st.none() | fixes, ids), max_size=6
+    st.tuples(indices, indices, st.sampled_from(Method), st.none() | fix_values, ids), max_size=6
 )
 
 
@@ -573,18 +614,12 @@ def test_fixes_csv_round_trip_property(tmp_path_factory, rows):
     path = tmp_path_factory.getbasetemp() / "fixes.csv"
     write_fixes_csv(rows, path)
     back = read_fixes_csv(path)
-    # The method column comes from the row, not from the fix.
-    ok = [(p, t, method, fix) for p, t, method, fix, _ in rows if fix is not None]
-    assert [(p, t) for p, t, _ in back] == [(p, t) for p, t, _, _ in ok]
-    for (_, _, got), (_, _, method, want) in zip(back, ok):
-        assert got.method is method
-        assert all(close(a, b) for a, b in zip(got.position, want.position))
-        g, w = got.diagnostics, want.diagnostics
-        assert close(g.height_cm, w.height_cm)
-        assert close(g.image_pair_distance_mm, w.image_pair_distance_mm)
-        assert close(g.world_pair_distance_cm, w.world_pair_distance_cm)
-        assert (g.yaw_rad is None) == (w.yaw_rad is None)
-        assert g.yaw_rad is None or close(g.yaw_rad, w.yaw_rad)
+    ok = [(p, t, fix) for p, t, _, fix, _ in rows if fix is not None]
+    assert back.keys == [(p, t) for p, t, _ in ok]
+    assert back.positions.shape == (len(ok), 3) and back.heights.shape == (len(ok),)
+    for got, got_height, (_, _, want) in zip(back.positions.tolist(), back.heights.tolist(), ok):
+        assert all(close(a, b) for a, b in zip(got, want.position))
+        assert close(got_height, want.diagnostics.height_cm)
 
 
 # --- readers on arbitrary input ---
@@ -646,14 +681,15 @@ def _tracks_typed(tracks):
 
 
 def _fixes_typed(fixes):
-    def diag_ok(d):
-        return _is_finite(d.height_cm, d.image_pair_distance_mm, d.world_pair_distance_cm) and (
-            d.yaw_rad is None or _is_finite(d.yaw_rad)
-        )
-
-    return all(
-        _is_key(p, t) and _is_finite(*fix.position) and fix.method in Method and diag_ok(fix.diagnostics)
-        for p, t, fix in fixes
+    n = len(fixes.keys)
+    return (
+        isinstance(fixes, FixColumns)
+        and all(_is_key(*key) for key in fixes.keys)
+        and fixes.positions.dtype == float
+        and fixes.positions.shape == (n, 3)
+        and fixes.heights.dtype == float
+        and fixes.heights.shape == (n,)
+        and bool(np.isfinite(fixes.positions).all() and np.isfinite(fixes.heights).all())
     )
 
 
@@ -830,7 +866,7 @@ def test_fixes_writer_rejects_an_ok_fix_without_diagnostics(tmp_path):
 
 
 def ladder_fixes(n):
-    return [PositionFix((float(k), 0.0, 0.0), Method.THREE_LED) for k in range(1, n + 1)]
+    return [(float(k), 0.0, 0.0) for k in range(1, n + 1)]
 
 
 def test_write_error_report_produces_three_tables(tmp_path):
