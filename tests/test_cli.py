@@ -469,6 +469,28 @@ def test_stats_and_calibrate_read_from_csv_match_golden_digests(tmp_path, capsys
     assert got == expected
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def test_locate_on_a_lowered_ceiling_matches_golden_digests(tmp_path, monkeypatch):
+    # Beacons at 110 cm leave the frame at some grid points: two-led rows fixed
+    # from two and from three detections, rows with one, and three-led rows failing
+    # with "expected 3 detections, got 2".
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--scene", str(DATA / "scene_dropout.json"), "--seed", "7", "--trials", "12"]
+    assert main([*argv, "--out", "sim"]) == 0
+    for method in ("two-led", "three-led"):
+        argv = ["locate", "--scene", "sim/scene.json", "--detections", "sim/detections.csv"]
+        assert main([*argv, "--out", method, "--method", method]) == 0
+    expected = {
+        name: digest
+        for digest, name in (line.split(None, 1) for line in (DATA / "golden_locate_dropout.sha256").read_text().splitlines())
+    }
+    got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in expected}
+    assert got == expected
+    assert sorted(expected) == ["three-led/fixes.csv", "two-led/fixes.csv"]
+
+
 def _locate_with_trial_0_0_u(tmp_path, method, u_px):
     """Locate 72 simulated trials after setting trial 0/0's first u_px; the fixes.csv rows and the simulate dir."""
     sim = tmp_path / "sim"

@@ -413,3 +413,141 @@ def test_widest_pair_rejects_repeated_and_unknown_beacons(ceiling_beacons):
         widest_pair([d1, d1, d2], ceiling_beacons)
     with pytest.raises(UnknownBeacon):
         widest_pair([d1, d2, Detection("L9", (420.0, 300.0))], ceiling_beacons)
+
+
+# --- geometry reused per beacons tuple and detected subset ---
+
+SHIFTED_BEACONS = tuple(
+    LedBeacon(b.id, (b.position[0] + 12.5, b.position[1] - 7.25, b.position[2] + 20.0)) for b in sim.DEFAULT_BEACONS
+)
+
+
+def _outcome(locate, dets, beacons, k, **kwargs):
+    """repr of the fix, or the type and message of the error: equal only if bit-equal."""
+    try:
+        return repr(locate(dets, beacons, k, **kwargs))
+    except (VlpError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def test_fixes_alternating_between_beacon_tuples_match_fresh_list_copies():
+    # Same ids, different positions: geometry solved for one tuple never serves the other.
+    scenes = [make_scene((3.0, -4.0, 0.0), 0.4, beacons) for beacons in (sim.DEFAULT_BEACONS, SHIFTED_BEACONS)]
+    for _ in range(3):
+        for scene in scenes:
+            dets = exact_detections(scene)
+            pixel = dets[1].pixel
+            dets[1] = Detection(dets[1].beacon_id, (pixel[0] + 1.5, pixel[1] - 0.5))
+            k = scene.intrinsics
+            for beacons in (scene.beacons, list(scene.beacons)):
+                pair = widest_pair(dets, beacons)
+                assert pair == widest_pair(dets, list(scene.beacons))
+                assert _outcome(locate_two, pair, beacons, k) == _outcome(locate_two, pair, list(scene.beacons), k)
+                for mode in ("average", "first"):
+                    got = _outcome(trilaterate_three, dets, beacons, k, height_pair=mode)
+                    assert got == _outcome(trilaterate_three, dets, list(scene.beacons), k, height_pair=mode)
+    # The fixes differ, so each came from its own beacons.
+    assert len({_outcome(trilaterate_three, exact_detections(s), s.beacons, s.intrinsics) for s in scenes}) == 2
+
+
+def test_a_beacon_position_that_is_not_a_tuple_is_read_on_every_call(intrinsics):
+    position = [0.0, 0.0, 150.0]
+    beacons = (LedBeacon("A", position), LedBeacon("B", (100.0, 0.0, 150.0)))
+    dets = [Detection("A", (400.0, 300.0)), Detection("B", (600.0, 300.0))]
+    before = locate_two(dets, beacons, intrinsics)
+    position[0] = -100.0
+    after = locate_two(dets, beacons, intrinsics)
+    assert after.diagnostics.world_pair_distance_cm == 2 * before.diagnostics.world_pair_distance_cm
+
+
+_K = sim.default_intrinsics()
+_PLAN = (LedBeacon("A", (0.0, 0.0, 150.0)), LedBeacon("B", (100.0, 0.0, 150.0)), LedBeacon("C", (0.0, 100.0, 150.0)))
+_TILTED = (_PLAN[0], LedBeacon("B", (100.0, 0.0, 151.0)), _PLAN[2])
+_COLLINEAR = (_PLAN[0], _PLAN[1], LedBeacon("C", (50.0, 0.0, 150.0)))
+_DUPLICATE = (*_PLAN, LedBeacon("A", (5.0, 5.0, 150.0)))
+
+
+def _dets(*specs):
+    return [Detection(bid, (u, v)) for bid, u, v in specs]
+
+
+# Each row fails two checks; the one listed first in the estimators' order surfaces.
+FAILURE_ORDER = [
+    # height_pair before a duplicate beacon id
+    (trilaterate_three, _dets(("A", 400.0, 300.0)), _DUPLICATE, {"height_pair": "last"},
+     ValueError, "height_pair must be 'average' or 'first', got 'last'"),
+    # duplicate beacon id before the detection count
+    (locate_two, _dets(("A", 400.0, 300.0)), _DUPLICATE, {}, ValueError, "duplicate beacon id 'A'"),
+    (widest_pair, _dets(("A", 400.0, 300.0)), _DUPLICATE, None, ValueError, "duplicate beacon id 'A'"),
+    # detection count before distinct ids
+    (trilaterate_three, _dets(("A", 400.0, 300.0), ("A", 500.0, 300.0)), _PLAN, {},
+     ValueError, "expected 3 detections, got 2"),
+    # distinct ids before unknown ids
+    (locate_two, _dets(("Z", 400.0, 300.0), ("Z", 500.0, 300.0)), _PLAN, {},
+     ValueError, "detections must reference distinct beacons, got ['Z', 'Z']"),
+    # unknown id before a non-finite pixel
+    (trilaterate_three, _dets(("A", math.nan, 300.0), ("B", 500.0, 300.0), ("Q", 400.0, 400.0)), _PLAN, {},
+     UnknownBeacon, "beacon id(s) ['Q'] are not in the beacon set"),
+    (widest_pair, _dets(("A", math.nan, 300.0), ("B", 500.0, 300.0), ("Q", 400.0, 400.0)), _PLAN, None,
+     UnknownBeacon, "beacon id(s) ['Q'] are not in the beacon set"),
+    # non-finite pixel before unequal heights, and before too few detections in widest_pair
+    (locate_two, _dets(("A", 400.0, math.inf), ("B", 500.0, 300.0)), _TILTED, {},
+     ValueError, "beacon 'A' has non-finite pixel (400.0, inf)"),
+    (widest_pair, _dets(("A", 400.0, math.inf)), _PLAN, None, ValueError, "beacon 'A' has non-finite pixel (400.0, inf)"),
+    # unequal heights before a coincident projection
+    (trilaterate_three, _dets(("A", 400.0, 300.0), ("B", 400.0, 300.0), ("C", 400.0, 400.0)), _TILTED, {},
+     UnequalBeaconHeights, "beacon heights spread 1.0000 cm exceeds 0.1 cm"),
+    (locate_two, _dets(("A", 400.0, 300.0), ("B", 400.0, 300.0)), _TILTED, {},
+     UnequalBeaconHeights, "beacon heights spread 1.0000 cm exceeds 0.1 cm"),
+    # a coincident projection, pair by pair in combinations order, before collinear beacons
+    (trilaterate_three, _dets(("A", 400.0, 300.0), ("B", 450.0, 300.0), ("C", 450.0, 300.0)), _COLLINEAR, {},
+     CoincidentProjection, "beacons 'B' and 'C' project 0 mm apart"),
+    (trilaterate_three, _dets(("A", 450.0, 300.0), ("B", 400.0, 300.0), ("C", 450.0, 300.0)), _COLLINEAR, {},
+     CoincidentProjection, "beacons 'A' and 'C' project 0 mm apart"),
+    # collinear beacons before a position that overflows
+    (trilaterate_three, _dets(("A", 1e200, 300.0), ("B", 450.0, 300.0), ("C", 500.0, 300.0)), _COLLINEAR, {},
+     SingularGeometry, "beacons ['A', 'B', 'C'] are collinear or coincident in plan"),
+]
+
+
+@pytest.mark.parametrize("row", range(len(FAILURE_ORDER)))
+def test_failure_order_holds_on_first_and_repeated_calls(row):
+    locate, dets, beacons, kwargs, error, message = FAILURE_ORDER[row]
+    args = (dets, beacons) if kwargs is None else (dets, beacons, _K)
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            locate(*args, **(kwargs or {}))
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_duplicate_beacon_id_raises_on_every_call(intrinsics):
+    dets = _dets(("A", 400.0, 300.0), ("B", 500.0, 300.0), ("C", 400.0, 400.0))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="duplicate beacon id 'A'"):
+            trilaterate_three(dets, _DUPLICATE, intrinsics)
+        with pytest.raises(ValueError, match="duplicate beacon id 'A'"):
+            locate_two(dets[:2], _DUPLICATE, intrinsics)
+        with pytest.raises(ValueError, match="duplicate beacon id 'A'"):
+            widest_pair(dets, _DUPLICATE)
+
+
+noise = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@settings(max_examples=60)
+@given(
+    st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+    st.floats(-math.pi, math.pi),
+    st.lists(st.tuples(noise, noise), min_size=3, max_size=3),
+)
+def test_noisy_fixes_through_a_beacon_tuple_match_a_list_bit_for_bit(xy, yaw, offsets):
+    scene = make_scene((*xy, 0.0), yaw)
+    dets = [Detection(d.beacon_id, (d.pixel[0] + du, d.pixel[1] + dv)) for d, (du, dv) in zip(exact_detections(scene), offsets)]
+    k = scene.intrinsics
+    for beacons in (scene.beacons, list(scene.beacons)):
+        assert widest_pair(dets, beacons) == widest_pair(dets, list(scene.beacons))
+    for pair in (dets[:2], dets[1:], widest_pair(dets, scene.beacons)):
+        assert _outcome(locate_two, pair, scene.beacons, k) == _outcome(locate_two, pair, list(scene.beacons), k)
+    for mode in ("average", "first"):
+        got = _outcome(trilaterate_three, dets, scene.beacons, k, height_pair=mode)
+        assert got == _outcome(trilaterate_three, dets, list(scene.beacons), k, height_pair=mode)
