@@ -7,6 +7,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import reprlib
 import sys
 from dataclasses import replace
@@ -16,7 +17,7 @@ from typing import Sequence
 from . import __version__
 from .analysis import ErrorReport, compare_reports, error_stats
 from .calibration import calibrate_dispersion, calibrate_rotation
-from .errors import VlpError
+from .errors import EmptyInput, VlpError
 from .io import (
     _SEED_LIMIT,
     FixColumns,
@@ -106,6 +107,14 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
     if not all(map(math.isfinite, triple)):
         raise VlpError(f"{flag} expects finite numbers, got {text!r}")
     return triple  # type: ignore[return-value]
+
+
+def _read_ok_fixes(path: str) -> FixColumns:
+    """The ok rows of the fixes file at path; EmptyInput naming it when it has none."""
+    fixes = read_fixes_csv(path)
+    if not fixes.keys:
+        raise EmptyInput(f"{path}: no row has status ok")
+    return fixes
 
 
 def _integer(text: str) -> int:
@@ -257,7 +266,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     else:
         if not args.fixes:
             raise VlpError("dispersion calibration needs --fixes")
-        fixes = read_fixes_csv(args.fixes)
+        fixes = _read_ok_fixes(args.fixes)
         if args.ground_truth:
             truth = _parse_triple(args.ground_truth, "--ground-truth")
         else:
@@ -282,7 +291,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    fixes = read_fixes_csv(args.fixes)
+    fixes = _read_ok_fixes(args.fixes)
     truths = read_ground_truth_csv(args.ground_truth)
     report = _stats(fixes, truths, args.out, args.label)
     out = Path(args.out)
@@ -446,8 +455,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose X,Y,Z value may start with a minus sign. argparse reads a token
+# such as -41,7,0 as an option, not as the flag's value, unless it is attached
+# with "=".
+_TRIPLE_FLAGS = ("--at", "--ground-truth")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _names_triple_flag(token: str) -> bool:
+    """Whether token is a triple flag or an abbreviation argparse would expand to one."""
+    return len(token) > 2 and any(flag.startswith(token) for flag in _TRIPLE_FLAGS)
+
+
+def _attach_negative_triples(argv: Sequence[str]) -> list[str]:
+    """argv with each triple flag followed by a negative value written as flag=value."""
+    out: list[str] = []
+    for token in argv:
+        if out and _NEGATIVE_VALUE.match(token) and _names_triple_flag(out[-1]):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_negative_triples(sys.argv[1:] if argv is None else argv))
     # The per-row objects a command builds hold no reference cycles, so
     # refcounting frees them; the cyclic collector would only rescan them.
     # It is paused for the command and left as it was found.

@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from statistics import fmean
 from typing import Iterable, Sequence
 
@@ -27,6 +28,8 @@ EQUAL_HEIGHT_TOL_CM = 0.1
 COINCIDENT_PROJECTION_TOL_MM = 1e-6
 # Applied to the determinant of the trilateration system after row normalization.
 SINGULARITY_TOL = 1e-9
+
+_beacon_id = attrgetter("beacon_id")
 
 
 class Method(Enum):
@@ -78,68 +81,146 @@ def _beacon_index(beacons: Iterable[LedBeacon]) -> dict[str, LedBeacon]:
     return index
 
 
-def _resolve(
-    detections: Iterable[Detection], index: dict[str, LedBeacon], expected: int | None = None
-) -> list[Detection]:
-    """Detections sorted by id: distinct, known, finite, and exactly expected many when given."""
-    dets = sorted(detections, key=lambda d: d.beacon_id)
-    if expected is not None and len(dets) != expected:
-        raise ValueError(f"expected {expected} detections, got {len(dets)}")
-    ids = [d.beacon_id for d in dets]
+@dataclass(frozen=True, slots=True)
+class _Subset:
+    """What a fix takes from one id-sorted subset of the beacons alone, before any pixel is read."""
+
+    leds: tuple[LedBeacon, ...]  # in id order
+    unequal_heights: str | None  # the UnequalBeaconHeights message, None on one ceiling plane
+    pairs: tuple[tuple[int, int, float], ...]  # (a, b, world distance in cm), itertools.combinations order
+    widest: tuple[int, int] | None  # the first pair of greatest world distance
+    baseline: tuple[float, float, float] | None  # two beacons: world baseline angle, midpoint x and y
+    singular: str | None  # three beacons: the SingularGeometry message, None if the plan solves
+    plan: tuple[float, ...] | None  # three beacons: m00, m01, m10, m11, det and the constants of b0, b1
+
+
+def _solve_subset(ids: tuple[str, ...], index: dict[str, LedBeacon]) -> _Subset:
+    """The beacon geometry of the detected ids: distinct, known, sorted."""
     if len(set(ids)) != len(ids):
-        raise ValueError(f"detections must reference distinct beacons, got {ids}")
+        raise ValueError(f"detections must reference distinct beacons, got {list(ids)}")
     missing = [i for i in ids if i not in index]
     if missing:
         raise UnknownBeacon(f"beacon id(s) {missing} are not in the beacon set")
+    leds = tuple(index[i] for i in ids)
+    unequal_heights = None
+    if leds:
+        heights = [led.position[2] for led in leds]
+        spread = max(heights) - min(heights)
+        if spread > EQUAL_HEIGHT_TOL_CM:
+            unequal_heights = f"beacon heights spread {spread:.4f} cm exceeds {EQUAL_HEIGHT_TOL_CM} cm"
+    pairs = tuple(
+        (a, b, math.hypot(leds[a].position[0] - leds[b].position[0], leds[a].position[1] - leds[b].position[1]))
+        for a, b in itertools.combinations(range(len(leds)), 2)
+    )
+    widest = None
+    widest_dist = -1.0
+    for a, b, dist in pairs:
+        if dist > widest_dist:
+            widest, widest_dist = (a, b), dist
+    baseline = singular = plan = None
+    if len(leds) == 2:
+        (x1, y1), (x2, y2) = [(led.position[0], led.position[1]) for led in leds]
+        baseline = (math.atan2(y1 - y2, x1 - x2), (x1 + x2) / 2.0, (y1 + y2) / 2.0)
+    elif len(leds) == 3:
+        (x1, y1), (x2, y2), (x3, y3) = [(led.position[0], led.position[1]) for led in leds]
+        m00, m01 = x2 - x1, y2 - y1
+        m10, m11 = x3 - x1, y3 - y1
+        det = m00 * m11 - m01 * m10
+        scale = math.hypot(m00, m01) * math.hypot(m10, m11)
+        if scale == 0.0 or abs(det) < SINGULARITY_TOL * scale:
+            singular = f"beacons {list(ids)} are collinear or coincident in plan"
+        plan = (m00, m01, m10, m11, det, x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2, x1 * x1 + y1 * y1 - x3 * x3 - y3 * y3)
+    return _Subset(leds, unequal_heights, pairs, widest, baseline, singular, plan)
+
+
+class _Ceiling:
+    """One beacons argument: its id index, and the geometry of each id subset detected against it."""
+
+    __slots__ = ("beacons", "index", "subsets")
+
+    def __init__(self, beacons: Iterable[LedBeacon]) -> None:
+        self.beacons = beacons
+        self.index = _beacon_index(beacons)
+        self.subsets: dict[tuple[str, ...], _Subset] = {}
+
+    def subset(self, ids: tuple[str, ...]) -> _Subset:
+        sub = self.subsets.get(ids)
+        if sub is None:
+            sub = self.subsets[ids] = _solve_subset(ids, self.index)
+        return sub
+
+
+# The last beacons tuple whose values cannot change. A fix against the same
+# tuple object reuses its geometry. The reference keeps the tuple alive, so
+# its id is never recycled. Two threads racing here at worst solve the same
+# geometry twice.
+_last_ceiling: _Ceiling | None = None
+
+
+def _immutable(beacons: Iterable[LedBeacon]) -> bool:
+    return type(beacons) is tuple and all(
+        type(b) is LedBeacon
+        and type(b.position) is tuple
+        and all(type(c) is float or type(c) is int for c in b.position)
+        for b in beacons
+    )
+
+
+def _ceiling(beacons: Iterable[LedBeacon]) -> _Ceiling:
+    """The beacons' geometry: the last immutable tuple's again, else built afresh (raising on a duplicate id)."""
+    global _last_ceiling
+    last = _last_ceiling
+    if last is not None and last.beacons is beacons:
+        return last
+    ceiling = _Ceiling(beacons)
+    if _immutable(beacons):
+        _last_ceiling = ceiling
+    return ceiling
+
+
+def _resolve(
+    detections: Iterable[Detection], beacons: Iterable[LedBeacon], expected: int | None = None
+) -> tuple[list[Detection], _Subset]:
+    """Detections sorted by id (distinct, known, finite, exactly expected many if given) and their beacons' geometry."""
+    ceiling = _ceiling(beacons)
+    dets = sorted(detections, key=_beacon_id)
+    if expected is not None and len(dets) != expected:
+        raise ValueError(f"expected {expected} detections, got {len(dets)}")
+    sub = ceiling.subset(tuple(map(_beacon_id, dets)))
     for d in dets:
         u, v = d.pixel
         if not (math.isfinite(u) and math.isfinite(v)):
             raise ValueError(f"beacon {d.beacon_id!r} has non-finite pixel ({u}, {v})")
-    return dets
-
-
-def _check_shared_height(heights: Sequence[float]) -> None:
-    spread = max(heights) - min(heights)
-    if spread > EQUAL_HEIGHT_TOL_CM:
-        raise UnequalBeaconHeights(
-            f"beacon heights spread {spread:.4f} cm exceeds {EQUAL_HEIGHT_TOL_CM} cm"
-        )
+    return dets, sub
 
 
 def _observed(
     detections: Iterable[Detection], beacons: Iterable[LedBeacon], k: CameraIntrinsics, expected: int
-) -> tuple[list[LedBeacon], list[tuple[float, float]]]:
-    """Beacons and (i, j) image coordinates of exactly expected detections, in id order, on one ceiling plane."""
-    index = _beacon_index(beacons)
-    dets = _resolve(detections, index, expected)
-    leds = [index[d.beacon_id] for d in dets]
-    _check_shared_height([led.position[2] for led in leds])
-    return leds, [pixel_to_image(d.pixel, k) for d in dets]
+) -> tuple[_Subset, list[tuple[float, float]]]:
+    """Geometry and (i, j) image coordinates of exactly expected detections, in id order, on one ceiling plane."""
+    dets, sub = _resolve(detections, beacons, expected)
+    if sub.unequal_heights is not None:
+        raise UnequalBeaconHeights(sub.unequal_heights)
+    return sub, [pixel_to_image(d.pixel, k) for d in dets]
 
 
-def _pair_geometry(
-    img_a: tuple[float, float],
-    led_a: LedBeacon,
-    img_b: tuple[float, float],
-    led_b: LedBeacon,
-    k: CameraIntrinsics,
-) -> tuple[float, float, float]:
-    """Image-plane distance (mm), world-plane distance (cm) and camera height below one beacon pair (cm).
+def _pair_height(
+    imgs: Sequence[tuple[float, float]], sub: _Subset, pair: tuple[int, int, float], k: CameraIntrinsics
+) -> tuple[float, float]:
+    """Image-plane distance (mm) of one beacon pair and the camera height below it (cm).
 
     The ratio of the pair's ceiling distance to its image distance is the
     pinhole magnification; scaled by the focal length it gives the vertical
     camera distance below the beacon plane.
     """
-    d_img = math.hypot(img_a[0] - img_b[0], img_a[1] - img_b[1])
+    a, b, d_world = pair
+    (ia, ja), (ib, jb) = imgs[a], imgs[b]
+    d_img = math.hypot(ia - ib, ja - jb)
     if d_img < COINCIDENT_PROJECTION_TOL_MM:
         raise CoincidentProjection(
-            f"beacons {led_a.id!r} and {led_b.id!r} project {d_img:.3g} mm apart"
+            f"beacons {sub.leds[a].id!r} and {sub.leds[b].id!r} project {d_img:.3g} mm apart"
         )
-    d_world = math.hypot(
-        led_a.position[0] - led_b.position[0], led_a.position[1] - led_b.position[1]
-    )
-    height = d_world * MM_PER_CM / d_img * k.focal_length / MM_PER_CM
-    return d_img, d_world, height
+    return d_img, d_world * MM_PER_CM / d_img * k.focal_length / MM_PER_CM
 
 
 def _wrap_angle(a: float) -> float:
@@ -167,30 +248,21 @@ def trilaterate_three(
     """
     if height_pair not in ("average", "first"):
         raise ValueError(f"height_pair must be 'average' or 'first', got {height_pair!r}")
-    leds, imgs = _observed(detections, beacons, k, expected=3)
-    geoms = [
-        _pair_geometry(imgs[a], leds[a], imgs[b], leds[b], k)
-        for a, b in itertools.combinations(range(3), 2)
-    ]
-    heights = [height for _, _, height in geoms]
+    sub, imgs = _observed(detections, beacons, k, expected=3)
+    geoms = [_pair_height(imgs, sub, pair, k) for pair in sub.pairs]
+    heights = [height for _, height in geoms]
     height = heights[0] if height_pair == "first" else fmean(heights)
+    if sub.singular is not None:
+        raise SingularGeometry(sub.singular)
 
-    (x1, y1), (x2, y2), (x3, y3) = [(led.position[0], led.position[1]) for led in leds]
     # Horizontal world distance from the camera to each beacon.
     r1, r2, r3 = (height * math.hypot(i, j) / k.focal_length for i, j in imgs)
-    m00, m01 = x2 - x1, y2 - y1
-    m10, m11 = x3 - x1, y3 - y1
-    det = m00 * m11 - m01 * m10
-    scale = math.hypot(m00, m01) * math.hypot(m10, m11)
-    if scale == 0.0 or abs(det) < SINGULARITY_TOL * scale:
-        raise SingularGeometry(
-            f"beacons {[led.id for led in leds]} are collinear or coincident in plan"
-        )
-    b0 = r1 * r1 - r2 * r2 - (x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2)
-    b1 = r1 * r1 - r3 * r3 - (x1 * x1 + y1 * y1 - x3 * x3 - y3 * y3)
+    m00, m01, m10, m11, det, c0, c1 = sub.plan
+    b0 = r1 * r1 - r2 * r2 - c0
+    b1 = r1 * r1 - r3 * r3 - c1
     xc = 0.5 * (m11 * b0 - m01 * b1) / det
     yc = 0.5 * (m00 * b1 - m10 * b0) / det
-    position = (xc, yc, leds[0].position[2] - height)
+    position = (xc, yc, sub.leds[0].position[2] - height)
     # Finite but huge pixels overflow the squared radii.
     if not all(map(math.isfinite, position)):
         raise ValueError(f"three-led position {position} is not finite")
@@ -198,7 +270,7 @@ def trilaterate_three(
     diag = Diagnostics(
         height_cm=height,
         image_pair_distance_mm=geoms[0][0],
-        world_pair_distance_cm=geoms[0][1],
+        world_pair_distance_cm=sub.pairs[0][2],
     )
     return PositionFix(position, Method.THREE_LED, diag)
 
@@ -216,14 +288,13 @@ def locate_two(
     midpoint; rotating it into the world frame and subtracting from the
     world midpoint gives the camera position.
     """
-    (led1, led2), (img1, img2) = _observed(detections, beacons, k, expected=2)
-    d_img, d_world, height = _pair_geometry(img1, led1, img2, led2, k)
+    sub, imgs = _observed(detections, beacons, k, expected=2)
+    (pair,) = sub.pairs
+    d_img, height = _pair_height(imgs, sub, pair, k)
 
-    x1, y1 = led1.position[0], led1.position[1]
-    x2, y2 = led2.position[0], led2.position[1]
-    (i1, j1), (i2, j2) = img1, img2
+    phi_world, mid_x, mid_y = sub.baseline
+    (i1, j1), (i2, j2) = imgs
     phi_image = math.atan2(j1 - j2, i1 - i2)
-    phi_world = math.atan2(y1 - y2, x1 - x2)
     yaw = _wrap_angle(phi_world - phi_image)
 
     mid_i = (i1 + i2) / 2.0
@@ -234,16 +305,16 @@ def locate_two(
     cos_y, sin_y = math.cos(yaw), math.sin(yaw)
     off_wx = cos_y * off_x - sin_y * off_y
     off_wy = sin_y * off_x + cos_y * off_y
-    xc = (x1 + x2) / 2.0 - off_wx
-    yc = (y1 + y2) / 2.0 - off_wy
+    xc = mid_x - off_wx
+    yc = mid_y - off_wy
 
     diag = Diagnostics(
         height_cm=height,
         image_pair_distance_mm=d_img,
-        world_pair_distance_cm=d_world,
+        world_pair_distance_cm=pair[2],
         yaw_rad=yaw,
     )
-    return PositionFix((xc, yc, led1.position[2] - height), Method.TWO_LED, diag)
+    return PositionFix((xc, yc, sub.leds[0].position[2] - height), Method.TWO_LED, diag)
 
 
 def widest_pair(
@@ -254,17 +325,9 @@ def widest_pair(
     The longest baseline gives the height stage the most leverage against
     pixel noise. Ties break toward the lexicographically smallest id pair.
     """
-    index = _beacon_index(beacons)
-    dets = _resolve(detections, index)
+    dets, sub = _resolve(detections, beacons)
     if len(dets) < 2:
         raise ValueError(f"need at least 2 detections, got {len(dets)}")
-    best: tuple[Detection, Detection] | None = None
-    best_dist = -1.0
-    for da, db in itertools.combinations(dets, 2):
-        pa = index[da.beacon_id].position
-        pb = index[db.beacon_id].position
-        dist = math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-        if dist > best_dist:
-            best, best_dist = (da, db), dist
-    assert best is not None
-    return best
+    assert sub.widest is not None
+    a, b = sub.widest
+    return dets[a], dets[b]

@@ -24,6 +24,7 @@ from vlpkit.simulator import (
     SWEEP_ANGLES_12,
     CameraPose,
     NoiseModel,
+    default_grid,
     default_scene,
     rotation_sweep,
 )
@@ -780,6 +781,65 @@ def test_non_finite_triple_names_its_flag(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {flag} expects finite numbers, got '{text}'\n"
+
+
+@pytest.mark.parametrize("x, y", [(p[0], p[1]) for p in default_grid()[::7]])
+def test_at_takes_a_negative_x_as_its_own_token(tmp_path, x, y):
+    at = f"{x:g},{y:g},0"
+    forms = {"token": ["--at", at], "abbreviated": ["--a", at], "attached": [f"--at={at}"]}
+    for form, args in forms.items():
+        assert main(["simulate", *args, "--trials", "2", "--out", str(tmp_path / form)]) == 0
+    truths = read_ground_truth_csv(tmp_path / "token" / "ground_truth.csv")
+    assert {row[:3] for row in truths.values()} == {(x, y, 0.0)}
+    for form in ("token", "abbreviated"):
+        for name in ("detections.csv", "ground_truth.csv"):
+            assert (tmp_path / form / name).read_bytes() == (tmp_path / "attached" / name).read_bytes()
+
+
+def test_ground_truth_takes_a_negative_x_as_its_own_token(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--at=-41,7,0", "--trials", "4", "--out", str(sim)]) == 0
+    argv = ["locate", "--scene", str(sim / "scene.json"), "--detections", str(sim / "detections.csv")]
+    assert main([*argv, "--out", str(tmp_path / "loc")]) == 0
+    argv = ["calibrate", "--scene", str(sim / "scene.json"), "--calibration", "dispersion"]
+    argv += ["--fixes", str(tmp_path / "loc" / "fixes.csv")]
+    assert main([*argv, "--ground-truth", "-41,7,0", "--out", str(tmp_path / "token")]) == 0
+    assert main([*argv, "--ground-truth=-41,7,0", "--out", str(tmp_path / "attached")]) == 0
+    token = (tmp_path / "token" / "calibration.txt").read_text()
+    assert token == (tmp_path / "attached" / "calibration.txt").read_text()
+    assert main([*argv, "--out", str(tmp_path / "scene_pose")]) == 0
+    assert (tmp_path / "scene_pose" / "calibration.txt").read_text() != token
+
+
+@pytest.mark.parametrize("flag", ["--at", "--ground-truth"])
+def test_a_triple_flag_does_not_swallow_the_next_option(tmp_path, capsys, flag):
+    command = "simulate" if flag == "--at" else "calibrate"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main([command, flag, "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _fixes_without_an_ok_row(tmp_path):
+    failed = '0,0,three-led,error,,,,,,,,"expected 3 detections, got 2"'
+    return _write_lines(tmp_path / "fixes.csv", ",".join(FIX_COLUMNS), failed)
+
+
+@pytest.mark.parametrize("command", ["stats", "calibrate"])
+def test_a_fixes_file_without_an_ok_row_is_named(tmp_path, capsys, command):
+    fixes = _fixes_without_an_ok_row(tmp_path)
+    if command == "stats":
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--at=0,0,0", "--trials", "1", "--out", str(sim)]) == 0
+        argv = ["stats", "--fixes", fixes, "--ground-truth", str(sim / "ground_truth.csv")]
+    else:
+        argv = ["calibrate", "--scene", _default_scene_file(tmp_path), "--calibration", "dispersion", "--fixes", fixes]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {fixes}: no row has status ok\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "replicate"])
