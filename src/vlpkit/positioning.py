@@ -128,7 +128,7 @@ def _solve_subset(ids: tuple[str, ...], index: dict[str, LedBeacon]) -> _Subset:
         det = m00 * m11 - m01 * m10
         scale = math.hypot(m00, m01) * math.hypot(m10, m11)
         if scale == 0.0 or abs(det) < SINGULARITY_TOL * scale:
-            singular = f"beacons {list(ids)} are collinear or coincident in plan"
+            singular = f"beacons {[led.id for led in leds]} are collinear or coincident in plan"
         plan = (m00, m01, m10, m11, det, x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2, x1 * x1 + y1 * y1 - x3 * x3 - y3 * y3)
     return _Subset(leds, unequal_heights, pairs, widest, baseline, singular, plan)
 
