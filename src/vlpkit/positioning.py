@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from statistics import fmean
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .camera import MM_PER_CM, CameraIntrinsics, pixel_to_image
 from .errors import (
@@ -81,8 +81,7 @@ def _beacon_index(beacons: Iterable[LedBeacon]) -> dict[str, LedBeacon]:
     return index
 
 
-@dataclass(frozen=True, slots=True)
-class _Subset:
+class _Subset(NamedTuple):
     """What a fix takes from one id-sorted subset of the beacons alone, before any pixel is read."""
 
     leds: tuple[LedBeacon, ...]  # in id order
@@ -101,16 +100,19 @@ def _solve_subset(ids: tuple[str, ...], index: dict[str, LedBeacon]) -> _Subset:
     missing = [i for i in ids if i not in index]
     if missing:
         raise UnknownBeacon(f"beacon id(s) {missing} are not in the beacon set")
-    leds = tuple(index[i] for i in ids)
+    leds = tuple([index[i] for i in ids])
     unequal_heights = None
     if leds:
         heights = [led.position[2] for led in leds]
         spread = max(heights) - min(heights)
         if spread > EQUAL_HEIGHT_TOL_CM:
             unequal_heights = f"beacon heights spread {spread:.4f} cm exceeds {EQUAL_HEIGHT_TOL_CM} cm"
+    xy = [(led.position[0], led.position[1]) for led in leds]
     pairs = tuple(
-        (a, b, math.hypot(leds[a].position[0] - leds[b].position[0], leds[a].position[1] - leds[b].position[1]))
-        for a, b in itertools.combinations(range(len(leds)), 2)
+        [
+            (a, b, math.hypot(xy[a][0] - xy[b][0], xy[a][1] - xy[b][1]))
+            for a, b in itertools.combinations(range(len(xy)), 2)
+        ]
     )
     widest = None
     widest_dist = -1.0
@@ -118,11 +120,11 @@ def _solve_subset(ids: tuple[str, ...], index: dict[str, LedBeacon]) -> _Subset:
         if dist > widest_dist:
             widest, widest_dist = (a, b), dist
     baseline = singular = plan = None
-    if len(leds) == 2:
-        (x1, y1), (x2, y2) = [(led.position[0], led.position[1]) for led in leds]
+    if len(xy) == 2:
+        (x1, y1), (x2, y2) = xy
         baseline = (math.atan2(y1 - y2, x1 - x2), (x1 + x2) / 2.0, (y1 + y2) / 2.0)
-    elif len(leds) == 3:
-        (x1, y1), (x2, y2), (x3, y3) = [(led.position[0], led.position[1]) for led in leds]
+    elif len(xy) == 3:
+        (x1, y1), (x2, y2), (x3, y3) = xy
         m00, m01 = x2 - x1, y2 - y1
         m10, m11 = x3 - x1, y3 - y1
         det = m00 * m11 - m01 * m10
