@@ -215,12 +215,7 @@ def _stats(
     prefix: str,
 ) -> ErrorReport:
     """Error report of the fixes against the truth for each key, written to out."""
-    try:
-        true_positions = [truths[key][:3] for key in fixes.keys]
-    except KeyError as err:
-        point, trial = err.args[0]
-        raise VlpError(f"no ground truth for trial {point}/{trial}") from None
-    report = error_stats(fixes.positions, true_positions)
+    report = error_stats(fixes.positions, [truths[key][:3] for key in fixes.keys])
     write_error_report(report, fixes.keys, _out_dir(out), prefix)
     return report
 
@@ -293,6 +288,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     fixes = _read_ok_fixes(args.fixes)
     truths = read_ground_truth_csv(args.ground_truth)
+    missing = next((key for key in fixes.keys if key not in truths), None)
+    if missing is not None:
+        raise VlpError(f"{args.ground_truth}: no ground truth for trial {missing[0]}/{missing[1]}")
     report = _stats(fixes, truths, args.out, args.label)
     out = Path(args.out)
     lines = report_summary_lines(report, args.label)

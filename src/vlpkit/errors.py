@@ -25,10 +25,6 @@ class InsufficientTracks(VlpError):
     """No rotation track could be fitted."""
 
 
-class MissingDiagnostics(VlpError):
-    """A position fix lacks the intermediates required here."""
-
-
 class EmptyInput(VlpError):
     """An operation received no data."""
 

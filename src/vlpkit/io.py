@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import ErrorReport, ReportComparison
 from .calibration import CircleFit, DispersionSummary
 from .camera import CameraIntrinsics
-from .errors import InputFormatError, MissingDiagnostics, SceneConfigError
+from .errors import InputFormatError, SceneConfigError
 from .positioning import Detection, LedBeacon, Method, PositionFix
 from .simulator import CameraPose, NoiseModel, SceneConfig, TrialRecord
 
@@ -406,8 +406,6 @@ def write_fixes_csv(
                 yield FIX_ERROR_LINE % (point, trial, text[method.value], text[message])
                 continue
             diag = fix.diagnostics
-            if diag is None:
-                raise MissingDiagnostics(f"fix of trial {point}/{trial} has no diagnostics to write")
             yaw = "" if diag.yaw_rad is None else fmt(diag.yaw_rad)
             yield FIX_LINE % (
                 point,

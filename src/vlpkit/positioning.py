@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, is_
 from statistics import fmean
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,6 +45,16 @@ class LedBeacon:
     id: str
     position: tuple[float, float, float]
 
+    def __post_init__(self) -> None:
+        given = self.position
+        if isinstance(given, str) or len(given) != 3:
+            raise ValueError(f"beacon {self.id!r}: position must be 3 numbers, got {reprlib.repr(given)}")
+        xyz = tuple([float(c) for c in given])
+        if not all(map(math.isfinite, xyz)):
+            raise ValueError(f"beacon {self.id!r}: position {xyz} is not finite")
+        # A copy of plain floats: nothing the caller keeps can move the beacon.
+        object.__setattr__(self, "position", xyz)
+
 
 @dataclass(frozen=True, slots=True)
 class Detection:
@@ -69,7 +80,7 @@ class PositionFix:
 
     position: tuple[float, float, float]
     method: Method
-    diagnostics: Diagnostics | None = None
+    diagnostics: Diagnostics
 
 
 def _beacon_index(beacons: Iterable[LedBeacon]) -> dict[str, LedBeacon]:
@@ -135,60 +146,39 @@ def _solve_subset(ids: tuple[str, ...], index: dict[str, LedBeacon]) -> _Subset:
     return _Subset(leds, unequal_heights, pairs, widest, baseline, singular, plan)
 
 
-class _Ceiling:
-    """One beacons argument: its id index, and the geometry of each id subset detected against it."""
-
-    __slots__ = ("beacons", "index", "subsets")
-
-    def __init__(self, beacons: Iterable[LedBeacon]) -> None:
-        self.beacons = beacons
-        self.index = _beacon_index(beacons)
-        self.subsets: dict[tuple[str, ...], _Subset] = {}
-
-    def subset(self, ids: tuple[str, ...]) -> _Subset:
-        sub = self.subsets.get(ids)
-        if sub is None:
-            sub = self.subsets[ids] = _solve_subset(ids, self.index)
-        return sub
-
-
-# The last beacons tuple whose values cannot change. A fix against the same
-# tuple object reuses its geometry. The reference keeps the tuple alive, so
-# its id is never recycled. Two threads racing here at worst solve the same
-# geometry twice.
-_last_ceiling: _Ceiling | None = None
-
-
-def _immutable(beacons: Iterable[LedBeacon]) -> bool:
-    return type(beacons) is tuple and all(
-        type(b) is LedBeacon
-        and type(b.position) is tuple
-        and all(type(c) is float or type(c) is int for c in b.position)
-        for b in beacons
-    )
+# The last beacons seen, their id index and the geometry of each id subset
+# detected against them. A beacon is frozen and holds plain floats, so the same
+# beacon objects in the same order have the same geometry. The stored tuple
+# keeps them alive, so their ids are never recycled. Two threads racing here at
+# worst solve the same geometry twice.
+_Ceiling = tuple[tuple[LedBeacon, ...], dict[str, LedBeacon], dict[tuple[str, ...], _Subset]]
+_last: _Ceiling | None = None
 
 
 def _ceiling(beacons: Iterable[LedBeacon]) -> _Ceiling:
-    """The beacons' geometry: the last immutable tuple's again, else built afresh (raising on a duplicate id)."""
-    global _last_ceiling
-    last = _last_ceiling
-    if last is not None and last.beacons is beacons:
-        return last
-    ceiling = _Ceiling(beacons)
-    if _immutable(beacons):
-        _last_ceiling = ceiling
-    return ceiling
+    """The beacons, their id index and subset geometry: the last call's again if these are the same beacon objects."""
+    global _last
+    last = _last
+    if last is None or last[0] is not beacons:
+        beacons = tuple(beacons)
+        if last is None or len(last[0]) != len(beacons) or not all(map(is_, last[0], beacons)):
+            # A duplicate id raises here, before anything is stored, so it raises on every call.
+            _last = last = (beacons, _beacon_index(beacons), {})
+    return last
 
 
 def _resolve(
     detections: Iterable[Detection], beacons: Iterable[LedBeacon], expected: int | None = None
 ) -> tuple[list[Detection], _Subset]:
     """Detections sorted by id (distinct, known, finite, exactly expected many if given) and their beacons' geometry."""
-    ceiling = _ceiling(beacons)
+    _, index, subsets = _ceiling(beacons)
     dets = sorted(detections, key=_beacon_id)
     if expected is not None and len(dets) != expected:
         raise ValueError(f"expected {expected} detections, got {len(dets)}")
-    sub = ceiling.subset(tuple(map(_beacon_id, dets)))
+    ids = tuple(map(_beacon_id, dets))
+    sub = subsets.get(ids)
+    if sub is None:
+        sub = subsets[ids] = _solve_subset(ids, index)
     for d in dets:
         u, v = d.pixel
         if not (math.isfinite(u) and math.isfinite(v)):
@@ -330,6 +320,5 @@ def widest_pair(
     dets, sub = _resolve(detections, beacons)
     if len(dets) < 2:
         raise ValueError(f"need at least 2 detections, got {len(dets)}")
-    assert sub.widest is not None
     a, b = sub.widest
     return dets[a], dets[b]

@@ -361,6 +361,18 @@ def test_stats_missing_truth_row_fails(tmp_path, capsys):
     assert "no ground truth" in capsys.readouterr().err
 
 
+def test_stats_names_the_ground_truth_file_that_lacks_a_trial(tmp_path, capsys):
+    sim, loc = tmp_path / "sim", tmp_path / "loc"
+    main(["simulate", "--out", str(sim), "--trials", "1", "--at", "1,2,0"])
+    main(["locate", "--scene", str(sim / "scene.json"), "--detections", str(sim / "detections.csv"), "--out", str(loc)])
+    truth = sim / "header_only.csv"
+    truth.write_text((sim / "ground_truth.csv").read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    rc = main(["stats", "--fixes", str(loc / "fixes.csv"), "--ground-truth", str(truth), "--out", str(tmp_path / "stats")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {truth}: no ground truth for trial 0/0\n"
+
+
 def test_missing_scene_file_is_a_clean_error(tmp_path, capsys):
     rc = main(
         [

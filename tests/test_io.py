@@ -17,7 +17,6 @@ from vlpkit import (
     ErrorReport,
     InputFormatError,
     Method,
-    MissingDiagnostics,
     NoiseModel,
     PositionFix,
     SceneConfigError,
@@ -854,12 +853,6 @@ def test_error_report_writer_matches_a_csv_writer_reference(tmp_path_factory, ke
     }
     for name, (header, rows) in tables.items():
         assert (out / name).read_bytes() == reference_csv(out / "ref.csv", header, rows), name
-
-
-def test_fixes_writer_rejects_an_ok_fix_without_diagnostics(tmp_path):
-    rows = [(0, 0, Method.THREE_LED, PositionFix((1.0, 2.0, 3.0), Method.THREE_LED), "")]
-    with pytest.raises(MissingDiagnostics, match="0/0"):
-        write_fixes_csv(rows, tmp_path / "fixes.csv")
 
 
 # --- report files ---

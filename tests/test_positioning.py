@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vlpkit.positioning as positioning
 import vlpkit.simulator as sim
 from vlpkit import (
     CoincidentProjection,
@@ -415,7 +417,29 @@ def test_widest_pair_rejects_repeated_and_unknown_beacons(ceiling_beacons):
         widest_pair([d1, d2, Detection("L9", (420.0, 300.0))], ceiling_beacons)
 
 
-# --- geometry reused per beacons tuple and detected subset ---
+# --- beacons: validated, immutable, geometry reused per detected subset ---
+
+
+@pytest.mark.parametrize(
+    "position",
+    [(math.nan, 0.0, 150.0), (0.0, math.inf, 150.0), (0.0, 0.0, -math.inf), (0.0, 150.0), (0.0, 0.0, 150.0, 1.0), "xyz"],
+)
+def test_a_beacon_rejects_a_position_that_is_not_three_finite_numbers(position):
+    with pytest.raises(ValueError, match="^beacon 'A': position "):
+        LedBeacon("A", position)
+
+
+def test_a_nan_beacon_fails_when_built_not_as_an_all_nan_fix():
+    with pytest.raises(ValueError) as info:
+        LedBeacon("A", (math.nan, 0.0, 150.0))
+    assert str(info.value) == "beacon 'A': position (nan, 0.0, 150.0) is not finite"
+
+
+def test_a_beacon_holds_a_tuple_of_plain_floats():
+    beacon = LedBeacon("A", [1, np.float64(2.5), 150])
+    assert beacon.position == (1.0, 2.5, 150.0)
+    assert type(beacon.position) is tuple and all(type(c) is float for c in beacon.position)
+
 
 SHIFTED_BEACONS = tuple(
     LedBeacon(b.id, (b.position[0] + 12.5, b.position[1] - 7.25, b.position[2] + 20.0)) for b in sim.DEFAULT_BEACONS
@@ -450,14 +474,33 @@ def test_fixes_alternating_between_beacon_tuples_match_fresh_list_copies():
     assert len({_outcome(trilaterate_three, exact_detections(s), s.beacons, s.intrinsics) for s in scenes}) == 2
 
 
-def test_a_beacon_position_that_is_not_a_tuple_is_read_on_every_call(intrinsics):
+def test_changing_a_list_after_building_a_beacon_from_it_moves_neither_the_beacon_nor_a_fix(intrinsics):
     position = [0.0, 0.0, 150.0]
     beacons = (LedBeacon("A", position), LedBeacon("B", (100.0, 0.0, 150.0)))
     dets = [Detection("A", (400.0, 300.0)), Detection("B", (600.0, 300.0))]
-    before = locate_two(dets, beacons, intrinsics)
+    before = repr(locate_two(dets, beacons, intrinsics))
     position[0] = -100.0
-    after = locate_two(dets, beacons, intrinsics)
-    assert after.diagnostics.world_pair_distance_cm == 2 * before.diagnostics.world_pair_distance_cm
+    assert beacons[0].position == (0.0, 0.0, 150.0)
+    assert repr(locate_two(dets, beacons, intrinsics)) == before
+    assert repr(locate_two(dets, list(beacons), intrinsics)) == before
+
+
+def test_fresh_lists_of_the_same_beacons_solve_each_subset_once(monkeypatch):
+    solved = []
+
+    def counting(ids, index):
+        solved.append(ids)
+        return solve(ids, index)
+
+    solve = positioning._solve_subset
+    monkeypatch.setattr(positioning, "_solve_subset", counting)
+    monkeypatch.setattr(positioning, "_last", None)
+    scene = make_scene((3.0, -4.0, 0.0), 0.4)
+    dets = exact_detections(scene)
+    for _ in range(100):
+        trilaterate_three(dets, list(scene.beacons), scene.intrinsics)
+        locate_two(widest_pair(dets, list(scene.beacons)), list(scene.beacons), scene.intrinsics)
+    assert solved == [("L1", "L2", "L3"), ("L1", "L3")]
 
 
 _K = sim.default_intrinsics()
