@@ -125,6 +125,22 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
 
 
+# A word this long in a message to stderr, a path or value the user gave, is echoed by its ends.
+_LONG_WORD = re.compile(r"\S{200,}")
+
+
+def _shorten(message: str) -> str:
+    """message with each word of 200 or more characters cut to its first 40 and last 20."""
+    return _LONG_WORD.sub(lambda m: f"{m.group()[:40]}...{m.group()[-20:]}", message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors, subcommands' too, shorten the long words they echo."""
+
+    def error(self, message: str):
+        super().error(_shorten(message))
+
+
 def _scene(args: argparse.Namespace, default: SceneConfig) -> SceneConfig:
     """The --scene file, or default, with --seed overriding its seed."""
     if args.seed is not None and not 0 <= args.seed < _SEED_LIMIT:
@@ -181,18 +197,21 @@ def _locate(
     method: Method,
     height_pair: str,
     path: Path,
+    check_sensor: bool = False,
 ) -> list[tuple[int, int, Method, PositionFix | None, str]]:
     """One fixes row per (point, trial, detections) group, written to path.
 
-    A group with a pixel off the sensor fails. A failed row keeps its message;
-    stderr gets one line per exception type.
+    With check_sensor, for groups read from a detections file, a group with a
+    pixel off the sensor fails; observe's groups are on it by construction. A
+    failed row keeps its message; stderr gets one line per exception type.
     """
     rows = []
     failures: dict[str, list] = {}
     width, height = intrinsics.resolution
     for point, trial, dets in groups:
         try:
-            _check_on_sensor(dets, width, height)
+            if check_sensor:
+                _check_on_sensor(dets, width, height)
             rows.append((point, trial, method, compute_fix(dets, beacons, intrinsics, method, height_pair), ""))
         except (VlpError, ValueError) as err:
             message = str(err)
@@ -203,7 +222,7 @@ def _locate(
             else:
                 tally[0] += 1
     for name, (count, first) in failures.items():
-        print(f"warning: {count} trial(s) failed with {name}, first {first}", file=sys.stderr)
+        print(_shorten(f"warning: {count} trial(s) failed with {name}, first {first}"), file=sys.stderr)
     write_fixes_csv(rows, path)
     return rows
 
@@ -241,7 +260,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     method = Method(args.method)
     height_pair = "first" if args.paper_faithful_h else "average"
     out = _out_dir(args.out)
-    rows = _locate(groups, scene.beacons, scene.intrinsics, method, height_pair, out / "fixes.csv")
+    rows = _locate(groups, scene.beacons, scene.intrinsics, method, height_pair, out / "fixes.csv", check_sensor=True)
     _write_manifest(out, "locate", scene, args)
     ok = sum(1 for row in rows if row[3] is not None)
     print(f"located {ok}/{len(rows)} trials ({method.value}) -> {out / 'fixes.csv'}")
@@ -398,7 +417,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vlpkit",
         description="LED-beacon camera positioning: simulation, localization, calibration, analysis",
     )
@@ -487,7 +506,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     # ValueError: an argument the library rejects; OSError: an unusable --out path.
     except (VlpError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_shorten(str(err))}", file=sys.stderr)
         return 1
     finally:
         if collecting:

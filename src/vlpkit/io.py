@@ -334,16 +334,26 @@ def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> No
 def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection]]]:
     """Detection rows grouped by (point_index, trial_index).
 
-    Files without index columns are treated as a single trial (0, 0).
+    Files without index columns are treated as a single trial (0, 0). Rows
+    with the same (beacon_id, u_px, v_px) text share one Detection, and the
+    index is parsed once per run of rows with the same index text.
     """
     groups: dict[tuple[int, int], list[Detection]] = {}
+    shared: dict[tuple[str, str, str], Detection] = {}
+    dets: list[Detection] | None = None
+    point_text = trial_text = None
     # The index columns are optional.
     with _csv_rows(path, DETECTION_COLUMNS[2:], DETECTION_COLUMNS[:2]) as (rows, col):
         point, trial, beacon, u, v = map(col.get, DETECTION_COLUMNS)
         for row in rows:
-            key = (int(row[point] or 0), int(row[trial] or 0))
-            det = Detection(row[beacon], (float(row[u]), float(row[v])))
-            groups.setdefault(key, []).append(det)
+            if dets is None or row[point] != point_text or row[trial] != trial_text:
+                point_text, trial_text = row[point], row[trial]
+                dets = groups.setdefault((int(point_text or 0), int(trial_text or 0)), [])
+            text = (row[beacon], row[u], row[v])
+            det = shared.get(text)
+            if det is None:
+                det = shared[text] = Detection(text[0], (float(text[1]), float(text[2])))
+            dets.append(det)
     return [(p, t, dets) for (p, t), dets in sorted(groups.items())]
 
 
@@ -356,18 +366,26 @@ def write_ground_truth_csv(records: Sequence[TrialRecord], path: str | Path) -> 
 
 
 def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float, float, float, float]]:
-    """Maps (point_index, trial_index) to (x, y, z, yaw)."""
+    """Maps (point_index, trial_index) to (x, y, z, yaw).
+
+    Rows with the same (x_cm, y_cm, z_cm, yaw_rad) text share one pose tuple.
+    """
     truths: dict[tuple[int, int], tuple[float, float, float, float]] = {}
+    poses: dict[tuple[str, str, str, str | None], tuple[float, float, float, float]] = {}
     isfinite = math.isfinite
     # yaw_rad is optional and seed is not read.
     with _csv_rows(path, TRUTH_COLUMNS[:5], ["yaw_rad"]) as (rows, col):
         point, trial, x, y, z, yaw = map(col.get, TRUTH_COLUMNS[:6])
         for row in rows:
-            # _finite's check inline; _finite itself runs only to raise its message.
-            xyz = float(row[x]), float(row[y]), float(row[z])
-            if not (isfinite(xyz[0]) and isfinite(xyz[1]) and isfinite(xyz[2])):
-                _finite(row[x], row[y], row[z])
-            truths[int(row[point]), int(row[trial])] = (*xyz, float(row[yaw] or 0.0))
+            text = (row[x], row[y], row[z], row[yaw])
+            pose = poses.get(text)
+            if pose is None:
+                # _finite's check inline; _finite itself runs only to raise its message.
+                xyz = float(text[0]), float(text[1]), float(text[2])
+                if not (isfinite(xyz[0]) and isfinite(xyz[1]) and isfinite(xyz[2])):
+                    _finite(*text[:3])
+                pose = poses[text] = (*xyz, float(text[3] or 0.0))
+            truths[int(row[point]), int(row[trial])] = pose
     return truths
 
 

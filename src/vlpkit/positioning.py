@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 import reprlib
+from collections.abc import Sized
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from operator import attrgetter, is_
 from statistics import fmean
 from typing import Iterable, NamedTuple, Sequence
@@ -47,9 +49,18 @@ class LedBeacon:
 
     def __post_init__(self) -> None:
         given = self.position
-        if isinstance(given, str) or len(given) != 3:
+        # Python and numpy numbers only: float() would also take text and bytes, and a bool is no coordinate.
+        if (
+            isinstance(given, (str, bytes))
+            or not isinstance(given, Sized)
+            or len(given) != 3
+            or not all(isinstance(c, Real) and not isinstance(c, bool) for c in given)
+        ):
             raise ValueError(f"beacon {self.id!r}: position must be 3 numbers, got {reprlib.repr(given)}")
-        xyz = tuple([float(c) for c in given])
+        try:
+            xyz = tuple([float(c) for c in given])
+        except OverflowError:  # an integer too large for a float
+            raise ValueError(f"beacon {self.id!r}: position {reprlib.repr(given)} is not finite") from None
         if not all(map(math.isfinite, xyz)):
             raise ValueError(f"beacon {self.id!r}: position {xyz} is not finite")
         # A copy of plain floats: nothing the caller keeps can move the beacon.

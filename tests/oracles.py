@@ -72,3 +72,31 @@ def naive_stats(errors):
         total += v
     rank = math.ceil(0.9 * n)
     return total / n, values[-1], values[rank - 1]
+
+
+def row_by_row_detections(path):
+    """read_detections_csv as one Detection and one index parse per row, with no sharing."""
+    from vlpkit.io import DETECTION_COLUMNS, _csv_rows
+    from vlpkit.positioning import Detection
+
+    groups = {}
+    with _csv_rows(path, DETECTION_COLUMNS[2:], DETECTION_COLUMNS[:2]) as (rows, col):
+        point, trial, beacon, u, v = map(col.get, DETECTION_COLUMNS)
+        for row in rows:
+            key = (int(row[point] or 0), int(row[trial] or 0))
+            det = Detection(row[beacon], (float(row[u]), float(row[v])))
+            groups.setdefault(key, []).append(det)
+    return [(p, t, dets) for (p, t), dets in sorted(groups.items())]
+
+
+def row_by_row_ground_truth(path):
+    """read_ground_truth_csv as one parse and finite check per row, with no sharing."""
+    from vlpkit.io import TRUTH_COLUMNS, _csv_rows, _finite
+
+    truths = {}
+    with _csv_rows(path, TRUTH_COLUMNS[:5], ["yaw_rad"]) as (rows, col):
+        point, trial, x, y, z, yaw = map(col.get, TRUTH_COLUMNS[:6])
+        for row in rows:
+            xyz = _finite(row[x], row[y], row[z])
+            truths[int(row[point]), int(row[trial])] = (*xyz, float(row[yaw] or 0.0))
+    return truths

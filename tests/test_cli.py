@@ -1,13 +1,21 @@
 """End-to-end checks of the command-line surface."""
 
+import argparse
 import csv
 import gc
 import hashlib
+import io
 import json
+import os
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from vlpkit import cli
 from vlpkit.cli import main, replicate_scene
@@ -522,6 +530,17 @@ def _locate_with_trial_0_0_u(tmp_path, method, u_px):
         return list(csv.DictReader(handle)), sim
 
 
+def test_only_rows_read_from_a_detections_file_are_checked_against_the_sensor(tmp_path, monkeypatch):
+    # replicate's rows come from observe, which keeps only pixels on the sensor.
+    checked = []
+    check = cli._check_on_sensor
+    monkeypatch.setattr(cli, "_check_on_sensor", lambda dets, *size: checked.append(len(dets)) or check(dets, *size))
+    assert main(["replicate", "--out", str(tmp_path / "rep")]) == 0
+    assert checked == []
+    _locate_with_trial_0_0_u(tmp_path, "three-led", "400")
+    assert checked == [3] * 72
+
+
 def _assert_only_trial_0_0_fails(tmp_path, method, u_px):
     """Locate 72 simulated trials after setting trial 0/0's first u_px; only that row may fail. Returns its message."""
     rows, sim = _locate_with_trial_0_0_u(tmp_path, method, u_px)
@@ -883,6 +902,33 @@ def test_integer_flag_too_long_for_int_is_echoed_short(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["locate", "--scene", "s.json", "--detections", "d.csv", "--method", "9" * 400], 2),
+        (["replicate", "9" * 400], 2),
+        (["simulate", "--at", "9" * 400], 1),
+        (["simulate", "--scene", "9" * 5_000], 1),
+    ],
+    ids=["choice", "unrecognized", "triple", "path-too-long"],
+)
+def test_a_long_value_is_echoed_by_its_ends(tmp_path, capsys, argv, code):
+    capsys.readouterr()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "out")]) == code
+    except SystemExit as exit_:
+        assert exit_.code == code
+    err = capsys.readouterr().err
+    # The word may start or end with a quote or a colon.
+    assert re.search(r"\b9{39,40}\.\.\.9{19,20}\b", err) and "9" * 41 not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_message_under_200_characters_a_word_is_echoed_whole():
+    assert cli._shorten("x" * 199 + " " + "y" * 10) == "x" * 199 + " " + "y" * 10
+    assert cli._shorten("'" + "x" * 199) == "'" + "x" * 39 + "..." + "x" * 20
+
+
 @pytest.mark.parametrize("trials", ["0", "20000"])
 def test_trials_outside_its_range_names_the_flag(tmp_path, capsys, trials):
     capsys.readouterr()
@@ -946,3 +992,114 @@ def test_cyclic_garbage_of_a_command_chain_does_not_grow_with_the_input(tmp_path
     small = cyclic_garbage(2)
     assert "failed with ValueError" in capsys.readouterr().err
     assert cyclic_garbage(12) == small
+
+
+def _subcommands():
+    """Each subcommand's parser, read from the CLI's own parser."""
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# Per subcommand: each option's strings, choices, default and whether it is required.
+CLI_SURFACE = {
+    "simulate": [
+        (["-h", "--help"], None, argparse.SUPPRESS, False),
+        (["--scene"], None, None, False),
+        (["--out"], None, None, True),
+        (["--seed"], None, None, False),
+        (["--trials"], None, 12, False),
+        (["--at"], None, None, False),
+    ],
+    "locate": [
+        (["-h", "--help"], None, argparse.SUPPRESS, False),
+        (["--scene"], None, None, True),
+        (["--detections"], None, None, True),
+        (["--out"], None, None, True),
+        (["--method"], ["two-led", "three-led"], "three-led", False),
+        (["--paper-faithful-h"], None, False, False),
+    ],
+    "calibrate": [
+        (["-h", "--help"], None, argparse.SUPPRESS, False),
+        (["--scene"], None, None, True),
+        (["--out"], None, None, True),
+        (["--calibration"], ["rotation", "dispersion"], None, True),
+        (["--tracks"], None, None, False),
+        (["--fixes"], None, None, False),
+        (["--ground-truth"], None, None, False),
+        (["--paper-literal"], None, False, False),
+    ],
+    "replicate": [
+        (["-h", "--help"], None, argparse.SUPPRESS, False),
+        (["--out"], None, None, True),
+        (["--seed"], None, None, False),
+        (["--scene"], None, None, False),
+    ],
+    "stats": [
+        (["-h", "--help"], None, argparse.SUPPRESS, False),
+        (["--fixes"], None, None, True),
+        (["--ground-truth"], None, None, True),
+        (["--out"], None, None, True),
+        (["--label"], None, "run", False),
+    ],
+}
+
+
+def test_cli_options_are_the_pinned_surface():
+    # A new, renamed or changed option fails here, without reading argparse's help text.
+    surface = {
+        name: [(a.option_strings, a.choices, a.default, a.required) for a in sub._actions]
+        for name, sub in _subcommands().items()
+    }
+    assert surface == CLI_SURFACE
+
+
+@pytest.fixture(scope="module")
+def hostile_values(tmp_path_factory):
+    """Argument values: bad numbers, empty text, a negative triple, missing paths and real outputs."""
+    base = tmp_path_factory.mktemp("hostile")
+    sim, loc = base / "sim", base / "loc"
+    with redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--trials", "1", "--out", str(sim)]) == 0
+        assert main(["locate", "--scene", str(sim / "scene.json"), "--detections", str(sim / "detections.csv"), "--out", str(loc)]) == 0
+    numbers = ["-1", "-41", "0", "3", str(2**63), str(10**30), "1e308", "-1e308", "9" * 400, "9" * 5_000]
+    # The missing paths are relative, so each example's fresh directory lacks them.
+    paths = ["missing", str(Path("missing", "deeper.csv")), *map(str, [sim, loc, *sim.iterdir(), *loc.iterdir()])]
+    choices = [c for sub in _subcommands().values() for a in sub._actions for c in a.choices or ()]
+    return [*numbers, "nan", "inf", "-inf", "", "-41,7,0", *paths, *choices]
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_hostile_argv_exits_cleanly_with_a_short_stderr(hostile_values, tmp_path_factory, data):
+    subcommands = _subcommands()
+    name = data.draw(st.sampled_from(sorted(subcommands)), label="subcommand")
+    value = st.sampled_from(hostile_values)
+    # Each option at most once, in any order: a required one mostly, a help flag seldom. Then, now
+    # and then, a stray value anywhere.
+    parts = []
+    for action in subcommands[name]._actions:
+        odds = 18 if action.required else 1 if isinstance(action, argparse._HelpAction) else 10
+        if data.draw(st.integers(0, 19)) < odds:
+            flag = data.draw(st.sampled_from(action.option_strings))
+            parts.append([flag] if action.nargs == 0 else [flag, data.draw(value)])
+    argv = [name, *(token for part in data.draw(st.permutations(parts)) for token in part)]
+    if data.draw(st.integers(0, 3)) == 0:
+        argv.insert(data.draw(st.integers(1, len(argv))), data.draw(value))
+    note(argv)
+    err = io.StringIO()
+    # Relative paths, an empty --out too, land in a fresh directory.
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+        os.chdir(work)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exit_:
+                    code = exit_.code
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(lines) <= 8 and all(len(line) < 300 for line in lines), lines

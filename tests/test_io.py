@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from vlpkit import (
     CameraPose,
     Detection,
@@ -726,6 +727,62 @@ def test_scene_reader_on_arbitrary_text_or_bytes_raises_only_scene_errors(tmp_pa
     path.write_bytes(content.encode() if isinstance(content, str) else content)
     with pytest.raises(SceneConfigError):
         read_scene(path)
+
+
+# --- shared rows: the detections and ground-truth readers against row-by-row references ---
+
+# Several spellings of one value, blank and signed fields; now and then an empty, non-finite or junk one.
+SPELLED_INDEX = st.sampled_from(["0", "1", "2", "01", "+1", " 2", ""])
+SPELLED_FLOAT = st.sampled_from(["427", "427.0", "+427", " 427", "4.27e2", "-0.5"])
+SPELLED_FIELDS = {"point_index": SPELLED_INDEX, "trial_index": SPELLED_INDEX, "beacon_id": st.sampled_from(["L1", "L2"])}
+SHARED_READERS = {
+    # reader, reference, required columns, optional columns (the ones read, or not read at all)
+    "detections": (read_detections_csv, oracles.row_by_row_detections, DETECTION_COLUMNS[2:], DETECTION_COLUMNS[:2]),
+    "ground_truth": (read_ground_truth_csv, oracles.row_by_row_ground_truth, TRUTH_COLUMNS[:5], TRUTH_COLUMNS[5:]),
+}
+
+
+@settings(max_examples=120)
+@pytest.mark.parametrize("name", SHARED_READERS)
+@given(data=st.data())
+def test_shared_row_readers_match_their_row_by_row_reference(tmp_path_factory, name, data):
+    reader, reference, required, optional = SHARED_READERS[name]
+    # Each optional column may be absent; an unknown column may hold junk.
+    present = data.draw(st.permutations([*optional, "note"]))[: data.draw(st.integers(0, len(optional) + 1))]
+    columns = data.draw(st.permutations([*required, *present]))
+    # Each column holds one to three texts, so rows share fields and repeat whole; any row may
+    # repeat anywhere, so a trial's rows need not be contiguous. In half the files one field
+    # of one distinct row is junk, and a few rows are cut short.
+    pools = [data.draw(st.lists(SPELLED_FIELDS.get(c, SPELLED_FLOAT), min_size=1, max_size=3)) for c in columns]
+    distinct = data.draw(st.lists(st.tuples(*map(st.sampled_from, pools)).map(list), min_size=2, max_size=6))
+    if data.draw(st.booleans()):
+        data.draw(st.sampled_from(distinct))[data.draw(st.integers(0, len(columns) - 1))] = data.draw(fuzz_junk)
+    cuts = st.sampled_from([len(columns)] * 12 + list(range(len(columns))))
+    distinct = [row[: data.draw(cuts)] for row in distinct]
+    rows = data.draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=24))
+    path = tmp_path_factory.getbasetemp() / f"shared_{name}.csv"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows([columns, *rows])
+    try:
+        want = reference(path)
+    except InputFormatError as err:
+        with pytest.raises(InputFormatError) as info:
+            reader(path)
+        assert str(info.value) == str(err)
+        return
+    # repr tells every distinct float apart (nan and -0.0 too), and shows types and group order.
+    assert repr(reader(path)) == repr(want)
+
+
+def test_rows_with_the_same_text_share_one_detection_and_one_pose(tmp_path):
+    detections = tmp_path / "detections.csv"
+    detections.write_text("point_index,trial_index,beacon_id,u_px,v_px\n0,0,L1,427,300\n1,0,L1,427,300\n0,1,L1,427.0,300\n")
+    (_, _, (a,)), (_, _, (b,)), (_, _, (c,)) = read_detections_csv(detections)
+    assert a is c and a == b and a is not b
+    truth = tmp_path / "ground_truth.csv"
+    truth.write_text("point_index,trial_index,x_cm,y_cm,z_cm\n0,0,1.5,2,0\n0,1,1.5,2,0\n")
+    truths = read_ground_truth_csv(truth)
+    assert truths[0, 0] is truths[0, 1]
 
 
 # --- writer bytes against a csv.writer reference ---

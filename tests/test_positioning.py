@@ -1,6 +1,8 @@
 """Height stage, three-beacon trilateration, and the two-beacon fix with yaw."""
 
 import math
+import reprlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -429,6 +431,22 @@ def test_a_beacon_rejects_a_position_that_is_not_three_finite_numbers(position):
         LedBeacon("A", position)
 
 
+@pytest.mark.parametrize(
+    "position",
+    [("1", "2", "150"), (b"1", 2, 3), (None, 0, 1), 5, b"123", (True, 0.0, 150.0), (x for x in (1.0, 2.0, 150.0))],
+    ids=["text", "bytes-coordinate", "none-coordinate", "a-number", "bytes", "bool-coordinate", "generator"],
+)
+def test_a_beacon_names_its_id_for_a_position_that_is_not_three_numbers(position):
+    with pytest.raises(ValueError) as info:
+        LedBeacon("A", position)
+    assert str(info.value) == f"beacon 'A': position must be 3 numbers, got {reprlib.repr(position)}"
+
+
+def test_a_beacon_names_its_id_for_an_integer_too_large_for_a_float():
+    with pytest.raises(ValueError, match=r"^beacon 'A': position \(1000.*, 0, 150\) is not finite$"):
+        LedBeacon("A", (10**400, 0, 150))
+
+
 def test_a_nan_beacon_fails_when_built_not_as_an_all_nan_fix():
     with pytest.raises(ValueError) as info:
         LedBeacon("A", (math.nan, 0.0, 150.0))
@@ -438,6 +456,7 @@ def test_a_nan_beacon_fails_when_built_not_as_an_all_nan_fix():
 def test_a_beacon_holds_a_tuple_of_plain_floats():
     beacon = LedBeacon("A", [1, np.float64(2.5), 150])
     assert beacon.position == (1.0, 2.5, 150.0)
+    assert LedBeacon("A", (np.int64(1), np.float32(2.5), Fraction(301, 2))).position == (1.0, 2.5, 150.5)
     assert type(beacon.position) is tuple and all(type(c) is float for c in beacon.position)
 
 
