@@ -275,8 +275,9 @@ def _csv_rows(
     Rows are read as csv.DictReader reads them: the header is the first line,
     blank lines are skipped and extra columns are ignored. A row cut short
     after its last required column is padded with None; one cut before it
-    raises. An optional column the header lacks is indexed past its end, so it
-    reads as None in every row. A missing file or required column, a short
+    raises. An optional column the header lacks is indexed just past its end,
+    where an extra field is read as None, so it reads as None in every row,
+    whatever the row's length. A missing file or required column, a short
     row, or a value in the block that fails to parse raises InputFormatError
     naming the file and, for a row or value, the line.
     """
@@ -306,7 +307,13 @@ def _csv_rows(
                             row += [None] * (width - len(row))
                         yield row
 
-                yield rows(), columns
+                def rows_lacking_optional() -> Iterator[list]:
+                    for row in rows():
+                        row[len(header)] = None
+                        yield row
+
+                # width passes the header only when an optional column is indexed past it.
+                yield (rows() if width <= len(header) else rows_lacking_optional()), columns
             except (csv.Error, TypeError, ValueError) as err:
                 raise InputFormatError(f"{path}:{reader.line_num}: {err}") from err
     except OSError as err:

@@ -100,3 +100,85 @@ def row_by_row_ground_truth(path):
             xyz = _finite(row[x], row[y], row[z])
             truths[int(row[point]), int(row[trial])] = (*xyz, float(row[yaw] or 0.0))
     return truths
+
+
+def row_by_row_locate(groups, beacons, intrinsics, method, height_pair, path, check_sensor=False):
+    """vlpkit.cli._locate as one sensor check and one solve per group, with no reuse between groups."""
+    import sys
+
+    from vlpkit import cli
+    from vlpkit.errors import VlpError
+
+    rows = []
+    failures = {}
+    width, height = intrinsics.resolution
+    for point, trial, dets in groups:
+        try:
+            if check_sensor:
+                cli._check_on_sensor(dets, width, height)
+            rows.append((point, trial, method, cli.compute_fix(dets, beacons, intrinsics, method, height_pair), ""))
+        except (VlpError, ValueError) as err:
+            message = str(err)
+            rows.append((point, trial, method, None, message))
+            tally = failures.setdefault(type(err).__name__, [0, f"{point}/{trial}: {message}"])
+            tally[0] += 1
+    for name, (count, first) in failures.items():
+        print(cli._shorten(f"warning: {count} trial(s) failed with {name}, first {first}"), file=sys.stderr)
+    cli.write_fixes_csv(rows, path)
+    return rows
+
+
+def gauss_newton_pose(beacons, pixels, intrinsics, iterations=60):
+    """(x, y, z, yaw) of the camera whose exact projections best fit the pixels, in least squares.
+
+    Gauss-Newton on the camera's plan position, height below the beacons'
+    plane and yaw, against vlpkit.simulator.project with the corrected
+    principal point as the true one. The Jacobian is taken by central
+    differences, and a step is halved until it lowers the residual. It starts
+    below the beacons' centroid at four yaws and keeps the best fit. The
+    beacons are assumed to share one ceiling height.
+    """
+    import numpy as np
+
+    from vlpkit.simulator import CameraPose, SceneConfig, project
+
+    beacons = tuple(beacons)
+    ceiling = beacons[0].position[2]
+    observed = np.array(pixels, dtype=float).ravel()
+
+    def residual(p):
+        x, y, h, yaw = p
+        pose = CameraPose((float(x), float(y), ceiling - float(h)), float(yaw))
+        scene = SceneConfig(beacons, pose, intrinsics, true_principal_point=intrinsics.corrected_principal_point)
+        return np.array([c for b in beacons for c in project(b, scene)[0]]) - observed
+
+    def jacobian(p):
+        columns = []
+        for k in range(4):
+            step = np.zeros(4)
+            step[k] = 1e-6 * max(1.0, abs(p[k]))
+            columns.append((residual(p + step) - residual(p - step)) / (2.0 * step[k]))
+        return np.column_stack(columns)
+
+    best = None
+    centroid = np.mean([b.position[:2] for b in beacons], axis=0)
+    for yaw in (0.0, math.pi / 2.0, math.pi, -math.pi / 2.0):
+        p = np.array([centroid[0], centroid[1], 100.0, yaw])
+        r = residual(p)
+        for _ in range(iterations):
+            delta = np.linalg.lstsq(jacobian(p), -r, rcond=None)[0]
+            t = 1.0
+            while t > 1e-9:
+                q = p + t * delta
+                if q[2] > 0.0:
+                    rq = residual(q)
+                    if rq @ rq < r @ r:
+                        break
+                t /= 2.0
+            else:
+                break  # no step lowers the residual: converged
+            p, r = q, rq
+        if best is None or r @ r < best[1] @ best[1]:
+            best = (p, r)
+    x, y, h, yaw = best[0]
+    return float(x), float(y), ceiling - float(h), math.remainder(float(yaw), math.tau)

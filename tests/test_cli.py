@@ -6,21 +6,25 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+import oracles
 from vlpkit import cli
 from vlpkit.cli import main, replicate_scene
 from vlpkit.io import (
     FIX_COLUMNS,
+    read_detections_csv,
     read_fixes_csv,
     read_ground_truth_csv,
     read_scene,
@@ -28,12 +32,14 @@ from vlpkit.io import (
     write_scene,
     write_tracks_csv,
 )
+from vlpkit.positioning import Method
 from vlpkit.simulator import (
     SWEEP_ANGLES_12,
     CameraPose,
     NoiseModel,
     default_grid,
     default_scene,
+    generate_trials,
     rotation_sweep,
 )
 
@@ -537,8 +543,11 @@ def test_only_rows_read_from_a_detections_file_are_checked_against_the_sensor(tm
     monkeypatch.setattr(cli, "_check_on_sensor", lambda dets, *size: checked.append(len(dets)) or check(dets, *size))
     assert main(["replicate", "--out", str(tmp_path / "rep")]) == 0
     assert checked == []
-    _locate_with_trial_0_0_u(tmp_path, "three-led", "400")
-    assert checked == [3] * 72
+    _, sim = _locate_with_trial_0_0_u(tmp_path, "three-led", "400")
+    # One check per distinct set of detection objects; the reader shares one per distinct row text.
+    distinct = {tuple(map(id, dets)): len(dets) for _, _, dets in read_detections_csv(sim / "detections.csv")}
+    assert sorted(checked) == sorted(distinct.values())
+    assert 1 < len(checked) < 72
 
 
 def _assert_only_trial_0_0_fails(tmp_path, method, u_px):
@@ -575,6 +584,153 @@ def test_locate_fails_only_the_row_with_a_pixel_off_the_sensor(tmp_path, method,
 def test_locate_accepts_a_pixel_on_the_sensor_edge(tmp_path, method, u_px):
     rows, _ = _locate_with_trial_0_0_u(tmp_path, method, u_px)
     assert {row["status"] for row in rows} == {"ok"}
+
+
+# --- each distinct detection set solved once ---
+
+
+def _count_solves(monkeypatch):
+    """The detections of each compute_fix call _locate makes from now on."""
+    calls = []
+    solve = cli.compute_fix
+    monkeypatch.setattr(cli, "compute_fix", lambda dets, *args: calls.append(dets) or solve(dets, *args))
+    return calls
+
+
+def test_locate_solves_each_distinct_detection_set_of_a_file_once(tmp_path, monkeypatch):
+    # The noiseless default scene gives a point the same pixels in every trial.
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--trials", "3"]) == 0
+    calls = _count_solves(monkeypatch)
+    argv = ["locate", "--scene", str(sim / "scene.json"), "--detections", str(sim / "detections.csv")]
+    assert main([*argv, "--out", str(tmp_path / "loc"), "--method", "two-led"]) == 0
+    distinct = {tuple(map(id, dets)) for _, _, dets in read_detections_csv(sim / "detections.csv")}
+    assert len(calls) == len(distinct) == 36
+    lines = (tmp_path / "loc" / "fixes.csv").read_text().splitlines()[1:]
+    assert len(lines) == 108 and len({line.split(",", 2)[2] for line in lines}) == 36
+
+
+def test_locate_solves_every_group_that_shares_no_detection(tmp_path, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    # observe builds new detections for every trial, even where the pixels are equal.
+    scene = default_scene()
+    records = generate_trials(default_grid(), 2, scene, scene.seed)
+    groups = [(rec.point_index, rec.trial_index, rec.detections) for rec in records]
+    assert groups[0][2] == groups[1][2]
+    rows = cli._locate(groups, scene.beacons, scene.intrinsics, Method.TWO_LED, "average", tmp_path / "fixes.csv")
+    assert len(calls) == len(rows) == 72
+    # A file whose row texts never repeat.
+    write_scene(replace(scene, noise=NoiseModel(pixel_sigma=0.5)), tmp_path / "scene.json")
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scene", str(tmp_path / "scene.json"), "--trials", "2", "--out", str(sim)]) == 0
+    texts = [line.split(",", 2)[2] for line in (sim / "detections.csv").read_text().splitlines()[1:]]
+    assert len(set(texts)) == len(texts)
+    calls.clear()
+    argv = ["locate", "--scene", str(sim / "scene.json"), "--detections", str(sim / "detections.csv")]
+    assert main([*argv, "--out", str(tmp_path / "loc")]) == 0
+    assert len(calls) == 72
+
+
+@pytest.fixture(scope="module")
+def dropout_trials(tmp_path_factory):
+    """The lowered-ceiling scene file and its 72 seed-7 trials, each a list of [beacon_id, u_px, v_px] texts."""
+    sim = tmp_path_factory.mktemp("dropout") / "sim"
+    argv = ["simulate", "--scene", str(DATA / "scene_dropout.json"), "--seed", "7", "--trials", "2"]
+    assert main([*argv, "--out", str(sim)]) == 0
+    trials = {}
+    for line in (sim / "detections.csv").read_text().splitlines()[1:]:
+        point, trial, *cells = line.split(",")
+        trials.setdefault((point, trial), []).append(cells)
+    return sim / "scene.json", list(trials.values())
+
+
+def _respell(text):
+    """The same pixel value spelled another way: 427.000000 as 427."""
+    value = float(text)
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
+# How a drawn trial is written: as it was simulated (so a trial drawn twice repeats
+# exactly), or with one pixel respelled, moved off the sensor or made nan, or with one
+# detection dropped.
+TRIAL_EDITS = ("copy", "copy", "copy", "respell", "off_sensor", "nan", "drop")
+
+
+def _locate_outcome(argv, out):
+    """main's exit code and stderr, and the bytes of the fixes.csv it wrote."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main([*argv, "--out", str(out)])
+    return rc, err.getvalue(), (out / "fixes.csv").read_bytes()
+
+
+def _assert_locate_matches_row_by_row(argv, work):
+    """locate's outcome equals the one-solve-per-row reference's; returns it."""
+    got = _locate_outcome(argv, work / "new")
+    with patch.object(cli, "_locate", oracles.row_by_row_locate):
+        assert got == _locate_outcome(argv, work / "reference")
+    return got
+
+
+def test_locate_keys_a_detection_set_by_its_objects_in_list_order(tmp_path):
+    # 1/1 repeats 0/0, so solved sets are reused. 0/1 holds 0/0's objects in the other
+    # order, so its message names the other beacon; 1/0's L1 equals 0/0's in value, but
+    # its -0 prints as -0.0.
+    detections = tmp_path / "detections.csv"
+    _write_lines(
+        detections,
+        "point_index,trial_index,beacon_id,u_px,v_px",
+        *("0,0,L1,0,-3", "0,0,L2,-1,300", "0,1,L2,-1,300", "0,1,L1,0,-3", "1,0,L1,-0,-3", "1,0,L2,-1,300"),
+        *("1,1,L1,0,-3", "1,1,L2,-1,300"),
+    )
+    write_scene(default_scene(), tmp_path / "scene.json")
+    argv = ["locate", "--scene", str(tmp_path / "scene.json"), "--detections", str(detections), "--method", "two-led"]
+    rc, err, fixes = _assert_locate_matches_row_by_row(argv, tmp_path)
+    assert rc == 1 and err.startswith("warning: 4 trial(s) failed with ValueError, first 0/0: beacon 'L1'")
+    messages = [row[-1] for row in csv.reader(fixes.decode().splitlines()[1:])]
+    assert [m.split(" off ")[0] for m in messages] == [
+        "beacon 'L1' has pixel (0.0, -3.0)",
+        "beacon 'L2' has pixel (-1.0, 300.0)",
+        "beacon 'L1' has pixel (-0.0, -3.0)",
+        "beacon 'L1' has pixel (0.0, -3.0)",
+    ]
+
+
+@settings(max_examples=25)
+@pytest.mark.parametrize(
+    "flags", [["--method", "two-led"], ["--method", "three-led"], ["--method", "three-led", "--paper-faithful-h"]]
+)
+@given(data=st.data())
+def test_locate_reusing_repeated_detection_sets_matches_row_by_row_solves(tmp_path_factory, dropout_trials, flags, data):
+    scene, base = dropout_trials
+    pool = data.draw(st.lists(st.sampled_from(range(len(base))), min_size=1, max_size=4, unique=True))
+    trials = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(TRIAL_EDITS)), min_size=2, max_size=12))
+    rows = []
+    for key, (pick, edit) in enumerate(trials):
+        cells = [list(det) for det in base[pick]]
+        det = data.draw(st.integers(0, len(cells) - 1))
+        if edit == "respell":
+            cells[det][1] = _respell(cells[det][1])
+        elif edit == "off_sensor":
+            cells[det][1] = data.draw(st.sampled_from(["-3", "812.5"]))
+        elif edit == "nan":
+            cells[det][2] = "nan"
+        elif edit == "drop":
+            del cells[det]
+        note(f"trial {key}: base trial {pick}, {edit}")
+        rows.extend([str(key // 3), str(key % 3), *c] for c in cells)
+    # A trial's rows need not be contiguous in the file.
+    if data.draw(st.booleans()):
+        rows = data.draw(st.permutations(rows))
+    work = tmp_path_factory.mktemp("reuse")
+    detections = work / "detections.csv"
+    detections.write_text("\n".join(map(",".join, [["point_index", "trial_index", "beacon_id", "u_px", "v_px"], *rows])) + "\n")
+    _assert_locate_matches_row_by_row(["locate", "--scene", str(scene), "--detections", str(detections), *flags], work)
+    # No ok row holds a non-finite value.
+    with open(work / "new" / "fixes.csv", newline="") as handle:
+        for row in csv.DictReader(handle):
+            if row["status"] == "ok":
+                assert all(math.isfinite(float(row[c])) for c in FIX_COLUMNS[4:-1] if row[c]), row
 
 
 @pytest.mark.parametrize("argv, seed", [(["simulate", "--trials", "1"], 0), (["replicate"], 7)], ids=["simulate", "replicate"])

@@ -535,6 +535,17 @@ def test_empty_optional_index_and_yaw_values_read_as_zero(tmp_path):
     assert read_ground_truth_csv(path) == {(0, 0): (1.5, 2.5, 0.0, 0.0)}
 
 
+def test_an_extra_field_is_not_read_as_an_optional_column_the_header_lacks(tmp_path):
+    # csv.DictReader files fields past the header under its restkey, never under a column name.
+    path = tmp_path / "detections.csv"
+    path.write_text("beacon_id,u_px,v_px\nL1,1,2,7\nL2,3,4\nL3,5,6,8,9\n")
+    want = [Detection("L1", (1.0, 2.0)), Detection("L2", (3.0, 4.0)), Detection("L3", (5.0, 6.0))]
+    assert read_detections_csv(path) == [(0, 0, want)]
+    path = tmp_path / "ground_truth.csv"
+    path.write_text("point_index,trial_index,x_cm,y_cm,z_cm\n0,0,1,2,3,0.5\n")
+    assert read_ground_truth_csv(path) == {(0, 0): (1.0, 2.0, 3.0, 0.0)}
+
+
 # --- CSV round-trip properties ---
 
 # Six decimals round to within 5e-7; parsing the text back adds at most one ulp of the largest value drawn.

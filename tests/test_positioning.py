@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import vlpkit.positioning as positioning
 import vlpkit.simulator as sim
 from vlpkit import (
@@ -613,3 +614,33 @@ def test_noisy_fixes_through_a_beacon_tuple_match_a_list_bit_for_bit(xy, yaw, of
     for mode in ("average", "first"):
         got = _outcome(trilaterate_three, dets, scene.beacons, k, height_pair=mode)
         assert got == _outcome(trilaterate_three, dets, list(scene.beacons), k, height_pair=mode)
+
+
+# --- against an independent least-squares pose solve ---
+
+# Anywhere under the default ceiling, with the beacons 40 to 150 cm above the camera.
+poses = st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0), st.floats(0.0, 110.0), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=30)
+@given(poses, st.sampled_from([(0, 1), (0, 2), (1, 2)]), st.lists(st.tuples(noise, noise), min_size=2, max_size=2))
+def test_two_led_is_the_exact_pose_solve_of_its_pair(pose, pair, offsets):
+    # Two beacons give four equations in four unknowns, so even noisy pixels have an exact pose.
+    scene = make_scene(pose[:3], pose[3])
+    beacons = [scene.beacons[i] for i in pair]
+    exact = [sim.project(b, scene)[0] for b in beacons]
+    dets = [Detection(b.id, (u + du, v + dv)) for b, (u, v), (du, dv) in zip(beacons, exact, offsets)]
+    fix = locate_two(dets, beacons, scene.intrinsics)
+    *position, yaw = oracles.gauss_newton_pose(beacons, [d.pixel for d in dets], scene.intrinsics)
+    assert max(map(abs, np.subtract(fix.position, position))) < 1e-9
+    assert abs(math.remainder(fix.diagnostics.yaw_rad - yaw, math.tau)) < 1e-9
+
+
+@settings(max_examples=20)
+@given(poses, st.sampled_from(["average", "first"]))
+def test_noiseless_three_led_is_the_pose_solve_of_its_three_beacons(pose, height_pair):
+    scene = make_scene(pose[:3], pose[3])
+    dets = exact_detections(scene)
+    fix = trilaterate_three(dets, scene.beacons, scene.intrinsics, height_pair=height_pair)
+    *position, _ = oracles.gauss_newton_pose(scene.beacons, [d.pixel for d in dets], scene.intrinsics)
+    assert max(map(abs, np.subtract(fix.position, position))) < 1e-6
