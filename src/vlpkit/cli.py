@@ -206,55 +206,44 @@ def _locate(
     failed row keeps its message; stderr gets one line per exception type,
     with the count of failed rows and the first of them.
 
-    groups is iterated twice, so it must be a list or another sequence, not an
-    iterator. When two groups start with the same Detection object, as
-    read_detections_csv shares one object per distinct row text, each
-    distinct tuple of detection objects, in list order, is checked and solved
-    once, and every group that repeats it takes the same outcome: the same
-    PositionFix, or the same message. An object always holds the same values,
-    so the reused outcome is the one a fresh solve would give; groups keeps
-    every keyed object alive, so no id is reused during the call.
+    Each distinct tuple of detection objects is checked and solved once, and
+    every group that repeats it takes the same outcome: the same PositionFix,
+    or the same message. read_detections_csv shares one Detection per distinct
+    row text, so a repeated trial repeats the tuple; observe shares none, so
+    its groups are solved one by one. An object always holds the same values,
+    so a reused outcome is the one a fresh solve would give, and equal values
+    in two objects are never merged. Order is part of the key, since the
+    sensor message names the first off-sensor detection. The key holds ids,
+    not objects, so groups must be a list or another sequence that keeps every
+    Detection alive for the call, not an iterator whose objects may be freed
+    and their ids reused.
     """
     rows = []
     failures: dict[str, list] = {}
     width, height = intrinsics.resolution
-
-    def fail(point: int, trial: int, message: str, name: str) -> None:
-        rows.append((point, trial, method, None, message))
-        tally = failures.get(name)
-        if tally is None:
-            failures[name] = [1, f"{point}/{trial}: {message}"]
-        else:
-            tally[0] += 1
-
-    # A group repeats another only if both start with the same object.
-    firsts = [id(dets[0]) for _, _, dets in groups if dets]
-    if len(set(firsts)) == len(firsts):
-        for point, trial, dets in groups:
+    # A PositionFix, or a failure's (message, exception type name).
+    outcomes: dict[tuple[int, ...], PositionFix | tuple[str, str]] = {}
+    for point, trial, dets in groups:
+        key = tuple(map(id, dets))
+        outcome = outcomes.get(key)
+        if outcome is None:
             try:
                 if check_sensor:
                     _check_on_sensor(dets, width, height)
-                rows.append((point, trial, method, compute_fix(dets, beacons, intrinsics, method, height_pair), ""))
+                outcome = compute_fix(dets, beacons, intrinsics, method, height_pair)
             except (VlpError, ValueError) as err:
-                fail(point, trial, str(err), type(err).__name__)
-    else:
-        # A PositionFix, or a failure's (message, exception type name).
-        outcomes: dict[tuple[int, ...], PositionFix | tuple[str, str]] = {}
-        for point, trial, dets in groups:
-            key = tuple(map(id, dets))
-            outcome = outcomes.get(key)
-            if outcome is None:
-                try:
-                    if check_sensor:
-                        _check_on_sensor(dets, width, height)
-                    outcome = compute_fix(dets, beacons, intrinsics, method, height_pair)
-                except (VlpError, ValueError) as err:
-                    outcome = (str(err), type(err).__name__)
-                outcomes[key] = outcome
-            if isinstance(outcome, PositionFix):
-                rows.append((point, trial, method, outcome, ""))
+                outcome = (str(err), type(err).__name__)
+            outcomes[key] = outcome
+        if isinstance(outcome, PositionFix):
+            rows.append((point, trial, method, outcome, ""))
+        else:
+            message, name = outcome
+            rows.append((point, trial, method, None, message))
+            tally = failures.get(name)
+            if tally is None:
+                failures[name] = [1, f"{point}/{trial}: {message}"]
             else:
-                fail(point, trial, *outcome)
+                tally[0] += 1
     for name, (count, first) in failures.items():
         print(_shorten(f"warning: {count} trial(s) failed with {name}, first {first}"), file=sys.stderr)
     write_fixes_csv(rows, path)
