@@ -168,16 +168,22 @@ def compute_fix(
 
 
 def _check_on_sensor(detections: Sequence[Detection], width: int, height: int) -> None:
-    """ValueError naming the first detection whose pixel lies off a width x height sensor.
+    """ValueError naming the first detection whose finite pixel lies off a width x height sensor.
 
     The estimators take any finite image point, because an exact projection
-    may fall outside the frame; a pixel the camera detected cannot.
+    may fall outside the frame; a pixel the camera detected cannot. A pixel
+    that is not finite is left to the estimators, whose message names it.
     """
     for det in detections:
         u, v = det.pixel
         # CameraIntrinsics.on_sensor's test, on the resolution _locate reads once.
-        if not (0.0 <= u <= width and 0.0 <= v <= height):
+        if not (0.0 <= u <= width and 0.0 <= v <= height) and math.isfinite(u) and math.isfinite(v):
             raise ValueError(f"beacon {det.beacon_id!r} has pixel ({u}, {v}) off the {width}x{height} sensor")
+
+
+def _dropped(scene: SceneConfig, records: Sequence[TrialRecord]) -> int:
+    """How many beacons fell off the frame over the records' trials."""
+    return len(scene.beacons) * len(records) - sum(len(rec.detections) for rec in records)
 
 
 def _simulate(scene: SceneConfig, grid: Sequence[Sequence[float]], trials: int, out: str | Path) -> list[TrialRecord]:
@@ -209,14 +215,15 @@ def _locate(
     Each distinct tuple of detection objects is checked and solved once, and
     every group that repeats it takes the same outcome: the same PositionFix,
     or the same message. read_detections_csv shares one Detection per distinct
-    row text, so a repeated trial repeats the tuple; observe shares none, so
-    its groups are solved one by one. An object always holds the same values,
-    so a reused outcome is the one a fresh solve would give, and equal values
-    in two objects are never merged. Order is part of the key, since the
-    sensor message names the first off-sensor detection. The key holds ids,
-    not objects, so groups must be a list or another sequence that keeps every
-    Detection alive for the call, not an iterator whose objects may be freed
-    and their ids reused.
+    row text, and generate_trials one per distinct pixel of a beacon at a grid
+    point, so a repeated trial repeats the tuple; separate observe calls share
+    none, so their groups are solved one by one. An object always holds the
+    same values, so a reused outcome is the one a fresh solve would give, and
+    equal values in two objects are never merged. Order is part of the key,
+    since the sensor message names the first off-sensor detection. The key
+    holds ids, not objects, so groups must be a list or another sequence that
+    keeps every Detection alive for the call, not an iterator whose objects
+    may be freed and their ids reused.
     """
     rows = []
     failures: dict[str, list] = {}
@@ -272,7 +279,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         grid = default_grid()
     out = Path(args.out)
     records = _simulate(scene, grid, args.trials, out)
-    _write_manifest(out, "simulate", scene, args, {"seed": scene.seed, "trials": len(records)})
+    extra = {"seed": scene.seed, "trials": len(records), "beacons_dropped": _dropped(scene, records)}
+    _write_manifest(out, "simulate", scene, args, extra)
     print(f"simulated {len(records)} trials over {len(grid)} points -> {out}")
     return 0
 
@@ -433,6 +441,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             "grid_points": len(grid),
             "dispersion_point": list(centre),
             "dispersion_trials": DISPERSION_TRIALS,
+            "beacons_dropped": _dropped(scene, records) + _dropped(scene, dispersion_records),
         },
     )
     print("\n".join(summary_lines))

@@ -14,7 +14,7 @@ import reprlib
 from contextlib import contextmanager
 from io import StringIO
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -202,11 +202,15 @@ def _line(*fields: str) -> str:
 
 # Column order of each CSV format, each followed by the %-template of one of
 # its rows; each reader requires a slice of its format's list. A %s field
-# takes text as _CsvText quotes it.
+# takes text as _CsvText quotes it. A *_FIELDS template formats the columns
+# that one object fills, once per object (see _TextById); its text fills a %s
+# of the row template. A detection row is its trial's index, then the fields.
 DETECTION_COLUMNS = ["point_index", "trial_index", "beacon_id", "u_px", "v_px"]
-DETECTION_LINE = _line("%d", "%d", "%s", FLOAT, FLOAT)
+DETECTION_INDEX = "%d,%d,"
+DETECTION_FIELDS = _line("%s", FLOAT, FLOAT)  # a Detection
 TRUTH_COLUMNS = ["point_index", "trial_index", "x_cm", "y_cm", "z_cm", "yaw_rad", "seed"]
-TRUTH_LINE = _line("%d", "%d", FLOAT, FLOAT, FLOAT, FLOAT, "%d")
+POSE_FIELDS = ",".join([FLOAT] * 4)  # a CameraPose
+TRUTH_LINE = _line("%d", "%d", "%s", "%d")
 TRACK_COLUMNS = ["track_id", "sample_index", "u_px", "v_px"]
 TRACK_LINE = _line("%s", "%d", FLOAT, FLOAT)
 FIX_COLUMNS = [
@@ -223,8 +227,10 @@ FIX_COLUMNS = [
     "yaw_rad",
     "message",
 ]
-# The yaw field takes the formatted yaw, or "" for a fix without one. Failed rows hold only the message.
-FIX_LINE = _line("%d", "%d", "%s", "ok", *[FLOAT] * 6, "%s", "")
+# A PositionFix from status to message; the yaw field takes the formatted yaw,
+# or "" for a fix without one. Failed rows hold only the message.
+FIX_FIELDS = ",".join(["ok", *[FLOAT] * 6, "%s", ""])
+FIX_LINE = _line("%d", "%d", "%s", "%s")
 FIX_ERROR_LINE = _line("%d", "%d", "%s", "error", *[""] * 7, "%s")
 ERROR_COLUMNS = ["point_index", "trial_index", "error_cm", "error_3d_cm"]
 ERROR_LINE = _line("%d", "%d", FLOAT, FLOAT)
@@ -257,6 +263,27 @@ class _CsvText(dict):
         csv.writer(buffer, lineterminator="\n").writerow((text, ""))
         field = self[text] = buffer.getvalue()[:-2]
         return field
+
+
+class _TextById(dict):
+    """Each object's text by id(), so a writer formats each distinct object once.
+
+    A row takes texts.get(id(obj)) or texts.add(obj); no text is empty.
+    Objects are told apart by identity, not value, so two equal values still
+    print their own text (-0.0 == 0.0). An object always holds the same
+    values, so its reused text is what a fresh format would give. Each object
+    given a text is kept, so no other object can take its id meanwhile.
+    """
+
+    def __init__(self, format: Callable[[object], str]) -> None:
+        super().__init__()
+        self.format = format
+        self.kept: list[object] = []
+
+    def add(self, obj: object) -> str:
+        self.kept.append(obj)
+        text = self[id(obj)] = self.format(obj)
+        return text
 
 
 def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
@@ -329,13 +356,17 @@ def _finite(*fields: str, kind: str = "coordinate") -> tuple[float, ...]:
 
 
 def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
+    """One row per detection; a Detection that several trials hold is formatted once."""
     ids = _CsvText()
-    lines = (
-        DETECTION_LINE % (rec.point_index, rec.trial_index, ids[det.beacon_id], *det.pixel)
-        for rec in records
-        for det in rec.detections
-    )
-    _write_csv(path, DETECTION_COLUMNS, lines)
+    texts = _TextById(lambda det: DETECTION_FIELDS % (ids[det.beacon_id], *det.pixel))
+
+    def lines() -> Iterator[str]:
+        for rec in records:
+            index = DETECTION_INDEX % (rec.point_index, rec.trial_index)
+            for det in rec.detections:
+                yield index + (texts.get(id(det)) or texts.add(det))
+
+    _write_csv(path, DETECTION_COLUMNS, lines())
 
 
 def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection]]]:
@@ -365,8 +396,10 @@ def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection
 
 
 def write_ground_truth_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
+    """One row per trial; a CameraPose that several trials hold is formatted once."""
+    texts = _TextById(lambda pose: POSE_FIELDS % (*pose.position, pose.yaw_rad))
     lines = (
-        TRUTH_LINE % (rec.point_index, rec.trial_index, *rec.pose.position, rec.pose.yaw_rad, rec.seed)
+        TRUTH_LINE % (rec.point_index, rec.trial_index, texts.get(id(rec.pose)) or texts.add(rec.pose), rec.seed)
         for rec in records
     )
     _write_csv(path, TRUTH_COLUMNS, lines)
@@ -422,28 +455,31 @@ def read_tracks_csv(path: str | Path) -> dict[str, list[tuple[float, float]]]:
 def write_fixes_csv(
     rows: Sequence[tuple[int, int, Method, PositionFix | None, str]], path: str | Path
 ) -> None:
-    """Rows are (point_index, trial_index, method, fix or None, error message)."""
+    """Rows are (point_index, trial_index, method, fix or None, error message).
+
+    A PositionFix that several rows hold is formatted once.
+    """
     text = _CsvText()
 
-    def lines() -> Iterator[str]:
-        for point, trial, method, fix, message in rows:
-            if fix is None:
-                yield FIX_ERROR_LINE % (point, trial, text[method.value], text[message])
-                continue
-            diag = fix.diagnostics
-            yaw = "" if diag.yaw_rad is None else fmt(diag.yaw_rad)
-            yield FIX_LINE % (
-                point,
-                trial,
-                text[method.value],
-                *fix.position,
-                diag.height_cm,
-                diag.image_pair_distance_mm,
-                diag.world_pair_distance_cm,
-                yaw,
-            )
+    def format_fix(fix: PositionFix) -> str:
+        diag = fix.diagnostics
+        yaw = "" if diag.yaw_rad is None else fmt(diag.yaw_rad)
+        return FIX_FIELDS % (
+            *fix.position,
+            diag.height_cm,
+            diag.image_pair_distance_mm,
+            diag.world_pair_distance_cm,
+            yaw,
+        )
 
-    _write_csv(path, FIX_COLUMNS, lines())
+    texts = _TextById(format_fix)
+    lines = (
+        FIX_ERROR_LINE % (point, trial, text[method.value], text[message])
+        if fix is None
+        else FIX_LINE % (point, trial, text[method.value], texts.get(id(fix)) or texts.add(fix))
+        for point, trial, method, fix, message in rows
+    )
+    _write_csv(path, FIX_COLUMNS, lines)
 
 
 class FixColumns(NamedTuple):

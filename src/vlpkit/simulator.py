@@ -259,38 +259,67 @@ def _noise_offsets(noise: NoiseModel, seed: int | _PresetSeed, count: int) -> np
     return None
 
 
-def _noisy_pixels(exact: np.ndarray, offsets: np.ndarray | None, quantize: bool) -> list[list[float]]:
-    """Exact pixels shifted by their noise offsets, then quantized if asked, as [u, v] lists.
+def _noisy_pixels(exact: np.ndarray, offsets: np.ndarray | None, quantize: bool) -> np.ndarray:
+    """Exact pixels shifted by their noise offsets, then quantized if asked.
 
     Float64 addition and rint give the same bits as the per-coordinate
-    scalar arithmetic. The result is a new array; exact is never written.
+    scalar arithmetic. exact is never written; with no offsets and no
+    quantization it is returned itself.
     """
     pixels = exact if offsets is None else exact + offsets
     if quantize:
         pixels = np.rint(pixels)
-    return pixels.tolist()
+    return pixels
 
 
-def observe(scene: SceneConfig, seed: int | _PresetSeed | None = None) -> list[Detection]:
+def _observe_seeds(scene: SceneConfig, seeds: Sequence[int | _PresetSeed]) -> list[tuple[Detection, ...]]:
+    """The detections of observe(scene, seed) for each seed, as one tuple per seed.
+
+    Each seed draws its own (beacons, 2) offsets from its own stream; the
+    noise and quantization then run on one array of every seed's pixels.
+    Seeds whose beacon lands on the same pixel bits share one Detection, and
+    the sensor bounds are tested once per distinct beacon and bits. The key is
+    the bits, not the value, so a -0.0 pixel never merges with a 0.0 one.
+    """
+    noise = scene.noise
+    count = len(scene.beacons)
+    # Every array is (beacons, seeds, 2), so each beacon's pixels lie together.
+    exact = np.repeat(scene.exact_pixels[:, np.newaxis], len(seeds), axis=1)
+    offsets = None
+    if noise.pixel_sigma > 0:
+        offsets = np.stack([_noise_offsets(noise, seed, count) for seed in seeds], axis=1)
+    pixels = _noisy_pixels(exact, offsets, noise.quantize)
+    # The 16 bytes of each (u, v): its bits, as one hashable key.
+    keys = pixels.view("V16").reshape(count, len(seeds)).tolist()
+    on_sensor = scene.intrinsics.on_sensor
+    columns = []
+    dropped = False
+    for beacon, beacon_keys, beacon_pixels in zip(scene.beacons, keys, pixels.tolist()):
+        shared: dict[bytes, Detection | None] = {}
+        for key, (u, v) in zip(beacon_keys, beacon_pixels):
+            if key not in shared:
+                shared[key] = Detection(beacon.id, (u, v)) if on_sensor(u, v) else None
+        dropped = dropped or None in shared.values()
+        columns.append(list(map(shared.__getitem__, beacon_keys)))
+    rows = zip(*columns)
+    if dropped:
+        return [tuple(filter(None, row)) for row in rows]
+    return list(rows)
+
+
+def observe(scene: SceneConfig, seed: int | None = None) -> list[Detection]:
     """Noisy detections of every beacon that lands on the sensor.
 
     Deterministic for a given scene and seed: the noise stream is seeded from
     seed, or from scene.seed when no seed is given, and draws happen in beacon
     order whether or not a beacon survives the frame check. observe(scene, s)
     equals observe(replace(scene, seed=s)) without building a new scene.
-    generate_trials passes a _PresetSeed for the stream of its int seed.
     """
     if seed is None:
         seed = scene.seed
-    elif not isinstance(seed, _PresetSeed) and seed < 0:
+    elif seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    offsets = _noise_offsets(scene.noise, seed, len(scene.beacons))
-    on_sensor = scene.intrinsics.on_sensor
-    return [
-        Detection(beacon.id, (u, v))
-        for beacon, (u, v) in zip(scene.beacons, _noisy_pixels(scene.exact_pixels, offsets, scene.noise.quantize))
-        if on_sensor(u, v)
-    ]
+    return list(_observe_seeds(scene, [seed])[0])
 
 
 def rotation_sweep(
@@ -312,7 +341,7 @@ def rotation_sweep(
         [replace(scene, camera_pose=CameraPose(position, angle)).exact_pixels for angle in angle_list]
     )
     offsets = _noise_offsets(scene.noise, scene.seed, len(exact))
-    pixels = _noisy_pixels(exact, offsets, scene.noise.quantize)
+    pixels = _noisy_pixels(exact, offsets, scene.noise.quantize).tolist()
     n = len(scene.beacons)
     return {beacon.id: [(u, v) for u, v in pixels[i::n]] for i, beacon in enumerate(scene.beacons)}
 
@@ -339,8 +368,9 @@ def generate_trials(
     Every trial gets its own derived seed, so regenerating any single trial
     in isolation reproduces it bit for bit: its noise stream is
     default_rng(seed), with the seed states of all trials computed in one
-    pass. The scene is posed and validated once per grid point; each trial
-    observes it with its own seed.
+    pass. The scene is posed and validated once per grid point and all its
+    trials are observed in one batch, so trials at a point whose beacon lands
+    on the same pixel bits share one Detection object.
     """
     if trials_per_point <= 0:
         raise ValueError(f"trials_per_point must be positive, got {trials_per_point}")
@@ -349,18 +379,14 @@ def generate_trials(
     records: list[TrialRecord] = []
     for point_index, position in enumerate(grid):
         pose = CameraPose(tuple(float(c) for c in position), scene.camera_pose.yaw_rad)
-        point_scene = replace(scene, camera_pose=pose)
-        for trial_index in range(trials_per_point):
-            k = len(records)
-            records.append(
-                TrialRecord(
-                    point_index=point_index,
-                    trial_index=trial_index,
-                    pose=pose,
-                    detections=tuple(observe(point_scene, seeds[k] if states is None else _PresetSeed(states[k]))),
-                    seed=seeds[k],
-                )
-            )
+        trials = slice(point_index * trials_per_point, (point_index + 1) * trials_per_point)
+        point_seeds = seeds[trials]
+        streams = point_seeds if states is None else [_PresetSeed(state) for state in states[trials]]
+        observed = _observe_seeds(replace(scene, camera_pose=pose), streams)
+        records.extend(
+            TrialRecord(point_index, trial_index, pose, detections, seed)
+            for trial_index, (detections, seed) in enumerate(zip(observed, point_seeds))
+        )
     return records
 
 

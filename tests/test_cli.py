@@ -40,6 +40,7 @@ from vlpkit.simulator import (
     default_grid,
     default_scene,
     generate_trials,
+    observe,
     rotation_sweep,
 )
 
@@ -515,7 +516,38 @@ def test_locate_on_a_lowered_ceiling_matches_golden_digests(tmp_path, monkeypatc
     }
     got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in expected}
     assert got == expected
-    assert sorted(expected) == ["three-led/fixes.csv", "two-led/fixes.csv"]
+    assert sorted(expected) == ["sim/detections.csv", "sim/ground_truth.csv", "three-led/fixes.csv", "two-led/fixes.csv"]
+
+
+def test_simulate_300_trials_of_the_replicate_scene_matches_golden_digests(tmp_path):
+    # Quantized noise repeats most pixels and every pose, so the writers reuse most row texts.
+    write_scene(replicate_scene(7), tmp_path / "scene.json")
+    assert main(["simulate", "--scene", str(tmp_path / "scene.json"), "--trials", "300", "--out", str(tmp_path)]) == 0
+    expected = {
+        name: digest
+        for digest, name in (line.split(None, 1) for line in (DATA / "golden_simulate_replicate.sha256").read_text().splitlines())
+    }
+    assert sorted(expected) == ["detections.csv", "ground_truth.csv", "scene.json"]
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected} == expected
+
+
+def test_run_json_counts_the_beacons_dropped_off_the_frame(tmp_path):
+    # The lowered ceiling puts beacons off the frame at some grid points.
+    argv = ["--scene", str(DATA / "scene_dropout.json"), "--seed", "7"]
+    sim = tmp_path / "sim"
+    assert main(["simulate", *argv, "--trials", "12", "--out", str(sim)]) == 0
+    rows = len((sim / "detections.csv").read_text().splitlines()) - 1
+    assert json.loads((sim / "run.json").read_text())["beacons_dropped"] == 3 * 432 - rows == 288
+    rep = tmp_path / "rep"
+    assert main(["replicate", *argv, "--out", str(rep)]) == 0
+    rows = len((rep / "detections.csv").read_text().splitlines()) - 1
+    # A three-led dispersion fix holds 3 detections, or fails naming how many it got.
+    with open(rep / "dispersion_fixes_three-led.csv", newline="") as handle:
+        seen = [3 if row["status"] == "ok" else int(row["message"].rsplit(" ", 1)[1]) for row in csv.DictReader(handle)]
+    assert len(seen) == 432
+    assert json.loads((rep / "run.json").read_text())["beacons_dropped"] == 3 * 864 - rows - sum(seen)
+    # The count stays out of every CSV and the summary.
+    assert not any("dropped" in path.read_text() for path in [*rep.glob("*.csv"), rep / "summary.txt"])
 
 
 def _locate_with_trial_0_0_u(tmp_path, method, u_px):
@@ -580,6 +612,13 @@ def test_locate_fails_only_the_row_with_a_pixel_off_the_sensor(tmp_path, method,
 
 
 @pytest.mark.parametrize("method", ["two-led", "three-led"])
+@pytest.mark.parametrize("u_px", ["nan", "inf", "-inf"])
+def test_locate_names_a_non_finite_pixel_as_non_finite_not_off_the_sensor(tmp_path, method, u_px):
+    message = _assert_only_trial_0_0_fails(tmp_path, method, u_px)
+    assert message == f"beacon 'L1' has non-finite pixel ({float(u_px)}, 145.0)"
+
+
+@pytest.mark.parametrize("method", ["two-led", "three-led"])
 @pytest.mark.parametrize("u_px", ["0", "800"])
 def test_locate_accepts_a_pixel_on_the_sensor_edge(tmp_path, method, u_px):
     rows, _ = _locate_with_trial_0_0_u(tmp_path, method, u_px)
@@ -610,12 +649,29 @@ def test_locate_solves_each_distinct_detection_set_of_a_file_once(tmp_path, monk
     assert len(lines) == 108 and len({line.split(",", 2)[2] for line in lines}) == 36
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_locate_solves_each_distinct_detection_set_of_generated_trials_once(tmp_path, monkeypatch, sigma):
+    # generate_trials shares one Detection per distinct pixel of a beacon at a point, as replicate's groups do.
+    calls = _count_solves(monkeypatch)
+    scene = replace(replicate_scene(7), noise=NoiseModel(sigma, quantize=True))
+    records = generate_trials(default_grid()[:4], 30, scene, scene.seed)
+    groups = [(rec.point_index, rec.trial_index, rec.detections) for rec in records]
+    rows = cli._locate(groups, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "fixes.csv")
+    distinct = {tuple(map(id, dets)) for _, _, dets in groups}
+    assert len(calls) == len(distinct) < len(rows) == 120
+    oracles.row_by_row_locate(groups, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "ref.csv")
+    assert (tmp_path / "fixes.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_locate_solves_every_group_that_shares_no_detection(tmp_path, monkeypatch):
     calls = _count_solves(monkeypatch)
-    # observe builds new detections for every trial, even where the pixels are equal.
+    # Each observe call builds new detections, even where the pixels are equal.
     scene = default_scene()
-    records = generate_trials(default_grid(), 2, scene, scene.seed)
-    groups = [(rec.point_index, rec.trial_index, rec.detections) for rec in records]
+    groups = [
+        (point, trial, observe(replace(scene, camera_pose=CameraPose(position))))
+        for point, position in enumerate(default_grid())
+        for trial in range(2)
+    ]
     assert groups[0][2] == groups[1][2]
     rows = cli._locate(groups, scene.beacons, scene.intrinsics, Method.TWO_LED, "average", tmp_path / "fixes.csv")
     assert len(calls) == len(rows) == 72

@@ -1,6 +1,7 @@
 """Scene JSON, CSV round trips, and report files."""
 
 import csv
+import dataclasses
 import math
 import re
 import sys
@@ -631,6 +632,67 @@ def test_fixes_csv_round_trip_property(tmp_path_factory, rows):
     for got, got_height, (_, _, want) in zip(back.positions.tolist(), back.heights.tolist(), ok):
         assert all(close(a, b) for a, b in zip(got, want.position))
         assert close(got_height, want.diagnostics.height_cm)
+
+
+# --- writers format each shared object once ---
+
+# Values whose six-decimal text keeps a sign that == cannot see, and any finite value.
+signed = st.sampled_from([0.0, -0.0, 1e-9, -1e-9]) | finite
+SHARED_WRITERS = {
+    "detections": (
+        st.builds(Detection, ids, st.tuples(signed, signed)),
+        lambda dets, path: write_detections_csv([_record((i, 0), [det]) for i, det in enumerate(dets)], path),
+    ),
+    "ground_truth": (
+        st.builds(CameraPose, st.tuples(signed, signed, signed), signed),
+        lambda poses, path: write_ground_truth_csv([TrialRecord(i, 0, pose, (), 0) for i, pose in enumerate(poses)], path),
+    ),
+    "fixes": (
+        st.builds(
+            PositionFix,
+            st.tuples(signed, signed, signed),
+            st.sampled_from(Method),
+            st.builds(Diagnostics, signed, signed, signed, st.none() | signed),
+        ),
+        lambda fixes, path: write_fixes_csv([(i, 0, Method.TWO_LED, fix, "") for i, fix in enumerate(fixes)], path),
+    ),
+}
+
+
+@csv_examples
+@pytest.mark.parametrize("name", SHARED_WRITERS)
+@given(data=st.data())
+def test_rows_holding_one_object_write_the_bytes_of_fresh_copies(tmp_path_factory, name, data):
+    objects, write = SHARED_WRITERS[name]
+    pool = data.draw(st.lists(objects, min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    base = tmp_path_factory.getbasetemp()
+    write(rows, base / "shared.csv")
+    write([dataclasses.replace(obj) for obj in rows], base / "fresh.csv")
+    assert (base / "shared.csv").read_bytes() == (base / "fresh.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, minus, plus, text",
+    [
+        ("detections", Detection("L1", (-0.0, 0.0)), Detection("L1", (0.0, -0.0)), "L1,{}0.000000,{}0.000000"),
+        ("ground_truth", CameraPose((-0.0, 1.0, 2.0), -0.0), CameraPose((0.0, 1.0, 2.0), 0.0), "{}0.000000,1.000000,2.000000,{}0.000000,0"),
+        (
+            "fixes",
+            PositionFix((-0.0, 1.0, 2.0), Method.TWO_LED, Diagnostics(1.0, 1.0, 1.0, -0.0)),
+            PositionFix((0.0, 1.0, 2.0), Method.TWO_LED, Diagnostics(1.0, 1.0, 1.0, 0.0)),
+            "two-led,ok,{}0.000000,1.000000,2.000000,1.000000,1.000000,1.000000,{}0.000000,",
+        ),
+    ],
+)
+def test_equal_objects_with_minus_and_plus_zero_each_print_their_sign(tmp_path, name, minus, plus, text):
+    assert minus == plus
+    _, write = SHARED_WRITERS[name]
+    write([minus, plus, minus, plus], tmp_path / "out.csv")
+    # Each row's text after its two index columns.
+    got = [line.split(",", 2)[2] for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    signs = {"detections": [("-", ""), ("", "-")]}.get(name, [("-", "-"), ("", "")])
+    assert got == [text.format(*signs[0]), text.format(*signs[1])] * 2
 
 
 # --- readers on arbitrary input ---

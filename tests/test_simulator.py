@@ -416,9 +416,48 @@ def test_generate_trials_equals_observing_each_trial_seed(points, trials, sigma,
     for record in records:
         seed = derive_seed(base, record.point_index, record.trial_index)
         assert record.seed == seed
-        lone = dataclasses.replace(scene, camera_pose=record.pose, seed=seed)
-        expected = [(d.beacon_id, d.pixel[0].hex(), d.pixel[1].hex()) for d in observe(lone)]
-        assert [(d.beacon_id, d.pixel[0].hex(), d.pixel[1].hex()) for d in record.detections] == expected
+        expected = _scalar_observe(dataclasses.replace(scene, camera_pose=record.pose), seed)
+        assert _hex((d.beacon_id, *d.pixel) for d in record.detections) == expected
+
+
+def _detection_ids_by_bits(records):
+    """The ids of the Detection objects of each (point, beacon id, u bits, v bits)."""
+    by_bits = {}
+    for record in records:
+        for det in record.detections:
+            key = (record.point_index, det.beacon_id, det.pixel[0].hex(), det.pixel[1].hex())
+            by_bits.setdefault(key, set()).add(id(det))
+    return by_bits
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_equal_pixel_bits_at_a_point_share_one_detection(sigma):
+    scene = default_scene(noise=NoiseModel(sigma, quantize=True))
+    records = generate_trials(default_grid()[:3], 40, scene, base_seed=7)
+    by_bits = _detection_ids_by_bits(records)
+    assert all(len(ids) == 1 for ids in by_bits.values())
+    # Distinct bits, or the same bits at another point, are distinct objects.
+    assert len(set().union(*by_bits.values())) == len(by_bits)
+    assert len(by_bits) < sum(len(record.detections) for record in records)
+
+
+# E projects exactly onto the frame's left edge, so quantized noise rounds its u
+# to -0.0 in some trials and to 0.0 in others; both lie on the sensor.
+EDGE_SCENE = scene_with(
+    [LedBeacon("E", (-120.0, 0.0, 150.0)), LedBeacon("C", (0.0, 0.0, 150.0))], noise=NoiseModel(0.2, quantize=True)
+)
+
+
+def test_a_pixel_rounded_to_minus_zero_keeps_its_sign_and_its_own_detection():
+    assert EDGE_SCENE.exact_pixels[0].tolist() == [0.0, 300.0]
+    records = generate_trials([(0.0, 0.0, 0.0)], 12, EDGE_SCENE, base_seed=3)
+    for record in records:
+        assert _hex((d.beacon_id, *d.pixel) for d in record.detections) == _scalar_observe(EDGE_SCENE, record.seed)
+    by_bits = _detection_ids_by_bits(records)
+    # Equal values, (-0.0, 300.0) == (0.0, 300.0), with different bits: two objects.
+    edge = {key[2]: ids for key, ids in by_bits.items() if key[1] == "E" and key[3] == (300.0).hex()}
+    assert sorted(edge) == ["-0x0.0p+0", "0x0.0p+0"]
+    assert all(len(ids) == 1 for ids in edge.values()) and edge["-0x0.0p+0"] != edge["0x0.0p+0"]
 
 
 def test_importing_the_cli_or_a_noiseless_run_leaves_numpy_random_unloaded():
