@@ -167,8 +167,8 @@ def compute_fix(
     return trilaterate_three(detections, beacons, intrinsics, height_pair=height_pair)
 
 
-def _check_on_sensor(detections: Sequence[Detection], width: int, height: int) -> None:
-    """ValueError naming the first detection whose finite pixel lies off a width x height sensor.
+def _check_on_sensor(detections: Sequence[Detection], intrinsics) -> None:
+    """ValueError naming the first detection whose finite pixel lies off the sensor.
 
     The estimators take any finite image point, because an exact projection
     may fall outside the frame; a pixel the camera detected cannot. A pixel
@@ -176,8 +176,8 @@ def _check_on_sensor(detections: Sequence[Detection], width: int, height: int) -
     """
     for det in detections:
         u, v = det.pixel
-        # CameraIntrinsics.on_sensor's test, on the resolution _locate reads once.
-        if not (0.0 <= u <= width and 0.0 <= v <= height) and math.isfinite(u) and math.isfinite(v):
+        if not intrinsics.on_sensor(u, v) and math.isfinite(u) and math.isfinite(v):
+            width, height = intrinsics.resolution
             raise ValueError(f"beacon {det.beacon_id!r} has pixel ({u}, {v}) off the {width}x{height} sensor")
 
 
@@ -188,7 +188,7 @@ def _dropped(scene: SceneConfig, records: Sequence[TrialRecord]) -> int:
 
 def _simulate(scene: SceneConfig, grid: Sequence[Sequence[float]], trials: int, out: str | Path) -> list[TrialRecord]:
     """Trials seeded by scene.seed, written to out with the scene that made them."""
-    records = generate_trials(grid, trials, scene, scene.seed)
+    records = generate_trials(grid, trials, scene)
     out = _out_dir(out)
     write_scene(scene, out / "scene.json")
     write_detections_csv(records, out / "detections.csv")
@@ -203,14 +203,12 @@ def _locate(
     method: Method,
     height_pair: str,
     path: Path,
-    check_sensor: bool = False,
 ) -> list[tuple[int, int, Method, PositionFix | None, str]]:
     """One fixes row per (point, trial, detections) group, written to path.
 
-    With check_sensor, for groups read from a detections file, a group with a
-    pixel off the sensor fails; observe's groups are on it by construction. A
-    failed row keeps its message; stderr gets one line per exception type,
-    with the count of failed rows and the first of them.
+    A group with a finite pixel off the sensor fails, as does one the
+    estimator rejects. A failed row keeps its message; stderr gets one line
+    per exception type, with the count of failed rows and the first of them.
 
     Each distinct tuple of detection objects is checked and solved once, and
     every group that repeats it takes the same outcome: the same PositionFix,
@@ -227,7 +225,6 @@ def _locate(
     """
     rows = []
     failures: dict[str, list] = {}
-    width, height = intrinsics.resolution
     # A PositionFix, or a failure's (message, exception type name).
     outcomes: dict[tuple[int, ...], PositionFix | tuple[str, str]] = {}
     for point, trial, dets in groups:
@@ -235,8 +232,7 @@ def _locate(
         outcome = outcomes.get(key)
         if outcome is None:
             try:
-                if check_sensor:
-                    _check_on_sensor(dets, width, height)
+                _check_on_sensor(dets, intrinsics)
                 outcome = compute_fix(dets, beacons, intrinsics, method, height_pair)
             except (VlpError, ValueError) as err:
                 outcome = (str(err), type(err).__name__)
@@ -291,7 +287,7 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     method = Method(args.method)
     height_pair = "first" if args.paper_faithful_h else "average"
     out = _out_dir(args.out)
-    rows = _locate(groups, scene.beacons, scene.intrinsics, method, height_pair, out / "fixes.csv", check_sensor=True)
+    rows = _locate(groups, scene.beacons, scene.intrinsics, method, height_pair, out / "fixes.csv")
     _write_manifest(out, "locate", scene, args)
     ok = sum(1 for row in rows if row[3] is not None)
     print(f"located {ok}/{len(rows)} trials ({method.value}) -> {out / 'fixes.csv'}")
@@ -392,13 +388,12 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         (grid[0][1] + grid[-1][1]) / 2.0,
         0.0,
     )
-    dispersion_scene = replace(scene, camera_pose=CameraPose(centre))
-    dispersion_records = generate_trials(
-        [centre],
-        DISPERSION_TRIALS,
-        dispersion_scene,
-        derive_seed(scene.seed, DISPERSION_STREAM, 0),
+    dispersion_scene = replace(
+        scene,
+        camera_pose=CameraPose(centre),
+        seed=derive_seed(scene.seed, DISPERSION_STREAM, 0),
     )
+    dispersion_records = generate_trials([centre], DISPERSION_TRIALS, dispersion_scene)
     dispersion_groups = [(rec.point_index, rec.trial_index, rec.detections) for rec in dispersion_records]
     reports: dict[tuple[Method, str], ErrorReport] = {}
     for method in (Method.TWO_LED, Method.THREE_LED):

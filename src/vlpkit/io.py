@@ -412,7 +412,6 @@ def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float
     """
     truths: dict[tuple[int, int], tuple[float, float, float, float]] = {}
     poses: dict[tuple[str, str, str, str | None], tuple[float, float, float, float]] = {}
-    isfinite = math.isfinite
     # yaw_rad is optional and seed is not read.
     with _csv_rows(path, TRUTH_COLUMNS[:5], ["yaw_rad"]) as (rows, col):
         point, trial, x, y, z, yaw = map(col.get, TRUTH_COLUMNS[:6])
@@ -420,11 +419,7 @@ def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float
             text = (row[x], row[y], row[z], row[yaw])
             pose = poses.get(text)
             if pose is None:
-                # _finite's check inline; _finite itself runs only to raise its message.
-                xyz = float(text[0]), float(text[1]), float(text[2])
-                if not (isfinite(xyz[0]) and isfinite(xyz[1]) and isfinite(xyz[2])):
-                    _finite(*text[:3])
-                pose = poses[text] = (*xyz, float(text[3] or 0.0))
+                pose = poses[text] = (*_finite(*text[:3]), float(text[3] or 0.0))
             truths[int(row[point]), int(row[trial])] = pose
     return truths
 

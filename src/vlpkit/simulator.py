@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,7 +57,7 @@ class SceneConfig:
 
     The true principal point is what projection actually uses; the corrected
     one inside the intrinsics is what estimators believe. Calibration tries
-    to close that gap. Not slotted: exact_pixels is cached in __dict__.
+    to close that gap.
     """
 
     beacons: tuple[LedBeacon, ...]
@@ -85,17 +84,6 @@ class SceneConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-    @cached_property
-    def exact_pixels(self) -> np.ndarray:
-        """Read-only (beacons, 2) array of each beacon's projected (u, v) at this pose.
-
-        A scene is frozen, so it is projected once; a replaced pose is a new
-        scene with its own cache.
-        """
-        pixels = np.array([project(b, self)[0] for b in self.beacons])
-        pixels.flags.writeable = False
-        return pixels
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,8 +251,8 @@ def _noisy_pixels(exact: np.ndarray, offsets: np.ndarray | None, quantize: bool)
     """Exact pixels shifted by their noise offsets, then quantized if asked.
 
     Float64 addition and rint give the same bits as the per-coordinate
-    scalar arithmetic. exact is never written; with no offsets and no
-    quantization it is returned itself.
+    scalar arithmetic. With no offsets and no quantization exact is returned
+    itself.
     """
     pixels = exact if offsets is None else exact + offsets
     if quantize:
@@ -273,7 +261,7 @@ def _noisy_pixels(exact: np.ndarray, offsets: np.ndarray | None, quantize: bool)
 
 
 def _observe_seeds(scene: SceneConfig, seeds: Sequence[int | _PresetSeed]) -> list[tuple[Detection, ...]]:
-    """The detections of observe(scene, seed) for each seed, as one tuple per seed.
+    """The detections of observe(replace(scene, seed=seed)) for each seed, as one tuple per seed.
 
     Each seed draws its own (beacons, 2) offsets from its own stream; the
     noise and quantization then run on one array of every seed's pixels.
@@ -284,7 +272,8 @@ def _observe_seeds(scene: SceneConfig, seeds: Sequence[int | _PresetSeed]) -> li
     noise = scene.noise
     count = len(scene.beacons)
     # Every array is (beacons, seeds, 2), so each beacon's pixels lie together.
-    exact = np.repeat(scene.exact_pixels[:, np.newaxis], len(seeds), axis=1)
+    exact = np.array([project(b, scene)[0] for b in scene.beacons])
+    exact = np.repeat(exact[:, np.newaxis], len(seeds), axis=1)
     offsets = None
     if noise.pixel_sigma > 0:
         offsets = np.stack([_noise_offsets(noise, seed, count) for seed in seeds], axis=1)
@@ -307,19 +296,15 @@ def _observe_seeds(scene: SceneConfig, seeds: Sequence[int | _PresetSeed]) -> li
     return list(rows)
 
 
-def observe(scene: SceneConfig, seed: int | None = None) -> list[Detection]:
+def observe(scene: SceneConfig) -> list[Detection]:
     """Noisy detections of every beacon that lands on the sensor.
 
-    Deterministic for a given scene and seed: the noise stream is seeded from
-    seed, or from scene.seed when no seed is given, and draws happen in beacon
-    order whether or not a beacon survives the frame check. observe(scene, s)
-    equals observe(replace(scene, seed=s)) without building a new scene.
+    Deterministic for a given scene: the noise stream is seeded from
+    scene.seed, and draws happen in beacon order whether or not a beacon
+    survives the frame check. Each call observes a batch of one; for many
+    trials, generate_trials observes each grid point's trials in one batch.
     """
-    if seed is None:
-        seed = scene.seed
-    elif seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return list(_observe_seeds(scene, [seed])[0])
+    return list(_observe_seeds(scene, [scene.seed])[0])
 
 
 def rotation_sweep(
@@ -337,9 +322,8 @@ def rotation_sweep(
     if len(angle_list) < 3:
         raise ValueError(f"a sweep needs at least 3 angles, got {len(angle_list)}")
     position = scene.camera_pose.position
-    exact = np.concatenate(
-        [replace(scene, camera_pose=CameraPose(position, angle)).exact_pixels for angle in angle_list]
-    )
+    posed = [replace(scene, camera_pose=CameraPose(position, angle)) for angle in angle_list]
+    exact = np.array([project(b, turned)[0] for turned in posed for b in scene.beacons])
     offsets = _noise_offsets(scene.noise, scene.seed, len(exact))
     pixels = _noisy_pixels(exact, offsets, scene.noise.quantize).tolist()
     n = len(scene.beacons)
@@ -361,20 +345,20 @@ def generate_trials(
     grid: Sequence[tuple[float, float, float]],
     trials_per_point: int,
     scene: SceneConfig,
-    base_seed: int,
 ) -> list[TrialRecord]:
     """Repeated observations over a grid of camera positions.
 
-    Every trial gets its own derived seed, so regenerating any single trial
-    in isolation reproduces it bit for bit: its noise stream is
-    default_rng(seed), with the seed states of all trials computed in one
-    pass. The scene is posed and validated once per grid point and all its
-    trials are observed in one batch, so trials at a point whose beacon lands
-    on the same pixel bits share one Detection object.
+    Every trial gets its own seed, derived from scene.seed and its point and
+    trial index, so regenerating any single trial in isolation reproduces it
+    bit for bit: its noise stream is default_rng(seed), with the seed states
+    of all trials computed in one pass. The scene is posed and validated once
+    per grid point and all its trials are observed in one batch, so trials at
+    a point whose beacon lands on the same pixel bits share one Detection
+    object.
     """
     if trials_per_point <= 0:
         raise ValueError(f"trials_per_point must be positive, got {trials_per_point}")
-    seeds = [derive_seed(base_seed, p, t) for p in range(len(grid)) for t in range(trials_per_point)]
+    seeds = [derive_seed(scene.seed, p, t) for p in range(len(grid)) for t in range(trials_per_point)]
     states = _seed_states(seeds) if scene.noise.pixel_sigma > 0 else None
     records: list[TrialRecord] = []
     for point_index, position in enumerate(grid):

@@ -102,7 +102,7 @@ def row_by_row_ground_truth(path):
     return truths
 
 
-def row_by_row_locate(groups, beacons, intrinsics, method, height_pair, path, check_sensor=False):
+def row_by_row_locate(groups, beacons, intrinsics, method, height_pair, path):
     """vlpkit.cli._locate as one sensor check and one solve per group, with no reuse between groups."""
     import sys
 
@@ -111,11 +111,9 @@ def row_by_row_locate(groups, beacons, intrinsics, method, height_pair, path, ch
 
     rows = []
     failures = {}
-    width, height = intrinsics.resolution
     for point, trial, dets in groups:
         try:
-            if check_sensor:
-                cli._check_on_sensor(dets, width, height)
+            cli._check_on_sensor(dets, intrinsics)
             rows.append((point, trial, method, cli.compute_fix(dets, beacons, intrinsics, method, height_pair), ""))
         except (VlpError, ValueError) as err:
             message = str(err)

@@ -160,11 +160,13 @@ def test_criterion_3_dispersion_calibration_recovers_offset():
         true_pp = scene.true_principal_point
         origin = (0.0, 0.0, 0.0)
 
-        quiet = replace(scene, noise=NoiseModel(), camera_pose=CameraPose(origin))
-        records = generate_trials(
-            [origin], DISPERSION_TRIALS, quiet,
-            derive_seed(DEFAULT_REPLICATE_SEED, DISPERSION_STREAM, 0),
+        quiet = replace(
+            scene,
+            noise=NoiseModel(),
+            camera_pose=CameraPose(origin),
+            seed=derive_seed(DEFAULT_REPLICATE_SEED, DISPERSION_STREAM, 0),
         )
+        records = generate_trials([origin], DISPERSION_TRIALS, quiet)
         fixes = [
             compute_fix(r.detections, quiet.beacons, nominal, Method.THREE_LED)
             for r in records
@@ -185,10 +187,8 @@ def test_criterion_3_dispersion_calibration_recovers_offset():
 
         worst = 0.0
         for s in (0, 1, 2, 3, DEFAULT_REPLICATE_SEED):
-            noisy = replace(scene, camera_pose=CameraPose(origin))
-            records = generate_trials(
-                [origin], DISPERSION_TRIALS, noisy, derive_seed(s, DISPERSION_STREAM, 0)
-            )
+            noisy = replace(scene, camera_pose=CameraPose(origin), seed=derive_seed(s, DISPERSION_STREAM, 0))
+            records = generate_trials([origin], DISPERSION_TRIALS, noisy)
             fixes = [
                 compute_fix(r.detections, noisy.beacons, nominal, Method.TWO_LED)
                 for r in records

@@ -568,15 +568,17 @@ def _locate_with_trial_0_0_u(tmp_path, method, u_px):
         return list(csv.DictReader(handle)), sim
 
 
-def test_only_rows_read_from_a_detections_file_are_checked_against_the_sensor(tmp_path, monkeypatch):
-    # replicate's rows come from observe, which keeps only pixels on the sensor.
+def test_each_distinct_detection_set_is_checked_against_the_sensor_once(tmp_path, monkeypatch):
     checked = []
     check = cli._check_on_sensor
-    monkeypatch.setattr(cli, "_check_on_sensor", lambda dets, *size: checked.append(len(dets)) or check(dets, *size))
+    monkeypatch.setattr(cli, "_check_on_sensor", lambda dets, k: checked.append(len(dets)) or check(dets, k))
+    calls = _count_solves(monkeypatch)
+    # replicate's in-memory sets are checked too: one check before each solve.
     assert main(["replicate", "--out", str(tmp_path / "rep")]) == 0
-    assert checked == []
+    assert len(checked) == len(calls) == 2740
+    checked.clear()
     _, sim = _locate_with_trial_0_0_u(tmp_path, "three-led", "400")
-    # One check per distinct set of detection objects; the reader shares one per distinct row text.
+    # The reader shares one Detection per distinct row text.
     distinct = {tuple(map(id, dets)): len(dets) for _, _, dets in read_detections_csv(sim / "detections.csv")}
     assert sorted(checked) == sorted(distinct.values())
     assert 1 < len(checked) < 72
@@ -654,7 +656,7 @@ def test_locate_solves_each_distinct_detection_set_of_generated_trials_once(tmp_
     # generate_trials shares one Detection per distinct pixel of a beacon at a point, as replicate's groups do.
     calls = _count_solves(monkeypatch)
     scene = replace(replicate_scene(7), noise=NoiseModel(sigma, quantize=True))
-    records = generate_trials(default_grid()[:4], 30, scene, scene.seed)
+    records = generate_trials(default_grid()[:4], 30, scene)
     groups = [(rec.point_index, rec.trial_index, rec.detections) for rec in records]
     rows = cli._locate(groups, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "fixes.csv")
     distinct = {tuple(map(id, dets)) for _, _, dets in groups}

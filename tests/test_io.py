@@ -245,9 +245,9 @@ def test_scene_integer_past_the_digit_limit_names_the_file(tmp_path):
 
 
 def quantized_trials():
-    scene = default_scene(noise=NoiseModel(pixel_sigma=0.5, quantize=True))
+    scene = default_scene(noise=NoiseModel(pixel_sigma=0.5, quantize=True), seed=3)
     grid = [(-12.0, -7.0, 0.0), (12.0, 7.0, 0.0)]
-    return generate_trials(grid, 2, scene, base_seed=3)
+    return generate_trials(grid, 2, scene)
 
 
 def test_detections_round_trip(tmp_path):

@@ -644,3 +644,26 @@ def test_noiseless_three_led_is_the_pose_solve_of_its_three_beacons(pose, height
     fix = trilaterate_three(dets, scene.beacons, scene.intrinsics, height_pair=height_pair)
     *position, _ = oracles.gauss_newton_pose(scene.beacons, [d.pixel for d in dets], scene.intrinsics)
     assert max(map(abs, np.subtract(fix.position, position))) < 1e-6
+
+
+def test_least_squares_beats_two_led_beats_three_led_in_planar_rms_at_seed_7():
+    # The replicate grid's 432 seed-7 trials, located with the true principal point so no bias
+    # is left: the least-squares solve on all six image coordinates, the two-led closed form
+    # on its widest pair's four, and the three-led closed form (0.162, 0.203 and 0.831 cm).
+    from vlpkit.cli import DEFAULT_TRIALS_PER_POINT, compute_fix, replicate_scene
+
+    scene = replicate_scene(7)
+    k = scene.intrinsics.with_principal_point(*scene.true_principal_point)
+    records = sim.generate_trials(sim.default_grid(), DEFAULT_TRIALS_PER_POINT, scene)
+    assert len(records) == 432
+    planar = {"least squares": [], "two-led": [], "three-led": []}
+    for record in records:
+        assert [d.beacon_id for d in record.detections] == [b.id for b in scene.beacons]
+        truth = record.pose.position[:2]
+        x, y, _, _ = oracles.gauss_newton_pose(scene.beacons, [d.pixel for d in record.detections], k)
+        planar["least squares"].append(np.subtract((x, y), truth))
+        for method in (Method.TWO_LED, Method.THREE_LED):
+            fix = compute_fix(record.detections, scene.beacons, k, method)
+            planar[method.value].append(np.subtract(fix.position[:2], truth))
+    rms = {name: math.sqrt(np.mean(np.sum(np.square(errors), axis=1))) for name, errors in planar.items()}
+    assert rms["least squares"] < rms["two-led"] < rms["three-led"]

@@ -108,12 +108,8 @@ def test_observe_is_deterministic_per_seed():
 def test_noise_magnitude_matches_sigma():
     sigma = 0.5
     (u, v), _ = project(DEFAULT_BEACONS[0], default_scene())
-    offsets = []
-    for seed in range(2000):
-        scene = default_scene(noise=NoiseModel(pixel_sigma=sigma), seed=seed)
-        det_u, det_v = observe(scene)[0].pixel
-        offsets.append((det_u - u, det_v - v))
-    arr = np.asarray(offsets)
+    records = generate_trials([(0.0, 0.0, 0.0)], 2000, default_scene(noise=NoiseModel(pixel_sigma=sigma)))
+    arr = np.asarray([record.detections[0].pixel for record in records]) - (u, v)
     assert abs(float(arr.mean())) < 0.05
     assert float(arr.std()) == pytest.approx(sigma, abs=0.05)
 
@@ -203,20 +199,20 @@ def test_derive_seed_range_checks():
 def test_generate_trials_shape_and_determinism():
     grid = default_grid()
     assert len(grid) == 36
-    scene = default_scene(noise=NoiseModel(pixel_sigma=0.5, quantize=True))
-    trials = generate_trials(grid, 12, scene, base_seed=7)
+    scene = default_scene(noise=NoiseModel(pixel_sigma=0.5, quantize=True), seed=7)
+    trials = generate_trials(grid, 12, scene)
     assert len(trials) == 432
     assert trials[0].point_index == 0 and trials[0].trial_index == 0
     assert trials[-1].point_index == 35 and trials[-1].trial_index == 11
-    again = generate_trials(grid, 12, scene, base_seed=7)
+    again = generate_trials(grid, 12, scene)
     assert trials == again
     assert len({t.seed for t in trials}) == 432
 
 
 def test_generate_trials_single_trial_reproducible_in_isolation():
     grid = default_grid()
-    scene = default_scene(noise=NoiseModel(pixel_sigma=0.5), seed=0)
-    trials = generate_trials(grid, 12, scene, base_seed=7)
+    scene = default_scene(noise=NoiseModel(pixel_sigma=0.5), seed=7)
+    trials = generate_trials(grid, 12, scene)
     probe = trials[100]
     lone = dataclasses.replace(
         scene, camera_pose=probe.pose, seed=derive_seed(7, probe.point_index, probe.trial_index)
@@ -228,17 +224,7 @@ def test_generate_trials_single_trial_reproducible_in_isolation():
 def test_generate_trials_rejects_a_grid_point_at_or_above_the_beacon_plane(z):
     grid = [(-40.0, 5.0, 0.0), (-40.0, 5.0, z)]
     with pytest.raises(ValueError, match="strictly below every beacon"):
-        generate_trials(grid, 2, default_scene(), base_seed=7)
-
-
-@pytest.mark.parametrize("quantize", [False, True])
-def test_observe_with_a_seed_equals_observing_a_scene_with_that_seed(quantize):
-    scene = default_scene(camera_pose=CameraPose((-40.0, 5.0, 0.0)), noise=NoiseModel(0.5, quantize), seed=3)
-    for seed in (0, 11, derive_seed(7, 35, 11)):
-        assert observe(scene, seed=seed) == observe(dataclasses.replace(scene, seed=seed))
-    assert observe(scene, seed=None) == observe(scene)
-    with pytest.raises(ValueError, match="non-negative"):
-        observe(scene, seed=-1)
+        generate_trials(grid, 2, default_scene(seed=7))
 
 
 def test_default_grid_keeps_all_beacons_in_frame():
@@ -298,9 +284,8 @@ def _hex(pixels):
     return [(bid, u.hex(), v.hex()) for bid, u, v in pixels]
 
 
-def _scalar_observe(scene, seed):
+def _scalar_observe(scene):
     """observe's reference: the per-beacon draws at the scene's own yaw, kept when on the sensor."""
-    scene = dataclasses.replace(scene, seed=seed)
     noise = scene.noise
     pixels = _hand_noisy_pixels(scene, [scene.camera_pose.yaw_rad], noise.pixel_sigma, noise.quantize)
     return _hex(p for p in pixels if scene.intrinsics.on_sensor(p[1], p[2]))
@@ -336,29 +321,17 @@ posed_scenes = st.builds(
     angles=st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=6),
 )
 def test_observe_and_sweep_equal_a_scalar_reference(scene, seed, pose, angles):
-    def observed(scene, seed):
-        return _hex((d.beacon_id, *d.pixel) for d in observe(scene, seed))
+    def observed(scene):
+        return _hex((d.beacon_id, *d.pixel) for d in observe(scene))
 
-    assert observed(scene, seed) == _scalar_observe(scene, seed)
-    assert observed(scene, None) == _scalar_observe(scene, scene.seed)
+    assert observed(scene) == _scalar_observe(scene)
     tracks = rotation_sweep(scene, angles)
     swept = [(b.id, *tracks[b.id][k]) for k in range(len(angles)) for b in scene.beacons]
     noise = scene.noise
     assert _hex(swept) == _hex(_hand_noisy_pixels(scene, angles, noise.pixel_sigma, noise.quantize))
     # A scene observed once and then moved sees the new pose.
-    moved = dataclasses.replace(scene, camera_pose=CameraPose(pose, scene.camera_pose.yaw_rad))
-    assert observed(moved, seed) == _scalar_observe(moved, seed)
-
-
-def test_cached_projection_is_read_only():
-    scene = default_scene(camera_pose=CameraPose((-40.0, 5.0, 0.0)), noise=NoiseModel(0.5, quantize=True))
-    exact = scene.exact_pixels
-    assert exact.shape == (3, 2) and not exact.flags.writeable
-    assert exact.tolist() == [list(project(b, scene)[0]) for b in scene.beacons]
-    with pytest.raises(ValueError, match="read-only"):
-        np.rint(exact, out=exact)
-    observe(scene, 5)
-    assert scene.exact_pixels is exact
+    moved = dataclasses.replace(scene, camera_pose=CameraPose(pose, scene.camera_pose.yaw_rad), seed=seed)
+    assert observed(moved) == _scalar_observe(moved)
 
 
 # --- bulk seeding: each trial's stream is still default_rng(derive_seed(...)) ---
@@ -410,13 +383,13 @@ base_seeds = st.integers(0, 2**63 - 1).flatmap(
     base=st.one_of(st.sampled_from([0, 2**63 - 1, 2**63]), base_seeds),
 )
 def test_generate_trials_equals_observing_each_trial_seed(points, trials, sigma, quantize, base):
-    scene = default_scene(noise=NoiseModel(sigma, quantize))
-    records = generate_trials(points, trials, scene, base)
+    scene = default_scene(noise=NoiseModel(sigma, quantize), seed=base)
+    records = generate_trials(points, trials, scene)
     assert len(records) == len(points) * trials
     for record in records:
         seed = derive_seed(base, record.point_index, record.trial_index)
         assert record.seed == seed
-        expected = _scalar_observe(dataclasses.replace(scene, camera_pose=record.pose), seed)
+        expected = _scalar_observe(dataclasses.replace(scene, camera_pose=record.pose, seed=seed))
         assert _hex((d.beacon_id, *d.pixel) for d in record.detections) == expected
 
 
@@ -432,8 +405,8 @@ def _detection_ids_by_bits(records):
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 def test_equal_pixel_bits_at_a_point_share_one_detection(sigma):
-    scene = default_scene(noise=NoiseModel(sigma, quantize=True))
-    records = generate_trials(default_grid()[:3], 40, scene, base_seed=7)
+    scene = default_scene(noise=NoiseModel(sigma, quantize=True), seed=7)
+    records = generate_trials(default_grid()[:3], 40, scene)
     by_bits = _detection_ids_by_bits(records)
     assert all(len(ids) == 1 for ids in by_bits.values())
     # Distinct bits, or the same bits at another point, are distinct objects.
@@ -444,15 +417,18 @@ def test_equal_pixel_bits_at_a_point_share_one_detection(sigma):
 # E projects exactly onto the frame's left edge, so quantized noise rounds its u
 # to -0.0 in some trials and to 0.0 in others; both lie on the sensor.
 EDGE_SCENE = scene_with(
-    [LedBeacon("E", (-120.0, 0.0, 150.0)), LedBeacon("C", (0.0, 0.0, 150.0))], noise=NoiseModel(0.2, quantize=True)
+    [LedBeacon("E", (-120.0, 0.0, 150.0)), LedBeacon("C", (0.0, 0.0, 150.0))],
+    noise=NoiseModel(0.2, quantize=True),
+    seed=3,
 )
 
 
 def test_a_pixel_rounded_to_minus_zero_keeps_its_sign_and_its_own_detection():
-    assert EDGE_SCENE.exact_pixels[0].tolist() == [0.0, 300.0]
-    records = generate_trials([(0.0, 0.0, 0.0)], 12, EDGE_SCENE, base_seed=3)
+    assert project(EDGE_SCENE.beacons[0], EDGE_SCENE)[0] == (0.0, 300.0)
+    records = generate_trials([(0.0, 0.0, 0.0)], 12, EDGE_SCENE)
     for record in records:
-        assert _hex((d.beacon_id, *d.pixel) for d in record.detections) == _scalar_observe(EDGE_SCENE, record.seed)
+        expected = _scalar_observe(dataclasses.replace(EDGE_SCENE, seed=record.seed))
+        assert _hex((d.beacon_id, *d.pixel) for d in record.detections) == expected
     by_bits = _detection_ids_by_bits(records)
     # Equal values, (-0.0, 300.0) == (0.0, 300.0), with different bits: two objects.
     edge = {key[2]: ids for key, ids in by_bits.items() if key[1] == "E" and key[3] == (300.0).hex()}
@@ -466,7 +442,7 @@ def test_importing_the_cli_or_a_noiseless_run_leaves_numpy_random_unloaded():
         "import sys, vlpkit.cli\n"
         "assert 'numpy.random' not in sys.modules\n"
         "from vlpkit.simulator import default_grid, default_scene, generate_trials\n"
-        "generate_trials(default_grid(), 2, default_scene(), 7)\n"
+        "generate_trials(default_grid(), 2, default_scene(seed=7))\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
     paths = [str(Path(vlpkit.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
