@@ -162,72 +162,34 @@ def _as_positions(positions) -> np.ndarray:
 def min_enclosing_circle(points: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], float]:
     """Exact smallest circle containing every (x, y) point.
 
-    Incremental construction in expected linear time: each point outside the
-    current circle is promoted to a boundary point and the circle is rebuilt
-    over the prefix with one, then two, points pinned to the boundary. A
-    fixed shuffle seed keeps the arithmetic (and hence serialized output)
-    reproducible run to run.
+    Welzl's incremental MiniDisc (Welzl 1991), in expected linear time over
+    the shuffled points: each point outside the current circle lies on the
+    boundary of the circle over the points before it, and so does each
+    earlier point then left outside. A fixed shuffle seed keeps the
+    arithmetic (and hence serialized output) reproducible run to run.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if not pts:
         raise EmptyInput("minimum enclosing circle needs at least one point")
     random.Random(_MEC_SHUFFLE_SEED).shuffle(pts)
     cx, cy, r = pts[0][0], pts[0][1], 0.0
-    for idx in range(1, len(pts)):
-        p = pts[idx]
-        if not _covers(cx, cy, r, p):
-            cx, cy, r = _circle_one_pinned(pts[: idx + 1], p)
+    for i, p in enumerate(pts):
+        if _covers(cx, cy, r, p):
+            continue
+        cx, cy, r = p[0], p[1], 0.0
+        for j, q in enumerate(pts[:i]):
+            if _covers(cx, cy, r, q):
+                continue
+            cx, cy, r = _diameter(p, q)
+            for s in pts[:j]:
+                if not _covers(cx, cy, r, s):
+                    # None for collinear points: the current circle stays.
+                    cx, cy, r = _circumcircle(p, q, s) or (cx, cy, r)
     return (cx, cy), r
 
 
 def _covers(cx: float, cy: float, r: float, p: tuple[float, float]) -> bool:
     return math.hypot(p[0] - cx, p[1] - cy) <= r * (1.0 + _COVER_SLACK) + _COVER_SLACK
-
-
-def _circle_one_pinned(
-    pts: Sequence[tuple[float, float]], p: tuple[float, float]
-) -> tuple[float, float, float]:
-    cx, cy, r = p[0], p[1], 0.0
-    for idx, q in enumerate(pts):
-        if _covers(cx, cy, r, q):
-            continue
-        if r == 0.0:
-            cx, cy, r = _diameter(p, q)
-        else:
-            cx, cy, r = _circle_two_pinned(pts[: idx + 1], p, q)
-    return cx, cy, r
-
-
-def _circle_two_pinned(
-    pts: Sequence[tuple[float, float]], p: tuple[float, float], q: tuple[float, float]
-) -> tuple[float, float, float]:
-    base = _diameter(p, q)
-    # Best circumcircle on each side of the p-q chord; the smaller one wins.
-    left: tuple[float, float, float] | None = None
-    right: tuple[float, float, float] | None = None
-    px, py = p
-    dqx, dqy = q[0] - px, q[1] - py
-    left_side = -math.inf
-    right_side = math.inf
-    for s in pts:
-        if _covers(*base, s):
-            continue
-        cross = dqx * (s[1] - py) - dqy * (s[0] - px)
-        circ = _circumcircle(p, q, s)
-        if circ is None:
-            continue
-        c_side = dqx * (circ[1] - py) - dqy * (circ[0] - px)
-        if cross > 0.0 and (left is None or c_side > left_side):
-            left, left_side = circ, c_side
-        elif cross < 0.0 and (right is None or c_side < right_side):
-            right, right_side = circ, c_side
-    if left is None and right is None:
-        return base
-    if left is None:
-        return right  # type: ignore[return-value]
-    if right is None:
-        return left
-    return left if left[2] <= right[2] else right
 
 
 def _diameter(

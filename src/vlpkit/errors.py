@@ -9,6 +9,10 @@ class CoincidentProjection(VlpError):
     """Two beacon images are too close together to resolve a baseline."""
 
 
+class ImplausibleHeight(VlpError):
+    """A beacon pair's image puts the camera no farther below it than the focal length."""
+
+
 class UnequalBeaconHeights(VlpError):
     """Beacons used in one fix do not share a ceiling height."""
 

@@ -21,6 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .camera import MM_PER_CM, CameraIntrinsics, pixel_to_image
 from .errors import (
     CoincidentProjection,
+    ImplausibleHeight,
     SingularGeometry,
     UnequalBeaconHeights,
     UnknownBeacon,
@@ -226,6 +227,22 @@ def _pair_height(
     return d_img, d_world * MM_PER_CM / d_img * k.focal_length / MM_PER_CM
 
 
+def _check_heights(sub: _Subset, heights: Sequence[float], k: CameraIntrinsics) -> None:
+    """Reject the first pair whose camera height is not beyond the focal length.
+
+    A pinhole images only what lies farther than its focal length, so such a
+    height means a pixel far off any sensor: its height tends to 0 as the
+    image distance grows. The estimators check it last, so a collinear plan
+    or an overflowing position keeps its own error.
+    """
+    for (a, b, _), height in zip(sub.pairs, heights):
+        if height * MM_PER_CM <= k.focal_length:
+            raise ImplausibleHeight(
+                f"beacons {sub.leds[a].id!r} and {sub.leds[b].id!r} put the camera {height:.3g} cm"
+                f" below them, within the {k.focal_length} mm focal length"
+            )
+
+
 def _wrap_angle(a: float) -> float:
     """Wrap into (-pi, pi]."""
     a = math.remainder(a, math.tau)
@@ -269,6 +286,7 @@ def trilaterate_three(
     # Finite but huge pixels overflow the squared radii.
     if not all(map(math.isfinite, position)):
         raise ValueError(f"three-led position {position} is not finite")
+    _check_heights(sub, heights, k)
 
     diag = Diagnostics(
         height_cm=height,
@@ -294,6 +312,7 @@ def locate_two(
     sub, imgs = _observed(detections, beacons, k, expected=2)
     (pair,) = sub.pairs
     d_img, height = _pair_height(imgs, sub, pair, k)
+    _check_heights(sub, [height], k)
 
     phi_world, mid_x, mid_y = sub.baseline
     (i1, j1), (i2, j2) = imgs

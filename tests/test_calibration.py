@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+import vlpkit.calibration as calibration
 import vlpkit.simulator as sim
 from vlpkit import (
     CameraPose,
@@ -268,14 +269,42 @@ def test_enclosing_circle_equilateral_uses_circumcircle():
 
 def test_enclosing_circle_matches_brute_force():
     rng = random.Random(77)
+    cases = []
     for _ in range(60):
         n = rng.randint(1, 12)
-        pts = [(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)) for _ in range(n)]
+        cases.append([(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)) for _ in range(n)])
+    for _ in range(40):
+        # Outside the diameter circle of the (-1, 0)-(1, 0) chord, on both sides of it.
+        off = [(rng.uniform(-0.9, 0.9), side * rng.uniform(1.0, 1.6)) for side in (1.0, -1.0) * rng.randint(1, 3)]
+        cases.append([(-1.0, 0.0), (1.0, 0.0), *off])
+    # Exactly cocircular: integer points at distance 5 and 65 from the origin, and a regular polygon.
+    cases.append([(3.0, 4.0), (-4.0, 3.0), (-3.0, -4.0), (4.0, -3.0), (5.0, 0.0), (0.0, -5.0), (-5.0, 0.0)])
+    cases.append([(16.0, 63.0), (-33.0, 56.0), (-39.0, -52.0), (25.0, -60.0), (63.0, 16.0), (-65.0, 0.0)])
+    cases.extend([[(math.cos(math.tau * i / n), math.sin(math.tau * i / n)) for i in range(n)] for n in (3, 4, 6, 12)])
+    for _ in range(10):
+        # Duplicates: every point two to four times, some interior.
+        base = [(float(rng.randint(-3, 3)), float(rng.randint(-3, 3))) for _ in range(rng.randint(1, 6))]
+        pts = [p for p in base for _ in range(rng.randint(2, 4))]
+        rng.shuffle(pts)
+        cases.append(pts)
+    # Collinear runs, alone and with one point off the line.
+    run = [(float(t), 2.0 * t + 1.0) for t in range(-5, 6)]
+    cases.extend([run, run[::-1] + run[:3], [*run, (0.0, 9.0)], [(x / 7.0, 0.0) for x in range(-9, 10)]])
+    for pts in cases:
         center, radius = min_enclosing_circle(pts)
         (ox, oy), oradius = oracles.brute_force_enclosing_circle(pts)
         assert radius == pytest.approx(oradius, abs=1e-9)
         assert center[0] == pytest.approx(ox, abs=1e-7)
         assert center[1] == pytest.approx(oy, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), ((5.0, -1.0), (5.0, 3.0), (5.0, 1.0)), ((1.0, 2.0), (1.0, 2.0), (4.0, 2.0))],
+    ids=["diagonal", "vertical", "two-coincident"],
+)
+def test_circumcircle_of_collinear_points_is_none(points):
+    assert calibration._circumcircle(*points) is None
 
 
 def test_enclosing_circle_ignores_input_order():

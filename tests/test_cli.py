@@ -213,6 +213,27 @@ def test_calibrate_rotation_cli_recovers_offset(tmp_path):
     assert "principal point" in (out / "calibration.txt").read_text()
 
 
+def _dispersion_without_fixes(tmp_path):
+    write_scene(replicate_scene(0), tmp_path / "scene.json")
+    return ["calibrate", "--scene", str(tmp_path / "scene.json"), "--calibration", "dispersion"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda tmp_path: ["simulate", "--at", "1,2,x"], "--at expects numbers, got '1,2,x'"),
+        (_dispersion_without_fixes, "dispersion calibration needs --fixes"),
+    ],
+    ids=["at-not-a-number", "dispersion-without-fixes"],
+)
+def test_a_bad_flag_prints_its_exact_error(tmp_path, capsys, argv, message):
+    args = argv(tmp_path) + ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_calibrate_rotation_needs_tracks(tmp_path, capsys):
     scene_path = tmp_path / "scene.json"
     write_scene(replicate_scene(0), scene_path)
@@ -462,6 +483,9 @@ def test_replicate_seed_7_csvs_match_golden_digests(tmp_path):
     }
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.glob("*.csv")}
     assert got == expected
+    # summary.txt holds the rotation fits and both dispersion circles, which no CSV does.
+    digest, name = (Path(__file__).parent / "data" / "golden_replicate_summary_txt.sha256").read_text().split()
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 GOLDEN_STATS_DIGESTS = Path(__file__).parent / "data" / "golden_stats_csv.sha256"

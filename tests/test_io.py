@@ -139,6 +139,29 @@ def test_scene_field_errors_name_the_field(tmp_path):
     assert len(str(err.value)) - len(str(path)) < 200
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw.update(true_principal_point_px=[1]), "scene.true_principal_point_px: expected 2 numbers, got [1]"),
+        (lambda raw: raw.update(beacons=[]), "scene.beacons: expected a non-empty list"),
+        (lambda raw: raw["beacons"][0].update(id=""), "scene.beacons[0].id: expected a non-empty string"),
+    ],
+    ids=["principal-point-one-number", "no-beacons", "empty-beacon-id"],
+)
+def test_scene_field_error_has_its_exact_message(tmp_path, edit, message):
+    import json
+
+    from vlpkit.io import scene_to_dict
+
+    raw = scene_to_dict(default_scene())
+    edit(raw)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SceneConfigError) as err:
+        read_scene(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("seed", [-1, 2**63, 10**4294, 1.5, True], ids=["negative", "2**63", "4295-digit", "float", "bool"])
 def test_scene_seed_must_be_an_integer_in_the_int64_range(tmp_path, seed):
     import json

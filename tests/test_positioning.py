@@ -15,6 +15,7 @@ import vlpkit.simulator as sim
 from vlpkit import (
     CoincidentProjection,
     Detection,
+    ImplausibleHeight,
     LedBeacon,
     Method,
     SingularGeometry,
@@ -25,6 +26,7 @@ from vlpkit import (
     trilaterate_three,
     widest_pair,
 )
+from vlpkit.cli import replicate_scene
 
 
 def exact_detections(scene):
@@ -233,6 +235,32 @@ def test_non_finite_pixel_rejected_by_both_estimators(bad):
         trilaterate_three(dets, scene.beacons, scene.intrinsics)
     with pytest.raises(ValueError, match="non-finite"):
         locate_two(dets[:2], scene.beacons, scene.intrinsics)
+
+
+# One pixel of the replicate scene's seed-7 observation moved far off the frame, its v kept.
+@pytest.mark.parametrize(
+    "locate, u, message",
+    [
+        (
+            lambda dets, scene: locate_two(widest_pair(dets, scene.beacons), scene.beacons, scene.intrinsics),
+            1e200,
+            "beacons 'L1' and 'L3' put the camera 6.76e-196 cm below them, within the 3.0 mm focal length",
+        ),
+        (
+            lambda dets, scene: trilaterate_three(dets, scene.beacons, scene.intrinsics),
+            1e100,
+            "beacons 'L1' and 'L2' put the camera 3.76e-97 cm below them, within the 3.0 mm focal length",
+        ),
+    ],
+    ids=["two-led", "three-led"],
+)
+def test_a_pixel_that_puts_the_camera_within_the_focal_length_is_rejected(locate, u, message):
+    scene = replicate_scene(7)
+    dets = sim.observe(scene)
+    dets[0] = Detection(dets[0].beacon_id, (u, dets[0].pixel[1]))
+    with pytest.raises(ImplausibleHeight) as err:
+        locate(dets, scene)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("coordinate", ["u", "v"])
@@ -570,6 +598,9 @@ FAILURE_ORDER = [
     # collinear beacons before a position that overflows
     (trilaterate_three, _dets(("A", 1e200, 300.0), ("B", 450.0, 300.0), ("C", 500.0, 300.0)), _COLLINEAR, {},
      SingularGeometry, "beacons ['A', 'B', 'C'] are collinear or coincident in plan"),
+    # a position that overflows before a pair that puts the camera within the focal length
+    (trilaterate_three, _dets(("A", 1e200, 300.0), ("B", 450.0, 300.0), ("C", 400.0, 400.0)), _PLAN, {},
+     ValueError, "three-led position (nan, nan, -60.81851067789202) is not finite"),
 ]
 
 

@@ -240,6 +240,21 @@ def test_default_grid_keeps_all_beacons_in_frame():
             assert in_frame, (position, beacon.id)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: scene_with(()), "scene needs at least one beacon"),
+        (lambda: scene_with(DEFAULT_BEACONS, seed=-1), "seed must be non-negative, got -1"),
+        (lambda: generate_trials(default_grid(), 0, default_scene()), "trials_per_point must be positive, got 0"),
+    ],
+    ids=["no-beacons", "negative-seed", "zero-trials-per-point"],
+)
+def test_scene_and_trial_count_errors_have_their_exact_message(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
 def test_noise_model_rejects_negative_sigma():
     with pytest.raises(ValueError):
         NoiseModel(pixel_sigma=-0.1)
