@@ -1,8 +1,9 @@
 """Camera localization from LED beacon detections.
 
-Two estimators share a similar-triangles height stage: a two-beacon solver
-that also recovers the camera yaw, and a three-beacon solver that works from
-per-beacon radial distances and is yaw-invariant.
+Two estimators share one fix pipeline and its similar-triangles height
+stage: a two-beacon solver that also recovers the camera yaw, and a
+three-beacon solver that works from per-beacon radial distances and is
+yaw-invariant.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 from numbers import Real
 from operator import attrgetter, is_
 from statistics import fmean
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .camera import MM_PER_CM, CameraIntrinsics, pixel_to_image
 from .errors import (
@@ -111,9 +112,10 @@ class _Subset(NamedTuple):
     unequal_heights: str | None  # the UnequalBeaconHeights message, None on one ceiling plane
     pairs: tuple[tuple[int, int, float], ...]  # (a, b, world distance in cm), itertools.combinations order
     widest: tuple[int, int] | None  # the first pair of greatest world distance
-    baseline: tuple[float, float, float] | None  # two beacons: world baseline angle, midpoint x and y
     singular: str | None  # three beacons: the SingularGeometry message, None if the plan solves
-    plan: tuple[float, ...] | None  # three beacons: m00, m01, m10, m11, det and the constants of b0, b1
+    # The plan solve's constants. Two beacons: world baseline angle, midpoint x and y.
+    # Three beacons: m00, m01, m10, m11, det and the constants of b0, b1.
+    plan: tuple[float, ...] | None
 
 
 def _solve_subset(ids: tuple[str, ...], index: dict[str, LedBeacon]) -> _Subset:
@@ -142,10 +144,10 @@ def _solve_subset(ids: tuple[str, ...], index: dict[str, LedBeacon]) -> _Subset:
     for a, b, dist in pairs:
         if dist > widest_dist:
             widest, widest_dist = (a, b), dist
-    baseline = singular = plan = None
+    singular = plan = None
     if len(xy) == 2:
         (x1, y1), (x2, y2) = xy
-        baseline = (math.atan2(y1 - y2, x1 - x2), (x1 + x2) / 2.0, (y1 + y2) / 2.0)
+        plan = (math.atan2(y1 - y2, x1 - x2), (x1 + x2) / 2.0, (y1 + y2) / 2.0)
     elif len(xy) == 3:
         (x1, y1), (x2, y2), (x3, y3) = xy
         m00, m01 = x2 - x1, y2 - y1
@@ -155,7 +157,7 @@ def _solve_subset(ids: tuple[str, ...], index: dict[str, LedBeacon]) -> _Subset:
         if scale == 0.0 or abs(det) < SINGULARITY_TOL * scale:
             singular = f"beacons {[led.id for led in leds]} are collinear or coincident in plan"
         plan = (m00, m01, m10, m11, det, x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2, x1 * x1 + y1 * y1 - x3 * x3 - y3 * y3)
-    return _Subset(leds, unequal_heights, pairs, widest, baseline, singular, plan)
+    return _Subset(leds, unequal_heights, pairs, widest, singular, plan)
 
 
 # The last beacons seen, their id index and the geometry of each id subset
@@ -198,55 +200,92 @@ def _resolve(
     return dets, sub
 
 
-def _observed(
-    detections: Iterable[Detection], beacons: Iterable[LedBeacon], k: CameraIntrinsics, expected: int
-) -> tuple[_Subset, list[tuple[float, float]]]:
-    """Geometry and (i, j) image coordinates of exactly expected detections, in id order, on one ceiling plane."""
-    dets, sub = _resolve(detections, beacons, expected)
+def _fix(
+    detections: Iterable[Detection],
+    beacons: Iterable[LedBeacon],
+    k: CameraIntrinsics,
+    method: Method,
+    height_pair: str,
+) -> PositionFix:
+    """One fix of either method: resolve, height stage, plan solve, validity rule.
+
+    Both methods check in one order, and the first failed check raises:
+    height_pair; in _resolve a duplicate beacon id, the detection count,
+    distinct ids, unknown ids and a non-finite pixel; UnequalBeaconHeights;
+    CoincidentProjection, pair by pair; SingularGeometry; a position that is
+    not finite (ValueError); last ImplausibleHeight, for a pair that puts the
+    camera within the focal length of the beacons. Only a pixel far off any
+    sensor can do that, so checked last it hides no other error.
+    """
+    if height_pair not in ("average", "first"):
+        raise ValueError(f"height_pair must be 'average' or 'first', got {height_pair!r}")
+    two_led = method is Method.TWO_LED
+    dets, sub = _resolve(detections, beacons, 2 if two_led else 3)
     if sub.unequal_heights is not None:
         raise UnequalBeaconHeights(sub.unequal_heights)
-    return sub, [pixel_to_image(d.pixel, k) for d in dets]
+    imgs = [pixel_to_image(d.pixel, k) for d in dets]
+    # The ratio of a pair's ceiling distance to its image distance is the pinhole magnification;
+    # scaled by the focal length it gives the vertical camera distance below the beacon plane.
+    d_imgs, heights = [], []
+    for a, b, d_world in sub.pairs:
+        (ia, ja), (ib, jb) = imgs[a], imgs[b]
+        d_img = math.hypot(ia - ib, ja - jb)
+        if d_img < COINCIDENT_PROJECTION_TOL_MM:
+            raise CoincidentProjection(
+                f"beacons {sub.leds[a].id!r} and {sub.leds[b].id!r} project {d_img:.3g} mm apart"
+            )
+        d_imgs.append(d_img)
+        heights.append(d_world * MM_PER_CM / d_img * k.focal_length / MM_PER_CM)
+    height = heights[0] if height_pair == "first" else fmean(heights)
+    if sub.singular is not None:
+        raise SingularGeometry(sub.singular)
 
+    yaw = None
+    if two_led:
+        phi_world, mid_x, mid_y = sub.plan
+        (i1, j1), (i2, j2) = imgs
+        phi_image = math.atan2(j1 - j2, i1 - i2)
+        yaw = math.remainder(phi_world - phi_image, math.tau)
+        if yaw <= -math.pi:  # wrap into (-pi, pi]
+            yaw += math.tau
 
-def _pair_height(
-    imgs: Sequence[tuple[float, float]], sub: _Subset, pair: tuple[int, int, float], k: CameraIntrinsics
-) -> tuple[float, float]:
-    """Image-plane distance (mm) of one beacon pair and the camera height below it (cm).
+        mid_i = (i1 + i2) / 2.0
+        mid_j = (j1 + j2) / 2.0
+        # Camera-frame offset from camera to the beacon midpoint, in cm.
+        off_x = height * mid_i / k.focal_length
+        off_y = height * mid_j / k.focal_length
+        cos_y, sin_y = math.cos(yaw), math.sin(yaw)
+        off_wx = cos_y * off_x - sin_y * off_y
+        off_wy = sin_y * off_x + cos_y * off_y
+        xc = mid_x - off_wx
+        yc = mid_y - off_wy
+    else:
+        # Horizontal world distance from the camera to each beacon.
+        r1, r2, r3 = (height * math.hypot(i, j) / k.focal_length for i, j in imgs)
+        m00, m01, m10, m11, det, c0, c1 = sub.plan
+        b0 = r1 * r1 - r2 * r2 - c0
+        b1 = r1 * r1 - r3 * r3 - c1
+        xc = 0.5 * (m11 * b0 - m01 * b1) / det
+        yc = 0.5 * (m00 * b1 - m10 * b0) / det
 
-    The ratio of the pair's ceiling distance to its image distance is the
-    pinhole magnification; scaled by the focal length it gives the vertical
-    camera distance below the beacon plane.
-    """
-    a, b, d_world = pair
-    (ia, ja), (ib, jb) = imgs[a], imgs[b]
-    d_img = math.hypot(ia - ib, ja - jb)
-    if d_img < COINCIDENT_PROJECTION_TOL_MM:
-        raise CoincidentProjection(
-            f"beacons {sub.leds[a].id!r} and {sub.leds[b].id!r} project {d_img:.3g} mm apart"
-        )
-    return d_img, d_world * MM_PER_CM / d_img * k.focal_length / MM_PER_CM
-
-
-def _check_heights(sub: _Subset, heights: Sequence[float], k: CameraIntrinsics) -> None:
-    """Reject the first pair whose camera height is not beyond the focal length.
-
-    A pinhole images only what lies farther than its focal length, so such a
-    height means a pixel far off any sensor: its height tends to 0 as the
-    image distance grows. The estimators check it last, so a collinear plan
-    or an overflowing position keeps its own error.
-    """
-    for (a, b, _), height in zip(sub.pairs, heights):
-        if height * MM_PER_CM <= k.focal_length:
+    position = (xc, yc, sub.leds[0].position[2] - height)
+    # Finite but huge pixels overflow the squared radii or the midpoint offset.
+    if not all(map(math.isfinite, position)):
+        raise ValueError(f"{method.value} position {position} is not finite")
+    for (a, b, _), pair_height in zip(sub.pairs, heights):
+        if pair_height * MM_PER_CM <= k.focal_length:
             raise ImplausibleHeight(
-                f"beacons {sub.leds[a].id!r} and {sub.leds[b].id!r} put the camera {height:.3g} cm"
+                f"beacons {sub.leds[a].id!r} and {sub.leds[b].id!r} put the camera {pair_height:.3g} cm"
                 f" below them, within the {k.focal_length} mm focal length"
             )
 
-
-def _wrap_angle(a: float) -> float:
-    """Wrap into (-pi, pi]."""
-    a = math.remainder(a, math.tau)
-    return a + math.tau if a <= -math.pi else a
+    diag = Diagnostics(
+        height_cm=height,
+        image_pair_distance_mm=d_imgs[0],
+        world_pair_distance_cm=sub.pairs[0][2],
+        yaw_rad=yaw,
+    )
+    return PositionFix(position, method, diag)
 
 
 def trilaterate_three(
@@ -266,34 +305,7 @@ def trilaterate_three(
     height_pair selects the height stage: "average" uses all three beacon
     pairs, "first" only the two lowest-id beacons.
     """
-    if height_pair not in ("average", "first"):
-        raise ValueError(f"height_pair must be 'average' or 'first', got {height_pair!r}")
-    sub, imgs = _observed(detections, beacons, k, expected=3)
-    geoms = [_pair_height(imgs, sub, pair, k) for pair in sub.pairs]
-    heights = [height for _, height in geoms]
-    height = heights[0] if height_pair == "first" else fmean(heights)
-    if sub.singular is not None:
-        raise SingularGeometry(sub.singular)
-
-    # Horizontal world distance from the camera to each beacon.
-    r1, r2, r3 = (height * math.hypot(i, j) / k.focal_length for i, j in imgs)
-    m00, m01, m10, m11, det, c0, c1 = sub.plan
-    b0 = r1 * r1 - r2 * r2 - c0
-    b1 = r1 * r1 - r3 * r3 - c1
-    xc = 0.5 * (m11 * b0 - m01 * b1) / det
-    yc = 0.5 * (m00 * b1 - m10 * b0) / det
-    position = (xc, yc, sub.leds[0].position[2] - height)
-    # Finite but huge pixels overflow the squared radii.
-    if not all(map(math.isfinite, position)):
-        raise ValueError(f"three-led position {position} is not finite")
-    _check_heights(sub, heights, k)
-
-    diag = Diagnostics(
-        height_cm=height,
-        image_pair_distance_mm=geoms[0][0],
-        world_pair_distance_cm=sub.pairs[0][2],
-    )
-    return PositionFix(position, Method.THREE_LED, diag)
+    return _fix(detections, beacons, k, Method.THREE_LED, height_pair)
 
 
 def locate_two(
@@ -309,34 +321,7 @@ def locate_two(
     midpoint; rotating it into the world frame and subtracting from the
     world midpoint gives the camera position.
     """
-    sub, imgs = _observed(detections, beacons, k, expected=2)
-    (pair,) = sub.pairs
-    d_img, height = _pair_height(imgs, sub, pair, k)
-    _check_heights(sub, [height], k)
-
-    phi_world, mid_x, mid_y = sub.baseline
-    (i1, j1), (i2, j2) = imgs
-    phi_image = math.atan2(j1 - j2, i1 - i2)
-    yaw = _wrap_angle(phi_world - phi_image)
-
-    mid_i = (i1 + i2) / 2.0
-    mid_j = (j1 + j2) / 2.0
-    # Camera-frame offset from camera to the beacon midpoint, in cm.
-    off_x = height * mid_i / k.focal_length
-    off_y = height * mid_j / k.focal_length
-    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
-    off_wx = cos_y * off_x - sin_y * off_y
-    off_wy = sin_y * off_x + cos_y * off_y
-    xc = mid_x - off_wx
-    yc = mid_y - off_wy
-
-    diag = Diagnostics(
-        height_cm=height,
-        image_pair_distance_mm=d_img,
-        world_pair_distance_cm=pair[2],
-        yaw_rad=yaw,
-    )
-    return PositionFix((xc, yc, sub.leds[0].position[2] - height), Method.TWO_LED, diag)
+    return _fix(detections, beacons, k, Method.TWO_LED, "first")
 
 
 def widest_pair(

@@ -2,11 +2,12 @@
 
 import math
 import reprlib
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -26,7 +27,7 @@ from vlpkit import (
     trilaterate_three,
     widest_pair,
 )
-from vlpkit.cli import replicate_scene
+from vlpkit.cli import compute_fix, replicate_scene
 
 
 def exact_detections(scene):
@@ -263,15 +264,29 @@ def test_a_pixel_that_puts_the_camera_within_the_focal_length_is_rejected(locate
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("coordinate", ["u", "v"])
-def test_three_led_rejects_a_huge_pixel_that_overflows(coordinate):
+# Finite but huge pixels overflow the three-led squared radii and the two-led midpoint offset.
+@pytest.mark.parametrize(
+    "locate, huge, message",
+    [
+        (trilaterate_three, {"L1": (1e200, None)}, "three-led position (nan, nan, 100.0) is not finite"),
+        (trilaterate_three, {"L1": (None, 1e200)}, "three-led position (nan, nan, 100.0) is not finite"),
+        (
+            locate_two,
+            {"L1": (1.7e308, 300.0), "L2": (1.7e308, 305.0)},
+            "two-led position (-inf, inf, -601.6648189186453) is not finite",
+        ),
+    ],
+    ids=["three-led-u", "three-led-v", "two-led"],
+)
+def test_a_huge_pixel_that_overflows_is_rejected(locate, huge, message):
     scene = make_scene((0.0, 0.0, 0.0))
-    dets = exact_detections(scene)
-    pixel = list(dets[0].pixel)
-    pixel["uv".index(coordinate)] = 1e200
-    dets[0] = Detection(dets[0].beacon_id, tuple(pixel))
-    with pytest.raises(ValueError, match="not finite"):
-        trilaterate_three(dets, scene.beacons, scene.intrinsics)
+    dets = [
+        Detection(d.beacon_id, tuple(c if h is None else h for c, h in zip(d.pixel, huge.get(d.beacon_id, (None, None)))))
+        for d in exact_detections(scene)
+    ]
+    with pytest.raises(ValueError) as info:
+        locate(dets[:2] if locate is locate_two else dets, scene.beacons, scene.intrinsics)
+    assert str(info.value) == message
 
 
 def test_three_led_rejects_a_plan_so_wide_it_overflows():
@@ -293,6 +308,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=200)
 @given(st.lists(st.tuples(finite, finite), min_size=3, max_size=3))
+@example([(1.7e308, 300.0), (1.7e308, 305.0), (400.0, 300.0)])
 def test_any_finite_pixels_give_a_finite_fix_or_an_error(pixels):
     scene = make_scene((0.0, 0.0, 0.0))
     dets = [Detection(b.id, p) for b, p in zip(scene.beacons, pixels)]
@@ -601,6 +617,10 @@ FAILURE_ORDER = [
     # a position that overflows before a pair that puts the camera within the focal length
     (trilaterate_three, _dets(("A", 1e200, 300.0), ("B", 450.0, 300.0), ("C", 400.0, 400.0)), _PLAN, {},
      ValueError, "three-led position (nan, nan, -60.81851067789202) is not finite"),
+    # the same for two-led: the midpoint of two beacons near the float limit overflows
+    (locate_two, _dets(("A", 0.0, 0.0), ("B", 800.0, 600.0)),
+     (LedBeacon("A", (1e308, 0.0, 150.0)), LedBeacon("B", (1e308, 0.5, 150.0))), {},
+     ValueError, "two-led position (inf, 0.25, 149.75) is not finite"),
 ]
 
 
@@ -698,3 +718,83 @@ def test_least_squares_beats_two_led_beats_three_led_in_planar_rms_at_seed_7():
             planar[method.value].append(np.subtract(fix.position[:2], truth))
     rms = {name: math.sqrt(np.mean(np.sum(np.square(errors), axis=1))) for name, errors in planar.items()}
     assert rms["least squares"] < rms["two-led"] < rms["three-led"]
+
+
+# --- generated triangles: any non-collinear ceiling triangle, pose, yaw and principal point ---
+
+MIN_PLAN_AREA_CM2 = 50.0
+# Every pixel lies within this radius of the principal point, which is at most 20 px off the
+# centre, so each stays on the 800x600 sensor when the camera turns about its axis.
+TURN_SAFE_RADIUS_PX = 250.0
+
+
+@st.composite
+def triangle_scenes(draw):
+    """A noiseless scene of three beacons on one ceiling, each on the sensor at any yaw.
+
+    Each beacon is the back-projection of a pixel drawn within TURN_SAFE_RADIUS_PX of the
+    principal point, which is both the true and the corrected one.
+    """
+    pp = (draw(st.floats(380.0, 420.0)), draw(st.floats(280.0, 320.0)))
+    k = sim.default_intrinsics().with_principal_point(*pp)
+    x, y, z = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)), draw(st.floats(-50.0, 50.0))
+    height, yaw = draw(st.floats(40.0, 300.0)), draw(st.floats(-math.pi, math.pi))
+    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
+    beacons = []
+    for n in range(3):
+        r = TURN_SAFE_RADIUS_PX * math.sqrt(draw(st.floats(0.0, 1.0)))
+        theta = draw(st.floats(-math.pi, math.pi))
+        # Camera-frame offset in cm: the pixel's image offset scaled by height over focal length.
+        rx = r * math.cos(theta) * k.pitch_i * height / k.focal_length
+        ry = r * math.sin(theta) * k.pitch_j * height / k.focal_length
+        beacons.append(LedBeacon(f"B{n}", (x + cos_y * rx - sin_y * ry, y + sin_y * rx + cos_y * ry, z + height)))
+    (x1, y1, _), (x2, y2, _), (x3, y3, _) = (b.position for b in beacons)
+    assume(abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)) / 2.0 >= MIN_PLAN_AREA_CM2)
+    return sim.SceneConfig(tuple(beacons), sim.CameraPose((x, y, z), yaw), k, true_principal_point=pp)
+
+
+def _on_sensor_detections(scene):
+    projected = [sim.project(b, scene) for b in scene.beacons]
+    assert all(on for _, on in projected)
+    return [Detection(b.id, pixel) for b, (pixel, _) in zip(scene.beacons, projected)]
+
+
+def _noisy(dets, offsets):
+    return [Detection(d.beacon_id, (d.pixel[0] + du, d.pixel[1] + dv)) for d, (du, dv) in zip(dets, offsets)]
+
+
+@settings(max_examples=50)
+@given(triangle_scenes(), st.sampled_from([Method.TWO_LED, Method.THREE_LED]))
+def test_a_noiseless_fix_round_trips_on_any_triangle(scene, method):
+    fix = compute_fix(_on_sensor_detections(scene), scene.beacons, scene.intrinsics, method)
+    assert max(map(abs, np.subtract(fix.position, scene.camera_pose.position))) < 1e-6
+
+
+@settings(max_examples=50)
+@given(triangle_scenes(), st.floats(-math.pi, math.pi), st.lists(st.tuples(noise, noise), min_size=3, max_size=3))
+def test_three_led_does_not_move_when_the_camera_turns(scene, turn, offsets):
+    # Turning the camera by `turn` turns each image point by -turn about the principal point,
+    # and the pixel noise turns with it.
+    c, s = math.cos(turn), math.sin(turn)
+    turned_scene = replace(scene, camera_pose=sim.CameraPose(scene.camera_pose.position, scene.camera_pose.yaw_rad + turn))
+    dets = _noisy(_on_sensor_detections(scene), offsets)
+    turned = _noisy(_on_sensor_detections(turned_scene), [(c * du + s * dv, -s * du + c * dv) for du, dv in offsets])
+    fix = trilaterate_three(dets, scene.beacons, scene.intrinsics)
+    fix_turned = trilaterate_three(turned, scene.beacons, scene.intrinsics)
+    assert max(map(abs, np.subtract(fix_turned.position, fix.position))) < 1e-6
+
+
+@settings(max_examples=50)
+@given(
+    triangle_scenes(),
+    st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0), st.floats(-100.0, 100.0)),
+    st.lists(st.tuples(noise, noise), min_size=3, max_size=3),
+    st.sampled_from([Method.TWO_LED, Method.THREE_LED]),
+)
+def test_moving_beacons_and_camera_together_moves_the_fix_as_much(scene, shift, offsets, method):
+    # The camera moves with the beacons, so it sees the same pixels: only the beacons change.
+    dets = _noisy(_on_sensor_detections(scene), offsets)
+    moved = tuple(LedBeacon(b.id, tuple(np.add(b.position, shift).tolist())) for b in scene.beacons)
+    fix = compute_fix(dets, scene.beacons, scene.intrinsics, method)
+    fix_moved = compute_fix(dets, moved, scene.intrinsics, method)
+    assert max(map(abs, np.subtract(fix_moved.position, np.add(fix.position, shift)))) < 1e-6
