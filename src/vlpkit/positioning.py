@@ -15,7 +15,7 @@ from collections.abc import Sized
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
-from operator import attrgetter, is_
+from operator import attrgetter, is_, itemgetter
 from statistics import fmean
 from typing import Iterable, NamedTuple
 
@@ -139,11 +139,7 @@ def _solve_subset(ids: tuple[str, ...], index: dict[str, LedBeacon]) -> _Subset:
             for a, b in itertools.combinations(range(len(xy)), 2)
         ]
     )
-    widest = None
-    widest_dist = -1.0
-    for a, b, dist in pairs:
-        if dist > widest_dist:
-            widest, widest_dist = (a, b), dist
+    widest = max(pairs, key=itemgetter(2))[:2] if pairs else None
     singular = plan = None
     if len(xy) == 2:
         (x1, y1), (x2, y2) = xy

@@ -1,6 +1,6 @@
 """Independent reference implementations used to freeze expected test values.
 
-Deliberately brute-force and separate from the package code paths.
+Each is closed-form or brute force, and separate from the package code paths.
 """
 
 import math
@@ -126,57 +126,27 @@ def row_by_row_locate(groups, beacons, intrinsics, method, height_pair, path):
     return rows
 
 
-def gauss_newton_pose(beacons, pixels, intrinsics, iterations=60):
+def least_squares_pose(beacons, pixels, intrinsics):
     """(x, y, z, yaw) of the camera whose exact projections best fit the pixels, in least squares.
 
-    Gauss-Newton on the camera's plan position, height below the beacons'
-    plane and yaw, against vlpkit.simulator.project with the corrected
-    principal point as the true one. The Jacobian is taken by central
-    differences, and a step is halved until it lowers the residual. It starts
-    below the beacons' centroid at four yaws and keeps the best fit. The
+    A yaw-only pinhole under one ceiling maps the plan onto the image by a
+    similarity. With a = (f/h) cos yaw and b = (f/h) sin yaw, each beacon at
+    (X, Y) gives u - u0 = (aX + bY + e) / pitch_i and v - v0 = (aY - bX + g) / pitch_j
+    about the corrected principal point (u0, v0), which is linear in
+    (a, b, e, g). For h > 0 that map from (x, y, h, yaw) is one-to-one, so
+    one linear solve gives the exact minimum of the pixel residual. The
     beacons are assumed to share one ceiling height.
     """
     import numpy as np
 
-    from vlpkit.simulator import CameraPose, SceneConfig, project
-
-    beacons = tuple(beacons)
-    ceiling = beacons[0].position[2]
-    observed = np.array(pixels, dtype=float).ravel()
-
-    def residual(p):
-        x, y, h, yaw = p
-        pose = CameraPose((float(x), float(y), ceiling - float(h)), float(yaw))
-        scene = SceneConfig(beacons, pose, intrinsics, true_principal_point=intrinsics.corrected_principal_point)
-        return np.array([c for b in beacons for c in project(b, scene)[0]]) - observed
-
-    def jacobian(p):
-        columns = []
-        for k in range(4):
-            step = np.zeros(4)
-            step[k] = 1e-6 * max(1.0, abs(p[k]))
-            columns.append((residual(p + step) - residual(p - step)) / (2.0 * step[k]))
-        return np.column_stack(columns)
-
-    best = None
-    centroid = np.mean([b.position[:2] for b in beacons], axis=0)
-    for yaw in (0.0, math.pi / 2.0, math.pi, -math.pi / 2.0):
-        p = np.array([centroid[0], centroid[1], 100.0, yaw])
-        r = residual(p)
-        for _ in range(iterations):
-            delta = np.linalg.lstsq(jacobian(p), -r, rcond=None)[0]
-            t = 1.0
-            while t > 1e-9:
-                q = p + t * delta
-                if q[2] > 0.0:
-                    rq = residual(q)
-                    if rq @ rq < r @ r:
-                        break
-                t /= 2.0
-            else:
-                break  # no step lowers the residual: converged
-            p, r = q, rq
-        if best is None or r @ r < best[1] @ best[1]:
-            best = (p, r)
-    x, y, h, yaw = best[0]
-    return float(x), float(y), ceiling - float(h), math.remainder(float(yaw), math.tau)
+    xyz = np.array([b.position for b in beacons], dtype=float)
+    X, Y, one, zero = xyz[:, 0], xyz[:, 1], np.ones(len(xyz)), np.zeros(len(xyz))
+    u0, v0 = intrinsics.corrected_principal_point
+    rows = np.vstack(
+        [np.column_stack([X, Y, one, zero]) / intrinsics.pitch_i, np.column_stack([Y, -X, zero, one]) / intrinsics.pitch_j]
+    )
+    pixels = np.array(pixels, dtype=float)
+    a, b, e, g = np.linalg.lstsq(rows, np.concatenate([pixels[:, 0] - u0, pixels[:, 1] - v0]), rcond=None)[0]
+    scale = a * a + b * b
+    x, y = (b * g - a * e) / scale, -(b * e + a * g) / scale
+    return float(x), float(y), float(xyz[0, 2] - intrinsics.focal_length / math.hypot(a, b)), math.atan2(b, a)

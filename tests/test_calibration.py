@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import vlpkit.calibration as calibration
@@ -18,6 +20,7 @@ from vlpkit import (
     InsufficientTracks,
     LedBeacon,
     LengthMismatch,
+    Method,
     NoiseModel,
     calibrate_dispersion,
     calibrate_rotation,
@@ -28,6 +31,7 @@ from vlpkit import (
     rotation_sweep,
     trilaterate_three,
 )
+from vlpkit.cli import compute_fix
 from vlpkit.simulator import SWEEP_ANGLES_12
 
 TRUE_PP = (406.3, 295.9)
@@ -136,6 +140,28 @@ def test_rotation_calibration_requires_one_good_track():
         calibrate_rotation(bad, default_intrinsics())
 
 
+# A true principal point up to 20 px off the 800x600 centre along each axis.
+pp_offsets = st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+
+
+@settings(max_examples=50)
+@given(
+    pp_offsets,
+    st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0), st.floats(0.0, 110.0)),
+    st.floats(-math.pi, math.pi),
+    st.lists(st.floats(-0.25, 0.25), min_size=3, max_size=12),
+)
+def test_rotation_calibration_recovers_any_true_principal_point(offset, position, phase, jitters):
+    # The k-th of n angles lies within a quarter step of phase + k/n of the turn: spread over
+    # the full turn at least half a step apart, but not evenly.
+    n = len(jitters)
+    angles = [phase + math.tau * (k + jitter) / n for k, jitter in enumerate(jitters)]
+    pp = (400.0 + offset[0], 300.0 + offset[1])
+    scene = default_scene(camera_pose=CameraPose(position), true_principal_point=pp)
+    k_cal, _ = calibrate_rotation(rotation_sweep(scene, angles), scene.intrinsics)
+    assert max(map(abs, np.subtract(k_cal.corrected_principal_point, pp))) < 1e-6
+
+
 # --- dispersion calibration ---
 
 
@@ -238,6 +264,25 @@ def test_dispersion_error_paths():
         calibrate_dispersion(positions, flat, (0.0, 0.0, 0.0), scene.intrinsics)
     # Paper-literal mode does not use the height.
     calibrate_dispersion(positions, flat, (0.0, 0.0, 0.0), scene.intrinsics, mode="paper_literal")
+
+
+@settings(max_examples=50)
+@given(pp_offsets, st.tuples(st.floats(-60.0, -20.0), st.floats(-20.0, 20.0), st.floats(-50.0, 0.0)))
+def test_a_second_dispersion_pass_on_noiseless_fixes_moves_the_principal_point_by_about_zero(offset, position):
+    # At yaw 0 a principal-point error shifts every noiseless fix by its image through the
+    # pinhole, so one physical pass on a fix corrects it and a pass after re-locating finds
+    # nothing left. The positions keep all three default beacons on the sensor.
+    scene = default_scene(camera_pose=CameraPose(position), true_principal_point=(400.0 + offset[0], 300.0 + offset[1]))
+    dets = sim.observe(scene)
+    assert len(dets) == 3
+    for method in (Method.TWO_LED, Method.THREE_LED):
+        k = scene.intrinsics
+        for _ in range(2):
+            fix = compute_fix(dets, scene.beacons, k, method)
+            k_next, _ = calibrate_dispersion([fix.position], [fix.diagnostics.height_cm], position, k)
+            moved = np.subtract(k_next.corrected_principal_point, k.corrected_principal_point)
+            k = k_next
+        assert max(map(abs, moved)) < 1e-6
 
 
 # --- smallest enclosing circle ---

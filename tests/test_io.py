@@ -13,14 +13,17 @@ from hypothesis import strategies as st
 
 import oracles
 from vlpkit import (
+    CameraIntrinsics,
     CameraPose,
     Detection,
     Diagnostics,
     ErrorReport,
     InputFormatError,
+    LedBeacon,
     Method,
     NoiseModel,
     PositionFix,
+    SceneConfig,
     SceneConfigError,
     TrialRecord,
     default_scene,
@@ -581,6 +584,39 @@ printable = st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl"
 ids = st.text(st.sampled_from(',"') | printable, min_size=1, max_size=8)
 pixels = st.tuples(finite, finite)
 csv_examples = settings(max_examples=50)
+
+
+@st.composite
+def scenes(draw):
+    """A valid scene: 1 to 6 beacons with printable ids, the camera below all of them, a
+    corrected principal point on the sensor, and a true principal point, noise and seed or not."""
+    names = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    beacons = tuple(LedBeacon(name, (draw(finite), draw(finite), draw(finite))) for name in names)
+    below = min(b.position[2] for b in beacons) - draw(st.floats(1e-3, 1e3))
+    width, height = draw(st.integers(1, 10_000)), draw(st.integers(1, 10_000))
+    k = CameraIntrinsics(
+        focal_length=draw(st.floats(1e-3, 1e3)),
+        pitch_i=draw(st.floats(1e-4, 1.0)),
+        pitch_j=draw(st.floats(1e-4, 1.0)),
+        resolution=(width, height),
+        corrected_principal_point=draw(st.none() | st.tuples(st.floats(0.0, width), st.floats(0.0, height))),
+    )
+    return SceneConfig(
+        beacons,
+        CameraPose((draw(finite), draw(finite), below), draw(finite)),
+        k,
+        true_principal_point=draw(st.none() | pixels),
+        noise=draw(st.just(NoiseModel()) | st.builds(NoiseModel, st.floats(0.0, 10.0), st.booleans())),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+@csv_examples
+@given(scenes())
+def test_scene_json_round_trip_property(tmp_path_factory, scene):
+    path = tmp_path_factory.getbasetemp() / "scene.json"
+    write_scene(scene, path)
+    assert read_scene(path) == scene
 
 
 def close(a, b):

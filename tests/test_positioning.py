@@ -1,5 +1,6 @@
 """Height stage, three-beacon trilateration, and the two-beacon fix with yaw."""
 
+import itertools
 import math
 import reprlib
 from dataclasses import replace
@@ -682,7 +683,7 @@ def test_two_led_is_the_exact_pose_solve_of_its_pair(pose, pair, offsets):
     exact = [sim.project(b, scene)[0] for b in beacons]
     dets = [Detection(b.id, (u + du, v + dv)) for b, (u, v), (du, dv) in zip(beacons, exact, offsets)]
     fix = locate_two(dets, beacons, scene.intrinsics)
-    *position, yaw = oracles.gauss_newton_pose(beacons, [d.pixel for d in dets], scene.intrinsics)
+    *position, yaw = oracles.least_squares_pose(beacons, [d.pixel for d in dets], scene.intrinsics)
     assert max(map(abs, np.subtract(fix.position, position))) < 1e-9
     assert abs(math.remainder(fix.diagnostics.yaw_rad - yaw, math.tau)) < 1e-9
 
@@ -693,7 +694,7 @@ def test_noiseless_three_led_is_the_pose_solve_of_its_three_beacons(pose, height
     scene = make_scene(pose[:3], pose[3])
     dets = exact_detections(scene)
     fix = trilaterate_three(dets, scene.beacons, scene.intrinsics, height_pair=height_pair)
-    *position, _ = oracles.gauss_newton_pose(scene.beacons, [d.pixel for d in dets], scene.intrinsics)
+    *position, _ = oracles.least_squares_pose(scene.beacons, [d.pixel for d in dets], scene.intrinsics)
     assert max(map(abs, np.subtract(fix.position, position))) < 1e-6
 
 
@@ -711,13 +712,33 @@ def test_least_squares_beats_two_led_beats_three_led_in_planar_rms_at_seed_7():
     for record in records:
         assert [d.beacon_id for d in record.detections] == [b.id for b in scene.beacons]
         truth = record.pose.position[:2]
-        x, y, _, _ = oracles.gauss_newton_pose(scene.beacons, [d.pixel for d in record.detections], k)
+        x, y, _, _ = oracles.least_squares_pose(scene.beacons, [d.pixel for d in record.detections], k)
         planar["least squares"].append(np.subtract((x, y), truth))
         for method in (Method.TWO_LED, Method.THREE_LED):
             fix = compute_fix(record.detections, scene.beacons, k, method)
             planar[method.value].append(np.subtract(fix.position[:2], truth))
     rms = {name: math.sqrt(np.mean(np.sum(np.square(errors), axis=1))) for name, errors in planar.items()}
     assert rms["least squares"] < rms["two-led"] < rms["three-led"]
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)), min_size=2, max_size=3),
+    poses,
+    st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+    st.sampled_from([0.006, 0.0045]),
+)
+def test_least_squares_pose_inverts_project(plan, pose, offset, pitch_j):
+    # The oracle against the projection it inverts: 2 or 3 beacons on the default ceiling, the
+    # principal point both true and corrected, and square or non-square pixels (pitch_i 0.006).
+    assume(all(math.dist(p, q) >= 10.0 for p, q in itertools.combinations(plan, 2)))
+    beacons = [LedBeacon(f"B{n}", (x, y, 150.0)) for n, (x, y) in enumerate(plan)]
+    pp = (400.0 + offset[0], 300.0 + offset[1])
+    k = replace(sim.default_intrinsics(), pitch_j=pitch_j).with_principal_point(*pp)
+    scene = sim.SceneConfig(tuple(beacons), sim.CameraPose(pose[:3], pose[3]), k, true_principal_point=pp)
+    *position, yaw = oracles.least_squares_pose(beacons, [sim.project(b, scene)[0] for b in beacons], k)
+    assert max(map(abs, np.subtract(position, pose[:3]))) < 1e-9
+    assert abs(math.remainder(yaw - pose[3], math.tau)) < 1e-9
 
 
 # --- generated triangles: any non-collinear ceiling triangle, pose, yaw and principal point ---
