@@ -3,6 +3,13 @@
 All floats are serialized with six fixed decimals so repeated runs with the
 same seed produce byte-identical files. Each CSV row is formatted as one line
 from its layout's template; text fields are quoted by the csv module.
+
+The detections, ground-truth and fixes readers each have two paths to one
+result. A file that numpy's C text reader splits as csv.reader does (see
+_csv_columns) is parsed column by column in one pass; any other file, or one
+whose values fail a check of the reader, goes to the reader's row reader,
+which reads it row by row through _csv_rows. So every InputFormatError, with
+its file and line, comes from a row reader.
 """
 
 from __future__ import annotations
@@ -11,8 +18,10 @@ import csv
 import json
 import math
 import reprlib
+import warnings
 from contextlib import contextmanager
 from io import StringIO
+from itertools import count, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -232,6 +241,7 @@ FIX_COLUMNS = [
 FIX_FIELDS = ",".join(["ok", *[FLOAT] * 6, "%s", ""])
 FIX_LINE = _line("%d", "%d", "%s", "%s")
 FIX_ERROR_LINE = _line("%d", "%d", "%s", "error", *[""] * 7, "%s")
+_METHODS = {m.value for m in Method}
 ERROR_COLUMNS = ["point_index", "trial_index", "error_cm", "error_3d_cm"]
 ERROR_LINE = _line("%d", "%d", FLOAT, FLOAT)
 CDF_COLUMNS = ["error_cm", "cumulative_fraction"]
@@ -355,6 +365,76 @@ def _finite(*fields: str, kind: str = "coordinate") -> tuple[float, ...]:
     return values
 
 
+# Bytes on which np.loadtxt may split or parse a file otherwise than csv.reader
+# and int() do: a CR (numpy reads every line end as a newline), a NUL, and the
+# separators that numpy's integer parse skips as space.
+_ROW_READER_BYTES = (b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _csv_columns(path: str | Path, columns: Sequence[str], required: Sequence[str]) -> dict[str, np.ndarray] | None:
+    """Those of the columns that the file's header holds, parsed in one C pass.
+
+    An *_index column is parsed as np.int64; any other is an object array of
+    each field's text. The header is read as csv.reader reads it; np.loadtxt
+    splits the rows with its delimiter and quote character, skips blank lines
+    and ignores fields past the columns read, as _csv_rows does. Returns None
+    for any file on which the two might differ, or whose rows numpy rejects:
+    one that cannot be read, holds a non-ASCII byte or one of
+    _ROW_READER_BYTES, quotes its header, lacks a required column or has no
+    data rows; a row too short for a column read, a space-only row among
+    them; an index numpy cannot parse, or any warning; a line longer than
+    csv.field_size_limit(), or a row over several lines, for csv.reader
+    rejects a longer field.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    head, _, body = data.partition(b"\n")
+    if not data.isascii() or any(map(data.__contains__, _ROW_READER_BYTES)) or b'"' in head or not body.strip():
+        return None
+    lengths = np.diff(np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")), prepend=-1, append=len(data)) - 1
+    if lengths.max() > csv.field_size_limit():
+        return None
+    # Later duplicates of a column name win, as in _csv_rows.
+    index = {name: i for i, name in enumerate(next(csv.reader([head.decode()])))}
+    if not all(map(index.__contains__, required)):
+        return None
+    names = [name for name in columns if name in index]
+    try:
+        # Older numpy reads an index such as 1.0 through a float, with a warning; int() rejects it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path,
+                np.dtype([(name, np.int64 if name.endswith("_index") else object) for name in names]),
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                skiprows=1,
+                usecols=[index[name] for name in names],
+                ndmin=1,
+                encoding="ascii",
+            )
+    except (ValueError, Warning):
+        return None
+    # The header and each row are one line apiece: no field is longer than a line.
+    if np.count_nonzero(lengths) != 1 + len(table):
+        return None
+    return {name: table[name] for name in names}
+
+
+def _shared(texts: Iterable[tuple[str, ...]], make: Callable[[tuple[str, ...]], object]) -> list:
+    """make(text) for each row's text tuple, made once per distinct tuple and shared by its rows."""
+    first: dict[tuple[str, ...], int] = {}
+    # Each row's number of the first row with its text.
+    rows = list(map(first.setdefault, texts, count()))
+    made: list = [None] * len(rows)
+    for text, row in first.items():
+        made[row] = make(text)
+    return list(map(made.__getitem__, rows))
+
+
 def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
     """One row per detection; a Detection that several trials hold is formatted once."""
     ids = _CsvText()
@@ -373,9 +453,34 @@ def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection
     """Detection rows grouped by (point_index, trial_index).
 
     Files without index columns are treated as a single trial (0, 0). Rows
-    with the same (beacon_id, u_px, v_px) text share one Detection, and the
-    index is parsed once per run of rows with the same index text.
+    with the same (beacon_id, u_px, v_px) text share one Detection. A file
+    that _csv_columns parses is read from its columns; any other file, or one
+    with a pixel that does not parse, goes to the row reader, which returns
+    the same groups or raises at the line.
     """
+    cols = _csv_columns(path, DETECTION_COLUMNS, DETECTION_COLUMNS[2:])
+    if cols is None:
+        return _detections_by_row(path)
+    try:
+        dets = _shared(
+            zip(*map(cols.pop, DETECTION_COLUMNS[2:])), lambda text: Detection(text[0], (float(text[1]), float(text[2])))
+        )
+    except ValueError:
+        return _detections_by_row(path)
+    # The index columns are optional. A stable sort keeps file order within a trial.
+    point, trial = (cols.get(name, np.zeros(len(dets), np.int64)) for name in DETECTION_COLUMNS[:2])
+    order = np.lexsort((trial, point))
+    point, trial = point[order], trial[order]
+    new = np.ones(len(dets), bool)
+    new[1:] = (point[1:] != point[:-1]) | (trial[1:] != trial[:-1])
+    starts = np.flatnonzero(new).tolist()
+    dets = list(map(dets.__getitem__, order.tolist()))
+    groups = map(dets.__getitem__, map(slice, starts, [*starts[1:], None]))
+    return list(zip(point[starts].tolist(), trial[starts].tolist(), groups))
+
+
+def _detections_by_row(path: str | Path) -> list[tuple[int, int, list[Detection]]]:
+    """read_detections_csv row by row; the index is parsed once per run of rows with the same index text."""
     groups: dict[tuple[int, int], list[Detection]] = {}
     shared: dict[tuple[str, str, str], Detection] = {}
     dets: list[Detection] | None = None
@@ -409,10 +514,28 @@ def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float
     """Maps (point_index, trial_index) to (x, y, z, yaw).
 
     Rows with the same (x_cm, y_cm, z_cm, yaw_rad) text share one pose tuple.
+    A file that _csv_columns parses is read from its columns; any other file,
+    or one with a coordinate that does not parse or is not finite, goes to
+    the row reader, which returns the same map or raises at the line.
     """
+    # yaw_rad is optional and seed is not read.
+    cols = _csv_columns(path, TRUTH_COLUMNS[:6], TRUTH_COLUMNS[:5])
+    if cols is None:
+        return _ground_truth_by_row(path)
+    point, trial, x, y, z = map(cols.pop, TRUTH_COLUMNS[:5])
+    try:
+        poses = _shared(
+            zip(x, y, z, cols.get("yaw_rad", repeat(None))), lambda text: (*_finite(*text[:3]), float(text[3] or 0.0))
+        )
+    except ValueError:
+        return _ground_truth_by_row(path)
+    return dict(zip(zip(point.tolist(), trial.tolist()), poses))
+
+
+def _ground_truth_by_row(path: str | Path) -> dict[tuple[int, int], tuple[float, float, float, float]]:
+    """read_ground_truth_csv row by row."""
     truths: dict[tuple[int, int], tuple[float, float, float, float]] = {}
     poses: dict[tuple[str, str, str, str | None], tuple[float, float, float, float]] = {}
-    # yaw_rad is optional and seed is not read.
     with _csv_rows(path, TRUTH_COLUMNS[:5], ["yaw_rad"]) as (rows, col):
         point, trial, x, y, z, yaw = map(col.get, TRUTH_COLUMNS[:6])
         for row in rows:
@@ -498,23 +621,48 @@ def fix_columns(rows: Sequence[tuple[int, int, Method, PositionFix | None, str]]
 def read_fixes_csv(path: str | Path) -> FixColumns:
     """Fix rows with status ok, as columns; failed rows are skipped.
 
-    Each ok row is checked in this order: finite diagnostics, a finite yaw
-    if there is one, a finite position, a known method, integer indices.
-    The first check a row fails raises at its line. No per-row fix object
-    is built.
+    Each row is checked in this order: a known status, ok or error; then,
+    for an ok row only: finite diagnostics, a finite yaw if there is one, a
+    finite position, a known method, integer indices. The first check a row
+    fails raises at its line. A file that _csv_columns parses is read from
+    its columns, and any check that fails there sends the file to the row
+    reader, which raises at the line. Any other file goes to the row reader
+    too. No per-row fix object is built.
     """
+    cols = _csv_columns(path, FIX_COLUMNS[:-1], FIX_COLUMNS[:-1])
+    if cols is None:
+        return _fixes_by_row(path)
+    point, trial, method, status, *numbers, yaw = map(cols.pop, FIX_COLUMNS[:-1])
+    if not set(status) <= {"ok", "error"}:
+        return _fixes_by_row(path)
+    ok = status == "ok"
+    yaw = yaw[ok]
+    try:
+        # x, y, z, height and the two distances, one row each; float() parses each text.
+        values = np.array([column[ok] for column in numbers], dtype=float)
+        yaw = yaw[yaw != ""].astype(float)
+    except ValueError:
+        return _fixes_by_row(path)
+    if not (np.isfinite(values).all() and np.isfinite(yaw).all() and set(method[ok]) <= _METHODS):
+        return _fixes_by_row(path)
+    keys = list(zip(point[ok].tolist(), trial[ok].tolist()))
+    return FixColumns(keys, values[:3].T.copy(), values[3])
+
+
+def _fixes_by_row(path: str | Path) -> FixColumns:
+    """read_fixes_csv row by row, each check inline; _finite runs only to raise its message."""
     keys: list[tuple[int, int]] = []
     positions: list[tuple[float, float, float]] = []
     heights: list[float] = []
-    methods = {m.value for m in Method}
     isfinite = math.isfinite
     # Every column but the free-text message is read.
     with _csv_rows(path, FIX_COLUMNS[:-1]) as (rows, col):
         point, trial, method, status, x, y, z, height, image_d, world_d, yaw = map(col.get, FIX_COLUMNS[:-1])
         for row in rows:
             if row[status] != "ok":
+                if row[status] != "error":
+                    raise ValueError(f"unknown status {row[status]!r}, expected 'ok' or 'error'")
                 continue
-            # _finite's checks inline; _finite itself runs only to raise its message.
             h, d, w = float(row[height]), float(row[image_d]), float(row[world_d])
             if not (isfinite(h) and isfinite(d) and isfinite(w)):
                 _finite(row[height], row[image_d], row[world_d], kind="diagnostic")
@@ -523,7 +671,7 @@ def read_fixes_csv(path: str | Path) -> FixColumns:
             p = (float(row[x]), float(row[y]), float(row[z]))
             if not (isfinite(p[0]) and isfinite(p[1]) and isfinite(p[2])):
                 _finite(row[x], row[y], row[z])
-            if row[method] not in methods:
+            if row[method] not in _METHODS:
                 Method(row[method])
             keys.append((int(row[point]), int(row[trial])))
             positions.append(p)

@@ -102,6 +102,31 @@ def row_by_row_ground_truth(path):
     return truths
 
 
+def row_by_row_fixes(path):
+    """read_fixes_csv as one status check, then for an ok row one parse and check per field, per row."""
+    import numpy as np
+
+    from vlpkit.io import FIX_COLUMNS, FixColumns, _csv_rows, _finite
+    from vlpkit.positioning import Method
+
+    keys, positions, heights = [], [], []
+    with _csv_rows(path, FIX_COLUMNS[:-1]) as (rows, col):
+        point, trial, method, status, x, y, z, height, image_d, world_d, yaw = map(col.get, FIX_COLUMNS[:-1])
+        for row in rows:
+            if row[status] not in ("ok", "error"):
+                raise ValueError(f"unknown status {row[status]!r}, expected 'ok' or 'error'")
+            if row[status] == "error":
+                continue
+            h = _finite(row[height], row[image_d], row[world_d], kind="diagnostic")[0]
+            if row[yaw]:
+                _finite(row[yaw], kind="diagnostic")
+            positions.append(_finite(row[x], row[y], row[z]))
+            Method(row[method])
+            keys.append((int(row[point]), int(row[trial])))
+            heights.append(h)
+    return FixColumns(keys, np.array(positions, dtype=float).reshape(-1, 3), np.array(heights, dtype=float))
+
+
 def row_by_row_locate(groups, beacons, intrinsics, method, height_pair, path):
     """vlpkit.cli._locate as one sensor check and one solve per group, with no reuse between groups."""
     import sys

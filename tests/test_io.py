@@ -5,6 +5,7 @@ import dataclasses
 import math
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import vlpkit.io
 from vlpkit import (
     CameraIntrinsics,
     CameraPose,
@@ -414,8 +416,9 @@ READER_CASES = {
 
 
 def _write_table(path, header, rows, blank_lines=False):
-    lines = [",".join(header), *(",".join(row) for row in rows)]
-    path.write_text(("\n\n" if blank_lines else "\n").join(lines) + "\n")
+    # Fields are quoted as csv.writer quotes them, so a message's comma stays inside its field.
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n\n" if blank_lines else "\n").writerows([header, *rows])
 
 
 def _read_case(tmp_path, name, header, rows, **kwargs):
@@ -526,10 +529,23 @@ def test_fixes_reader_rejects_an_unknown_method(tmp_path):
         read_fixes_csv(path)
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("status", ["OK", "fail", ""])
+def test_fixes_reader_rejects_an_unknown_status(tmp_path, ending, status):
+    # Such a row was once skipped like a failed one, so stats counted fewer trials without a word.
+    _, _, (ok, failed), _ = READER_CASES["fixes"]
+    path = tmp_path / "fixes.csv"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator=ending).writerows([FIX_COLUMNS, ok, [*failed[:3], status, *failed[4:]]])
+    with pytest.raises(InputFormatError, match=re.escape(f"fixes.csv:3: unknown status {status!r}, expected 'ok' or 'error'")):
+        read_fixes_csv(path)
+
+
 def test_fixes_reader_reports_the_first_check_a_row_fails(tmp_path):
-    # The checks run in this order: diagnostics, yaw, position, method, indices.
+    # The checks run in this order: status, diagnostics, yaw, position, method, indices.
     _, _, (ok, _), _ = READER_CASES["fixes"]
     bad = {
+        "status": ("OK", "unknown status 'OK', expected 'ok' or 'error'"),
         "height_cm": ("nan", "non-finite diagnostic in (nan, 2.5, 135.0)"),
         "yaw_rad": ("inf", "non-finite diagnostic in (inf)"),
         "x_cm": ("abc", "could not convert string to float: 'abc'"),
@@ -866,12 +882,30 @@ def test_scene_reader_on_arbitrary_text_or_bytes_raises_only_scene_errors(tmp_pa
 # Several spellings of one value, blank and signed fields; now and then an empty, non-finite or junk one.
 SPELLED_INDEX = st.sampled_from(["0", "1", "2", "01", "+1", " 2", ""])
 SPELLED_FLOAT = st.sampled_from(["427", "427.0", "+427", " 427", "4.27e2", "-0.5"])
-SPELLED_FIELDS = {"point_index": SPELLED_INDEX, "trial_index": SPELLED_INDEX, "beacon_id": st.sampled_from(["L1", "L2"])}
+SPELLED_FIELDS = {
+    "point_index": SPELLED_INDEX,
+    "trial_index": SPELLED_INDEX,
+    "beacon_id": st.sampled_from(["L1", "L2"]),
+    "method": st.sampled_from([m.value for m in Method]),
+    "status": st.sampled_from(["ok", "error"]),
+    "yaw_rad": st.sampled_from(["", "0.5", "+0.50", "-0.0"]),
+    # Messages that csv.writer quotes: a comma, a doubled quote.
+    "message": st.sampled_from(["", "expected 3 detections, got 2", 'beacon "L1" is off the sensor']),
+}
 SHARED_READERS = {
     # reader, reference, required columns, optional columns (the ones read, or not read at all)
     "detections": (read_detections_csv, oracles.row_by_row_detections, DETECTION_COLUMNS[2:], DETECTION_COLUMNS[:2]),
     "ground_truth": (read_ground_truth_csv, oracles.row_by_row_ground_truth, TRUTH_COLUMNS[:5], TRUTH_COLUMNS[5:]),
+    "fixes": (read_fixes_csv, oracles.row_by_row_fixes, FIX_COLUMNS[:-1], FIX_COLUMNS[-1:]),
 }
+
+
+def _exact(result):
+    """Text that tells every distinct float apart (nan and -0.0 too) and shows types and group order."""
+    if isinstance(result, FixColumns):
+        columns = (result.positions, result.heights)
+        return repr((result.keys, *(c.tolist() for c in columns), *(c.dtype for c in columns), *(c.shape for c in columns)))
+    return repr(result)
 
 
 @settings(max_examples=120)
@@ -894,7 +928,7 @@ def test_shared_row_readers_match_their_row_by_row_reference(tmp_path_factory, n
     rows = data.draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=24))
     path = tmp_path_factory.getbasetemp() / f"shared_{name}.csv"
     with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerows([columns, *rows])
+        csv.writer(handle, lineterminator=data.draw(st.sampled_from(["\n", "\r\n"]))).writerows([columns, *rows])
     try:
         want = reference(path)
     except InputFormatError as err:
@@ -902,8 +936,7 @@ def test_shared_row_readers_match_their_row_by_row_reference(tmp_path_factory, n
             reader(path)
         assert str(info.value) == str(err)
         return
-    # repr tells every distinct float apart (nan and -0.0 too), and shows types and group order.
-    assert repr(reader(path)) == repr(want)
+    assert _exact(reader(path)) == _exact(want)
 
 
 def test_rows_with_the_same_text_share_one_detection_and_one_pose(tmp_path):
@@ -915,6 +948,108 @@ def test_rows_with_the_same_text_share_one_detection_and_one_pose(tmp_path):
     truth.write_text("point_index,trial_index,x_cm,y_cm,z_cm\n0,0,1.5,2,0\n0,1,1.5,2,0\n")
     truths = read_ground_truth_csv(truth)
     assert truths[0, 0] is truths[0, 1]
+
+
+# --- both read paths: numpy's column pass and the row reader ---
+
+# Each reader, the name of its row reader in vlpkit.io, and its format's columns.
+ROW_READERS = {
+    "detections": (read_detections_csv, "_detections_by_row", DETECTION_COLUMNS),
+    "ground_truth": (read_ground_truth_csv, "_ground_truth_by_row", TRUTH_COLUMNS),
+    "fixes": (read_fixes_csv, "_fixes_by_row", FIX_COLUMNS),
+}
+# Usual texts per column, numbers by default; quoted text: a comma, a doubled quote, spaces, empty text.
+QUOTED = ["a,b", 'say "hi"', " L1 ", ""]
+USUAL_FIELDS = {
+    "point_index": ["0", "1", "2"],
+    "trial_index": ["0", "1"],
+    "seed": ["7"],
+    "beacon_id": ["L1", "L2", *QUOTED],
+    "method": [m.value for m in Method],
+    "status": ["ok", "ok", "error"],
+    "yaw_rad": ["", "0.5", "-0.0"],
+    "message": ["", "expected 3 detections, got 2", *QUOTED],
+}
+# Several spellings of one value, and zeros of both signs.
+USUAL_NUMBERS = ["427", "427.0", "4.27e2", "0", "-0"]
+# Spellings on which numpy's parse and Python's may differ, and the empty field.
+ODD_NUMBERS = ["1_0", "١", "+1", " 2", "01", "99999999999999999999", "nan", "inf", "", "1.0"]
+
+
+def _outcome(read, path):
+    """What read returns, exactly, and which rows share one object; or the text of its error."""
+    try:
+        result = read(path)
+    except InputFormatError as err:
+        return str(err)
+    if isinstance(result, list):
+        objects = [det for _, _, dets in result for det in dets]
+    else:
+        objects = list(result.values()) if isinstance(result, dict) else []
+    first = {}
+    return _exact(result), [first.setdefault(id(obj), i) for i, obj in enumerate(objects)]
+
+
+@pytest.mark.parametrize("name", ROW_READERS)
+def test_reader_and_its_row_reader_agree_on_both_paths(tmp_path_factory, name):
+    reader, row_reader_name, header = ROW_READERS[name]
+    row_reader = getattr(vlpkit.io, row_reader_name)
+    calls = {"reader": 0, "row": 0}
+
+    def counted_row_reader(path):
+        calls["row"] += 1
+        return row_reader(path)
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def agree(data):
+        columns = data.draw(st.permutations(header), label="header")
+        pools = [data.draw(st.lists(st.sampled_from(USUAL_FIELDS.get(c, USUAL_NUMBERS)), min_size=2, max_size=3)) for c in columns]
+        distinct = data.draw(st.lists(st.tuples(*map(st.sampled_from, pools)).map(list), min_size=2, max_size=6))
+        # Up to two odd edits: an odd number, a row cut short or one field longer, a space-only row.
+        for _ in range(data.draw(st.integers(0, 2))):
+            row = data.draw(st.sampled_from(distinct))
+            edit = data.draw(st.sampled_from(["number", "short", "long", "space"]))
+            if edit == "number" and row:
+                row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(ODD_NUMBERS))
+            elif edit == "short":
+                del row[data.draw(st.integers(0, len(row))) :]
+            elif edit == "long":
+                row.append("x")
+            else:
+                distinct.append([" "])
+        # Blank lines, which both paths skip, anywhere among the rows.
+        rows = data.draw(st.lists(st.sampled_from([*distinct, []]), min_size=1, max_size=16))
+        path = tmp_path_factory.getbasetemp() / f"paths_{name}.csv"
+        for ending in ("\n", "\r\n"):
+            with open(path, "w", newline="") as handle:
+                csv.writer(handle, lineterminator=ending).writerows([columns, *rows])
+            want = _outcome(row_reader, path)
+            calls["reader"] += 1
+            with mock.patch.object(vlpkit.io, row_reader_name, counted_row_reader):
+                assert _outcome(reader, path) == want, ending
+
+    agree()
+    # A CR sends every \r\n file to the row reader; clean \n files must take the column pass.
+    assert calls["row"] > 0 and calls["reader"] - calls["row"] > 0, calls
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("where", ["row", "row over lines", "header"])
+def test_a_field_past_the_csv_field_limit_is_rejected_on_both_paths(tmp_path, where, ending):
+    long = "x" * csv.field_size_limit()
+    header, row = ["beacon_id", "u_px", "v_px"], ["L1", "1", "2"]
+    if where == "row":
+        row[0] += long
+    elif where == "row over lines":
+        row[0] = "\n".join([long[:100]] * (len(long) // 100 + 2))
+    else:
+        header.append(long + "x")
+    path = tmp_path / "detections.csv"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator=ending).writerows([header, row])
+    with pytest.raises(InputFormatError, match=r"detections\.csv:\d+: field larger than field limit"):
+        read_detections_csv(path)
 
 
 # --- writer bytes against a csv.writer reference ---
