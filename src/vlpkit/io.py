@@ -4,12 +4,13 @@ All floats are serialized with six fixed decimals so repeated runs with the
 same seed produce byte-identical files. Each CSV row is formatted as one line
 from its layout's template; text fields are quoted by the csv module.
 
-The detections, ground-truth and fixes readers each have two paths to one
-result. A file that numpy's C text reader splits as csv.reader does (see
-_csv_columns) is parsed column by column in one pass; any other file, or one
-whose values fail a check of the reader, goes to the reader's row reader,
-which reads it row by row through _csv_rows. So every InputFormatError, with
-its file and line, comes from a row reader.
+The detections, ground-truth and fixes readers each build their result once,
+from the file's columns (see _read_columns), which are split in one of two
+ways. A file that numpy's C text reader splits as csv.reader does (see
+_csv_columns) is parsed in one pass; any other file, or one with a value that
+fails a check, is read row by row through _csv_rows, each row checked in the
+reader's order. So every InputFormatError, with its file and line, comes from
+the row path.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import warnings
 from contextlib import contextmanager
 from io import StringIO
 from itertools import count, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -319,7 +321,8 @@ def _csv_rows(
     naming the file and, for a row or value, the line.
     """
     try:
-        with open(path, newline="") as handle:
+        # utf-8-sig drops the byte-order mark that some editors and spreadsheets write first.
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader, [])
@@ -342,15 +345,11 @@ def _csv_rows(
                             if len(row) < needed:
                                 raise ValueError(f"row has {len(row)} field(s), the required columns need {needed}")
                             row += [None] * (width - len(row))
+                        if width > len(header):
+                            row[len(header)] = None
                         yield row
 
-                def rows_lacking_optional() -> Iterator[list]:
-                    for row in rows():
-                        row[len(header)] = None
-                        yield row
-
-                # width passes the header only when an optional column is indexed past it.
-                yield (rows() if width <= len(header) else rows_lacking_optional()), columns
+                yield rows(), columns
             except (csv.Error, TypeError, ValueError) as err:
                 raise InputFormatError(f"{path}:{reader.line_num}: {err}") from err
     except OSError as err:
@@ -424,6 +423,34 @@ def _csv_columns(path: str | Path, columns: Sequence[str], required: Sequence[st
     return {name: table[name] for name in names}
 
 
+def _read_columns(
+    path: str | Path, names: Sequence[str], optional: Sequence[str], check: Callable[..., tuple], build: Callable
+):
+    """build(columns) of a CSV file's named columns; every name but the optional ones is required.
+
+    The columns come from _csv_columns, which leaves out an optional column
+    the header lacks. If it returns None, or build raises ValueError because
+    a value fails a check, the file is read through _csv_rows instead: check
+    takes each row's fields in the order of names and raises the row's first
+    error, named at its line, or returns the fields as build takes them, an
+    index as a Python int, which may pass int64; build then runs on the
+    checked rows as object columns. The invariant that makes this sound: a
+    row that passes check never makes build raise.
+    """
+    required = [name for name in names if name not in optional]
+    columns = _csv_columns(path, names, required)
+    if columns is not None:
+        try:
+            return build(columns)
+        except ValueError:
+            pass
+    with _csv_rows(path, required, optional) as (rows, col):
+        fields = itemgetter(*map(col.get, names))
+        checked = [check(*fields(row)) for row in rows]
+    table = np.array(checked, dtype=object).reshape(-1, len(names))
+    return build(dict(zip(names, table.T)))
+
+
 def _shared(texts: Iterable[tuple[str, ...]], make: Callable[[tuple[str, ...]], object]) -> list:
     """make(text) for each row's text tuple, made once per distinct tuple and shared by its rows."""
     first: dict[tuple[str, ...], int] = {}
@@ -453,20 +480,24 @@ def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection
     """Detection rows grouped by (point_index, trial_index).
 
     Files without index columns are treated as a single trial (0, 0). Rows
-    with the same (beacon_id, u_px, v_px) text share one Detection. A file
-    that _csv_columns parses is read from its columns; any other file, or one
-    with a pixel that does not parse, goes to the row reader, which returns
-    the same groups or raises at the line.
+    with the same (beacon_id, u_px, v_px) text share one Detection. Each row
+    is checked in this order: the two indices, an empty one read as 0, then
+    u_px and v_px; the first check a row fails raises at its line (see
+    _read_columns).
     """
-    cols = _csv_columns(path, DETECTION_COLUMNS, DETECTION_COLUMNS[2:])
-    if cols is None:
-        return _detections_by_row(path)
-    try:
-        dets = _shared(
-            zip(*map(cols.pop, DETECTION_COLUMNS[2:])), lambda text: Detection(text[0], (float(text[1]), float(text[2])))
-        )
-    except ValueError:
-        return _detections_by_row(path)
+    return _read_columns(path, DETECTION_COLUMNS, DETECTION_COLUMNS[:2], _check_detection, _detections)
+
+
+def _check_detection(point, trial, beacon, u, v) -> tuple:
+    point, trial = int(point or 0), int(trial or 0)
+    float(u), float(v)
+    return point, trial, beacon, u, v
+
+
+def _detections(cols: dict[str, np.ndarray]) -> list[tuple[int, int, list[Detection]]]:
+    dets = _shared(
+        zip(*map(cols.pop, DETECTION_COLUMNS[2:])), lambda text: Detection(text[0], (float(text[1]), float(text[2])))
+    )
     # The index columns are optional. A stable sort keeps file order within a trial.
     point, trial = (cols.get(name, np.zeros(len(dets), np.int64)) for name in DETECTION_COLUMNS[:2])
     order = np.lexsort((trial, point))
@@ -477,27 +508,6 @@ def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection
     dets = list(map(dets.__getitem__, order.tolist()))
     groups = map(dets.__getitem__, map(slice, starts, [*starts[1:], None]))
     return list(zip(point[starts].tolist(), trial[starts].tolist(), groups))
-
-
-def _detections_by_row(path: str | Path) -> list[tuple[int, int, list[Detection]]]:
-    """read_detections_csv row by row; the index is parsed once per run of rows with the same index text."""
-    groups: dict[tuple[int, int], list[Detection]] = {}
-    shared: dict[tuple[str, str, str], Detection] = {}
-    dets: list[Detection] | None = None
-    point_text = trial_text = None
-    # The index columns are optional.
-    with _csv_rows(path, DETECTION_COLUMNS[2:], DETECTION_COLUMNS[:2]) as (rows, col):
-        point, trial, beacon, u, v = map(col.get, DETECTION_COLUMNS)
-        for row in rows:
-            if dets is None or row[point] != point_text or row[trial] != trial_text:
-                point_text, trial_text = row[point], row[trial]
-                dets = groups.setdefault((int(point_text or 0), int(trial_text or 0)), [])
-            text = (row[beacon], row[u], row[v])
-            det = shared.get(text)
-            if det is None:
-                det = shared[text] = Detection(text[0], (float(text[1]), float(text[2])))
-            dets.append(det)
-    return [(p, t, dets) for (p, t), dets in sorted(groups.items())]
 
 
 def write_ground_truth_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
@@ -514,37 +524,26 @@ def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float
     """Maps (point_index, trial_index) to (x, y, z, yaw).
 
     Rows with the same (x_cm, y_cm, z_cm, yaw_rad) text share one pose tuple.
-    A file that _csv_columns parses is read from its columns; any other file,
-    or one with a coordinate that does not parse or is not finite, goes to
-    the row reader, which returns the same map or raises at the line.
+    Each row is checked in this order: a finite position, the yaw, an empty
+    one read as 0, then the two indices; the first check a row fails raises
+    at its line (see _read_columns).
     """
     # yaw_rad is optional and seed is not read.
-    cols = _csv_columns(path, TRUTH_COLUMNS[:6], TRUTH_COLUMNS[:5])
-    if cols is None:
-        return _ground_truth_by_row(path)
+    return _read_columns(path, TRUTH_COLUMNS[:6], TRUTH_COLUMNS[5:6], _check_truth, _truths)
+
+
+def _check_truth(point, trial, x, y, z, yaw) -> tuple:
+    _finite(x, y, z)
+    float(yaw or 0.0)
+    return int(point), int(trial), x, y, z, yaw
+
+
+def _truths(cols: dict[str, np.ndarray]) -> dict[tuple[int, int], tuple[float, float, float, float]]:
     point, trial, x, y, z = map(cols.pop, TRUTH_COLUMNS[:5])
-    try:
-        poses = _shared(
-            zip(x, y, z, cols.get("yaw_rad", repeat(None))), lambda text: (*_finite(*text[:3]), float(text[3] or 0.0))
-        )
-    except ValueError:
-        return _ground_truth_by_row(path)
+    poses = _shared(
+        zip(x, y, z, cols.get("yaw_rad", repeat(None))), lambda text: (*_finite(*text[:3]), float(text[3] or 0.0))
+    )
     return dict(zip(zip(point.tolist(), trial.tolist()), poses))
-
-
-def _ground_truth_by_row(path: str | Path) -> dict[tuple[int, int], tuple[float, float, float, float]]:
-    """read_ground_truth_csv row by row."""
-    truths: dict[tuple[int, int], tuple[float, float, float, float]] = {}
-    poses: dict[tuple[str, str, str, str | None], tuple[float, float, float, float]] = {}
-    with _csv_rows(path, TRUTH_COLUMNS[:5], ["yaw_rad"]) as (rows, col):
-        point, trial, x, y, z, yaw = map(col.get, TRUTH_COLUMNS[:6])
-        for row in rows:
-            text = (row[x], row[y], row[z], row[yaw])
-            pose = poses.get(text)
-            if pose is None:
-                pose = poses[text] = (*_finite(*text[:3]), float(text[3] or 0.0))
-            truths[int(row[point]), int(row[trial])] = pose
-    return truths
 
 
 def write_tracks_csv(tracks: Mapping[str, Sequence[tuple[float, float]]], path: str | Path) -> None:
@@ -624,59 +623,38 @@ def read_fixes_csv(path: str | Path) -> FixColumns:
     Each row is checked in this order: a known status, ok or error; then,
     for an ok row only: finite diagnostics, a finite yaw if there is one, a
     finite position, a known method, integer indices. The first check a row
-    fails raises at its line. A file that _csv_columns parses is read from
-    its columns, and any check that fails there sends the file to the row
-    reader, which raises at the line. Any other file goes to the row reader
-    too. No per-row fix object is built.
+    fails raises at its line (see _read_columns). No per-row fix object is
+    built.
     """
-    cols = _csv_columns(path, FIX_COLUMNS[:-1], FIX_COLUMNS[:-1])
-    if cols is None:
-        return _fixes_by_row(path)
+    return _read_columns(path, FIX_COLUMNS[:-1], (), _check_fix, _fixes)
+
+
+def _check_fix(point, trial, method, status, x, y, z, height, image_d, world_d, yaw) -> tuple:
+    if status != "ok":
+        if status != "error":
+            raise ValueError(f"unknown status {status!r}, expected 'ok' or 'error'")
+        return point, trial, method, status, x, y, z, height, image_d, world_d, yaw
+    _finite(height, image_d, world_d, kind="diagnostic")
+    if yaw:
+        _finite(yaw, kind="diagnostic")
+    _finite(x, y, z)
+    Method(method)
+    return int(point), int(trial), method, status, x, y, z, height, image_d, world_d, yaw
+
+
+def _fixes(cols: dict[str, np.ndarray]) -> FixColumns:
     point, trial, method, status, *numbers, yaw = map(cols.pop, FIX_COLUMNS[:-1])
     if not set(status) <= {"ok", "error"}:
-        return _fixes_by_row(path)
+        raise ValueError("unknown status")
     ok = status == "ok"
     yaw = yaw[ok]
-    try:
-        # x, y, z, height and the two distances, one row each; float() parses each text.
-        values = np.array([column[ok] for column in numbers], dtype=float)
-        yaw = yaw[yaw != ""].astype(float)
-    except ValueError:
-        return _fixes_by_row(path)
+    # x, y, z, height and the two distances, one row each; float() parses each text.
+    values = np.array([column[ok] for column in numbers], dtype=float)
+    yaw = yaw[yaw != ""].astype(float)
     if not (np.isfinite(values).all() and np.isfinite(yaw).all() and set(method[ok]) <= _METHODS):
-        return _fixes_by_row(path)
+        raise ValueError("a value that is not finite, or an unknown method")
     keys = list(zip(point[ok].tolist(), trial[ok].tolist()))
     return FixColumns(keys, values[:3].T.copy(), values[3])
-
-
-def _fixes_by_row(path: str | Path) -> FixColumns:
-    """read_fixes_csv row by row, each check inline; _finite runs only to raise its message."""
-    keys: list[tuple[int, int]] = []
-    positions: list[tuple[float, float, float]] = []
-    heights: list[float] = []
-    isfinite = math.isfinite
-    # Every column but the free-text message is read.
-    with _csv_rows(path, FIX_COLUMNS[:-1]) as (rows, col):
-        point, trial, method, status, x, y, z, height, image_d, world_d, yaw = map(col.get, FIX_COLUMNS[:-1])
-        for row in rows:
-            if row[status] != "ok":
-                if row[status] != "error":
-                    raise ValueError(f"unknown status {row[status]!r}, expected 'ok' or 'error'")
-                continue
-            h, d, w = float(row[height]), float(row[image_d]), float(row[world_d])
-            if not (isfinite(h) and isfinite(d) and isfinite(w)):
-                _finite(row[height], row[image_d], row[world_d], kind="diagnostic")
-            if row[yaw] and not isfinite(float(row[yaw])):
-                _finite(row[yaw], kind="diagnostic")
-            p = (float(row[x]), float(row[y]), float(row[z]))
-            if not (isfinite(p[0]) and isfinite(p[1]) and isfinite(p[2])):
-                _finite(row[x], row[y], row[z])
-            if row[method] not in _METHODS:
-                Method(row[method])
-            keys.append((int(row[point]), int(row[trial])))
-            positions.append(p)
-            heights.append(h)
-    return FixColumns(keys, np.array(positions, dtype=float).reshape(-1, 3), np.array(heights, dtype=float))
 
 
 # ------------------------------------------------------------------- reports

@@ -1,10 +1,14 @@
 """Scene JSON, CSV round trips, and report files."""
 
+import codecs
 import csv
 import dataclasses
+import io
 import math
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,6 +36,7 @@ from vlpkit import (
     error_stats,
     generate_trials,
 )
+from vlpkit.cli import main
 from vlpkit.io import (
     DETECTION_COLUMNS,
     FIX_COLUMNS,
@@ -950,13 +955,13 @@ def test_rows_with_the_same_text_share_one_detection_and_one_pose(tmp_path):
     assert truths[0, 0] is truths[0, 1]
 
 
-# --- both read paths: numpy's column pass and the row reader ---
+# --- both read paths: numpy's column pass and the row path ---
 
-# Each reader, the name of its row reader in vlpkit.io, and its format's columns.
-ROW_READERS = {
-    "detections": (read_detections_csv, "_detections_by_row", DETECTION_COLUMNS),
-    "ground_truth": (read_ground_truth_csv, "_ground_truth_by_row", TRUTH_COLUMNS),
-    "fixes": (read_fixes_csv, "_fixes_by_row", FIX_COLUMNS),
+# Each reader that has both paths, and its format's columns.
+TWO_PATH_READERS = {
+    "detections": (read_detections_csv, DETECTION_COLUMNS),
+    "ground_truth": (read_ground_truth_csv, TRUTH_COLUMNS),
+    "fixes": (read_fixes_csv, FIX_COLUMNS),
 }
 # Usual texts per column, numbers by default; quoted text: a comma, a doubled quote, spaces, empty text.
 QUOTED = ["a,b", 'say "hi"', " L1 ", ""]
@@ -990,15 +995,15 @@ def _outcome(read, path):
     return _exact(result), [first.setdefault(id(obj), i) for i, obj in enumerate(objects)]
 
 
-@pytest.mark.parametrize("name", ROW_READERS)
+@pytest.mark.parametrize("name", TWO_PATH_READERS)
 def test_reader_and_its_row_reader_agree_on_both_paths(tmp_path_factory, name):
-    reader, row_reader_name, header = ROW_READERS[name]
-    row_reader = getattr(vlpkit.io, row_reader_name)
+    reader, header = TWO_PATH_READERS[name]
+    csv_rows = vlpkit.io._csv_rows
     calls = {"reader": 0, "row": 0}
 
-    def counted_row_reader(path):
+    def counted_rows(*args):
         calls["row"] += 1
-        return row_reader(path)
+        return csv_rows(*args)
 
     @settings(max_examples=80)
     @given(data=st.data())
@@ -1024,14 +1029,62 @@ def test_reader_and_its_row_reader_agree_on_both_paths(tmp_path_factory, name):
         for ending in ("\n", "\r\n"):
             with open(path, "w", newline="") as handle:
                 csv.writer(handle, lineterminator=ending).writerows([columns, *rows])
-            want = _outcome(row_reader, path)
+            # With no column pass, every file is read row by row.
+            with mock.patch.object(vlpkit.io, "_csv_columns", lambda *args: None):
+                want = _outcome(reader, path)
             calls["reader"] += 1
-            with mock.patch.object(vlpkit.io, row_reader_name, counted_row_reader):
+            with mock.patch.object(vlpkit.io, "_csv_rows", counted_rows):
                 assert _outcome(reader, path) == want, ending
 
     agree()
-    # A CR sends every \r\n file to the row reader; clean \n files must take the column pass.
+    # A CR sends every \r\n file to the row path; clean \n files must take the column pass.
     assert calls["row"] > 0 and calls["reader"] - calls["row"] > 0, calls
+
+
+@pytest.fixture(scope="module")
+def seed_7_files(tmp_path_factory):
+    """Each reader and a file it reads: the lowered-ceiling scene's seed-7 simulate and locate, and tracks.
+
+    432 trials over 36 points, where beacons leave the frame, so trials hold
+    two or three detections and 252 of the fixes rows are quoted failures.
+    """
+    out = tmp_path_factory.mktemp("seed_7")
+    simulate = ["simulate", "--scene", str(Path(__file__).parent / "data" / "scene_dropout.json"), "--seed", "7"]
+    locate = ["locate", "--scene", str(out / "sim" / "scene.json"), "--detections", str(out / "sim" / "detections.csv")]
+    with redirect_stderr(io.StringIO()), redirect_stdout(io.StringIO()):
+        assert main([*simulate, "--out", str(out / "sim")]) == 0
+        assert main([*locate, "--out", str(out / "loc")]) == 0
+    write_tracks_csv({"L1": [(100.125, 200.5), (101.0, 201.0)], "L2": [(-0.0, 1e6)]}, out / "tracks.csv")
+    return {
+        "detections": (read_detections_csv, out / "sim" / "detections.csv"),
+        "ground_truth": (read_ground_truth_csv, out / "sim" / "ground_truth.csv"),
+        "fixes": (read_fixes_csv, out / "loc" / "fixes.csv"),
+        "tracks": (read_tracks_csv, out / "tracks.csv"),
+    }
+
+
+@pytest.mark.parametrize("name", TWO_PATH_READERS)
+def test_the_row_path_reads_a_full_size_file_as_the_column_pass_does(seed_7_files, tmp_path, name):
+    reader, original = seed_7_files[name]
+    crlf = tmp_path / original.name
+    crlf.write_bytes(original.read_bytes().replace(b"\n", b"\r\n"))
+    with mock.patch.object(vlpkit.io, "_csv_rows", wraps=vlpkit.io._csv_rows) as rows:
+        want = _outcome(reader, original)
+        assert rows.call_count == 0
+        assert _outcome(reader, crlf) == want
+        assert rows.call_count == 1
+    assert isinstance(want, tuple)
+
+
+@pytest.mark.parametrize("name", ["detections", "ground_truth", "fixes", "tracks"])
+def test_a_byte_order_mark_does_not_hide_the_first_column(seed_7_files, tmp_path, name):
+    # Some editors and spreadsheet exports start a UTF-8 file with one. Its first column
+    # was read as '\ufeffpoint_index', so detections merged into one trial per trial index.
+    reader, original = seed_7_files[name]
+    marked = tmp_path / original.name
+    marked.write_bytes(codecs.BOM_UTF8 + original.read_bytes())
+    want = _outcome(reader, original)
+    assert _outcome(reader, marked) == want and isinstance(want, tuple)
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
