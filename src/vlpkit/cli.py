@@ -10,9 +10,12 @@ import math
 import re
 import reprlib
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .analysis import ErrorReport, compare_reports, error_stats
@@ -21,7 +24,6 @@ from .errors import EmptyInput, VlpError
 from .io import (
     _SEED_LIMIT,
     FixColumns,
-    fix_columns,
     fmt,
     format_circle_fit,
     format_dispersion,
@@ -203,54 +205,56 @@ def _locate(
     method: Method,
     height_pair: str,
     path: Path,
-) -> list[tuple[int, int, Method, PositionFix | None, str]]:
-    """One fixes row per (point, trial, detections) group, written to path.
+) -> FixColumns:
+    """The fixes of the (point, trial, detections) groups: one row each written to path, the ok ones returned.
 
     A group with a finite pixel off the sensor fails, as does one the
     estimator rejects. A failed row keeps its message; stderr gets one line
     per exception type, with the count of failed rows and the first of them.
 
-    Each distinct tuple of detection objects is checked and solved once, and
-    every group that repeats it takes the same outcome: the same PositionFix,
-    or the same message. read_detections_csv shares one Detection per distinct
-    row text, and generate_trials one per distinct pixel of a beacon at a grid
-    point, so a repeated trial repeats the tuple; separate observe calls share
-    none, so their groups are solved one by one. An object always holds the
-    same values, so a reused outcome is the one a fresh solve would give, and
-    equal values in two objects are never merged. Order is part of the key,
-    since the sensor message names the first off-sensor detection. The key
-    holds ids, not objects, so groups must be a list or another sequence that
-    keeps every Detection alive for the call, not an iterator whose objects
-    may be freed and their ids reused.
+    Each group takes the index of its distinct detection set, keyed by the ids
+    of its Detection objects in list order, and each set is checked and solved
+    once. read_detections_csv shares one Detection per distinct row text, and
+    generate_trials one per distinct pixel of a beacon at a grid point, so a
+    repeated trial repeats its set. An object always holds the same values, so
+    a shared outcome is the one a fresh solve would give, and equal values in
+    two objects are never merged. Order is part of the key, since the sensor
+    message names the first off-sensor detection. Ids are unique only while
+    their objects live, so groups must be a sequence that keeps every
+    Detection alive for the call, not an iterator.
     """
-    rows = []
-    failures: dict[str, list] = {}
-    # A PositionFix, or a failure's (message, exception type name).
-    outcomes: dict[tuple[int, ...], PositionFix | tuple[str, str]] = {}
+    sets: dict[tuple[int, ...], int] = {}
+    # Each set's PositionFix or failure message; a failed set's exception type name and first row.
+    outcomes: list[PositionFix | str] = []
+    failed: dict[int, tuple[str, str]] = {}
+    index = []
     for point, trial, dets in groups:
-        key = tuple(map(id, dets))
-        outcome = outcomes.get(key)
-        if outcome is None:
+        i = sets.setdefault(tuple(map(id, dets)), len(sets))
+        if i == len(outcomes):
             try:
                 _check_on_sensor(dets, intrinsics)
-                outcome = compute_fix(dets, beacons, intrinsics, method, height_pair)
+                outcomes.append(compute_fix(dets, beacons, intrinsics, method, height_pair))
             except (VlpError, ValueError) as err:
-                outcome = (str(err), type(err).__name__)
-            outcomes[key] = outcome
-        if isinstance(outcome, PositionFix):
-            rows.append((point, trial, method, outcome, ""))
-        else:
-            message, name = outcome
-            rows.append((point, trial, method, None, message))
-            tally = failures.get(name)
-            if tally is None:
-                failures[name] = [1, f"{point}/{trial}: {message}"]
-            else:
-                tally[0] += 1
+                outcomes.append(str(err))
+                failed[i] = (type(err).__name__, f"{point}/{trial}: {outcomes[i]}")
+        index.append(i)
+    # Sets are numbered in order of their first row, so a type's first failed set holds its first failed row.
+    sizes = Counter(index)
+    failures: dict[str, list] = {}
+    for i, (name, first) in failed.items():
+        failures.setdefault(name, [0, first])[0] += sizes[i]
     for name, (count, first) in failures.items():
         print(_shorten(f"warning: {count} trial(s) failed with {name}, first {first}"), file=sys.stderr)
-    write_fixes_csv(rows, path)
-    return rows
+    keys = [(point, trial) for point, trial, _ in groups]
+    write_fixes_csv(keys, index, outcomes, method, path)
+    # Each set's position and height, zero for a failed set, scattered by index to the ok rows.
+    table = np.array(
+        [(0.0,) * 4 if i in failed else (*fix.position, fix.diagnostics.height_cm) for i, fix in enumerate(outcomes)]
+    ).reshape(-1, 4)
+    row_sets = np.array(index, dtype=np.intp)
+    ok = np.isin(row_sets, list(failed), invert=True)
+    fixes = table[row_sets[ok]]
+    return FixColumns([key for key, good in zip(keys, ok.tolist()) if good], fixes[:, :3].copy(), fixes[:, 3].copy())
 
 
 def _stats(
@@ -287,11 +291,10 @@ def _cmd_locate(args: argparse.Namespace) -> int:
     method = Method(args.method)
     height_pair = "first" if args.paper_faithful_h else "average"
     out = _out_dir(args.out)
-    rows = _locate(groups, scene.beacons, scene.intrinsics, method, height_pair, out / "fixes.csv")
+    fixes = _locate(groups, scene.beacons, scene.intrinsics, method, height_pair, out / "fixes.csv")
     _write_manifest(out, "locate", scene, args)
-    ok = sum(1 for row in rows if row[3] is not None)
-    print(f"located {ok}/{len(rows)} trials ({method.value}) -> {out / 'fixes.csv'}")
-    return 0 if ok else 1
+    print(f"located {len(fixes.keys)}/{len(groups)} trials ({method.value}) -> {out / 'fixes.csv'}")
+    return 0 if fixes.keys else 1
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -398,8 +401,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     reports: dict[tuple[Method, str], ErrorReport] = {}
     for method in (Method.TWO_LED, Method.THREE_LED):
         path = out / f"dispersion_fixes_{method.value}.csv"
-        rows = _locate(dispersion_groups, scene.beacons, nominal_intrinsics, method, "average", path)
-        fixes = fix_columns(rows)
+        fixes = _locate(dispersion_groups, scene.beacons, nominal_intrinsics, method, "average", path)
         dispersion_intrinsics, summary = calibrate_dispersion(
             fixes.positions, fixes.heights, centre, nominal_intrinsics, mode="physical"
         )
@@ -412,8 +414,8 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         }
         for calibration, intrinsics in calibrations.items():
             prefix = f"{method.value}_{calibration}"
-            rows = _locate(groups, scene.beacons, intrinsics, method, "average", out / f"fixes_{prefix}.csv")
-            reports[(method, calibration)] = _stats(fix_columns(rows), truths, out, prefix)
+            fixes = _locate(groups, scene.beacons, intrinsics, method, "average", out / f"fixes_{prefix}.csv")
+            reports[(method, calibration)] = _stats(fixes, truths, out, prefix)
 
     write_summary_csv(reports, out / "summary.csv")
     comparisons = [

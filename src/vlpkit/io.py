@@ -2,7 +2,8 @@
 
 All floats are serialized with six fixed decimals so repeated runs with the
 same seed produce byte-identical files. Each CSV row is formatted as one line
-from its layout's template; text fields are quoted by the csv module.
+from its layout's template, text quoted as the csv module quotes it; text that
+rows share is formatted once, per object or, for fixes, per outcome by index.
 
 The detections, ground-truth and fixes readers each build their result once,
 from the file's columns (see _read_columns), which are split in one of two
@@ -20,7 +21,7 @@ import json
 import math
 import reprlib
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from io import StringIO
 from itertools import count, repeat
 from operator import itemgetter
@@ -98,10 +99,10 @@ def _object(value, where: str) -> Mapping:
 
 
 def read_scene(path: str | Path) -> SceneConfig:
-    """Parse a scene JSON file; errors carry the offending line or field."""
+    """Parse a scene JSON file, dropping a leading UTF-8 byte-order mark; errors carry the offending line or field."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as err:
         raise SceneConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     except OSError as err:
@@ -214,10 +215,11 @@ def _line(*fields: str) -> str:
 # Column order of each CSV format, each followed by the %-template of one of
 # its rows; each reader requires a slice of its format's list. A %s field
 # takes text as _CsvText quotes it. A *_FIELDS template formats the columns
-# that one object fills, once per object (see _TextById); its text fills a %s
-# of the row template. A detection row is its trial's index, then the fields.
+# one object or outcome fills, once for all rows that hold it; its text fills
+# a %s of the row template, or follows the trial's ROW_INDEX in a detection or
+# fixes row.
+ROW_INDEX = "%d,%d,"
 DETECTION_COLUMNS = ["point_index", "trial_index", "beacon_id", "u_px", "v_px"]
-DETECTION_INDEX = "%d,%d,"
 DETECTION_FIELDS = _line("%s", FLOAT, FLOAT)  # a Detection
 TRUTH_COLUMNS = ["point_index", "trial_index", "x_cm", "y_cm", "z_cm", "yaw_rad", "seed"]
 POSE_FIELDS = ",".join([FLOAT] * 4)  # a CameraPose
@@ -238,11 +240,10 @@ FIX_COLUMNS = [
     "yaw_rad",
     "message",
 ]
-# A PositionFix from status to message; the yaw field takes the formatted yaw,
-# or "" for a fix without one. Failed rows hold only the message.
-FIX_FIELDS = ",".join(["ok", *[FLOAT] * 6, "%s", ""])
-FIX_LINE = _line("%d", "%d", "%s", "%s")
-FIX_ERROR_LINE = _line("%d", "%d", "%s", "error", *[""] * 7, "%s")
+# A PositionFix from method to message; the yaw field takes the formatted yaw,
+# or "" for a fix without one. A failure holds only the message.
+FIX_FIELDS = _line("%s", "ok", *[FLOAT] * 6, "%s", "")
+FIX_ERROR_FIELDS = _line("%s", "error", *[""] * 7, "%s")
 _METHODS = {m.value for m in Method}
 ERROR_COLUMNS = ["point_index", "trial_index", "error_cm", "error_3d_cm"]
 ERROR_LINE = _line("%d", "%d", FLOAT, FLOAT)
@@ -434,8 +435,9 @@ def _read_columns(
     takes each row's fields in the order of names and raises the row's first
     error, named at its line, or returns the fields as build takes them, an
     index as a Python int, which may pass int64; build then runs on the
-    checked rows as object columns. The invariant that makes this sound: a
-    row that passes check never makes build raise.
+    checked rows as object columns, an *_index column as int64 when every
+    value is an int that fits. The invariant that makes this sound: a row
+    that passes check never makes build raise.
     """
     required = [name for name in names if name not in optional]
     columns = _csv_columns(path, names, required)
@@ -448,7 +450,13 @@ def _read_columns(
         fields = itemgetter(*map(col.get, names))
         checked = [check(*fields(row)) for row in rows]
     table = np.array(checked, dtype=object).reshape(-1, len(names))
-    return build(dict(zip(names, table.T)))
+    columns = dict(zip(names, table.T))
+    for name in names:
+        # A failed fix row's index is its unchecked text.
+        if name.endswith("_index") and set(map(type, columns[name])) <= {int}:
+            with suppress(OverflowError):
+                columns[name] = columns[name].astype(np.int64)
+    return build(columns)
 
 
 def _shared(texts: Iterable[tuple[str, ...]], make: Callable[[tuple[str, ...]], object]) -> list:
@@ -469,7 +477,7 @@ def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> No
 
     def lines() -> Iterator[str]:
         for rec in records:
-            index = DETECTION_INDEX % (rec.point_index, rec.trial_index)
+            index = ROW_INDEX % (rec.point_index, rec.trial_index)
             for det in rec.detections:
                 yield index + (texts.get(id(det)) or texts.add(det))
 
@@ -570,33 +578,32 @@ def read_tracks_csv(path: str | Path) -> dict[str, list[tuple[float, float]]]:
 
 
 def write_fixes_csv(
-    rows: Sequence[tuple[int, int, Method, PositionFix | None, str]], path: str | Path
+    keys: Sequence[tuple], index: Sequence[int], outcomes: Sequence[PositionFix | str], method: Method, path: str | Path
 ) -> None:
-    """Rows are (point_index, trial_index, method, fix or None, error message).
+    """One row per (point_index, trial_index) key, holding the method and outcomes[index[row]].
 
-    A PositionFix that several rows hold is formatted once.
+    An outcome is a PositionFix, or a failure's message. Each outcome's text
+    is formatted once, however many rows hold it.
     """
     text = _CsvText()
+    name = text[method.value]
 
-    def format_fix(fix: PositionFix) -> str:
-        diag = fix.diagnostics
+    def fields(outcome: PositionFix | str) -> str:
+        if isinstance(outcome, str):
+            return FIX_ERROR_FIELDS % (name, text[outcome])
+        diag = outcome.diagnostics
         yaw = "" if diag.yaw_rad is None else fmt(diag.yaw_rad)
         return FIX_FIELDS % (
-            *fix.position,
+            name,
+            *outcome.position,
             diag.height_cm,
             diag.image_pair_distance_mm,
             diag.world_pair_distance_cm,
             yaw,
         )
 
-    texts = _TextById(format_fix)
-    lines = (
-        FIX_ERROR_LINE % (point, trial, text[method.value], text[message])
-        if fix is None
-        else FIX_LINE % (point, trial, text[method.value], texts.get(id(fix)) or texts.add(fix))
-        for point, trial, method, fix, message in rows
-    )
-    _write_csv(path, FIX_COLUMNS, lines)
+    texts = list(map(fields, outcomes))
+    _write_csv(path, FIX_COLUMNS, (ROW_INDEX % key + texts[i] for key, i in zip(keys, index)))
 
 
 class FixColumns(NamedTuple):
@@ -605,16 +612,6 @@ class FixColumns(NamedTuple):
     keys: list[tuple[int, int]]
     positions: np.ndarray
     heights: np.ndarray
-
-
-def fix_columns(rows: Sequence[tuple[int, int, Method, PositionFix | None, str]]) -> FixColumns:
-    """The ok rows of write_fixes_csv's input as read_fixes_csv's columns, without the six-decimal rounding."""
-    ok = [(point, trial, fix) for point, trial, _, fix, _ in rows if fix is not None]
-    return FixColumns(
-        [(point, trial) for point, trial, _ in ok],
-        np.array([fix.position for _, _, fix in ok], dtype=float).reshape(-1, 3),
-        np.array([fix.diagnostics.height_cm for _, _, fix in ok], dtype=float),
-    )
 
 
 def read_fixes_csv(path: str | Path) -> FixColumns:

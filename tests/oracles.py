@@ -128,27 +128,41 @@ def row_by_row_fixes(path):
 
 
 def row_by_row_locate(groups, beacons, intrinsics, method, height_pair, path):
-    """vlpkit.cli._locate as one sensor check and one solve per group, with no reuse between groups."""
+    """vlpkit.cli._locate as one sensor check and one solve per group, with no reuse between groups.
+
+    Writes each row's own outcome and returns the ok rows' FixColumns.
+    """
     import sys
+
+    import numpy as np
 
     from vlpkit import cli
     from vlpkit.errors import VlpError
+    from vlpkit.io import FixColumns
 
-    rows = []
+    keys, outcomes, ok = [], [], []
     failures = {}
     for point, trial, dets in groups:
+        keys.append((point, trial))
         try:
             cli._check_on_sensor(dets, intrinsics)
-            rows.append((point, trial, method, cli.compute_fix(dets, beacons, intrinsics, method, height_pair), ""))
+            fix = cli.compute_fix(dets, beacons, intrinsics, method, height_pair)
         except (VlpError, ValueError) as err:
             message = str(err)
-            rows.append((point, trial, method, None, message))
+            outcomes.append(message)
             tally = failures.setdefault(type(err).__name__, [0, f"{point}/{trial}: {message}"])
             tally[0] += 1
+        else:
+            outcomes.append(fix)
+            ok.append((point, trial, fix))
     for name, (count, first) in failures.items():
         print(cli._shorten(f"warning: {count} trial(s) failed with {name}, first {first}"), file=sys.stderr)
-    cli.write_fixes_csv(rows, path)
-    return rows
+    cli.write_fixes_csv(keys, range(len(keys)), outcomes, method, path)
+    return FixColumns(
+        [(point, trial) for point, trial, _ in ok],
+        np.array([fix.position for _, _, fix in ok], dtype=float).reshape(-1, 3),
+        np.array([fix.diagnostics.height_cm for _, _, fix in ok], dtype=float),
+    )
 
 
 def least_squares_pose(beacons, pixels, intrinsics):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
 import argparse
+import codecs
 import csv
 import gc
 import hashlib
@@ -409,6 +410,19 @@ def test_stats_names_the_ground_truth_file_that_lacks_a_trial(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {truth}: no ground truth for trial 0/0\n"
 
 
+def test_a_scene_file_with_a_byte_order_mark_reads_as_the_original(tmp_path):
+    # Some editors write one first; json.loads refused it, while the CSV readers drop it.
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scene", str(DATA / "scene_dropout.json"), "--trials", "2", "--out", str(sim)]) == 0
+    marked = tmp_path / "scene_bom.json"
+    marked.write_bytes(codecs.BOM_UTF8 + (sim / "scene.json").read_bytes())
+    assert read_scene(marked) == read_scene(sim / "scene.json")
+    for scene in (sim / "scene.json", marked):
+        argv = ["locate", "--scene", str(scene), "--detections", str(sim / "detections.csv")]
+        assert main([*argv, "--out", str(tmp_path / scene.stem)]) == 0
+    assert (tmp_path / "scene_bom" / "fixes.csv").read_bytes() == (tmp_path / "scene" / "fixes.csv").read_bytes()
+
+
 def test_missing_scene_file_is_a_clean_error(tmp_path, capsys):
     rc = main(
         [
@@ -682,11 +696,12 @@ def test_locate_solves_each_distinct_detection_set_of_generated_trials_once(tmp_
     scene = replace(replicate_scene(7), noise=NoiseModel(sigma, quantize=True))
     records = generate_trials(default_grid()[:4], 30, scene)
     groups = [(rec.point_index, rec.trial_index, rec.detections) for rec in records]
-    rows = cli._locate(groups, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "fixes.csv")
+    fixes = cli._locate(groups, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "fixes.csv")
     distinct = {tuple(map(id, dets)) for _, _, dets in groups}
-    assert len(calls) == len(distinct) < len(rows) == 120
-    oracles.row_by_row_locate(groups, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "ref.csv")
+    assert len(calls) == len(distinct) < len(fixes.keys) == 120
+    ref = oracles.row_by_row_locate(groups, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "ref.csv")
     assert (tmp_path / "fixes.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _assert_same_fix_columns(fixes, ref)
 
 
 def test_locate_solves_every_group_that_shares_no_detection(tmp_path, monkeypatch):
@@ -699,8 +714,8 @@ def test_locate_solves_every_group_that_shares_no_detection(tmp_path, monkeypatc
         for trial in range(2)
     ]
     assert groups[0][2] == groups[1][2]
-    rows = cli._locate(groups, scene.beacons, scene.intrinsics, Method.TWO_LED, "average", tmp_path / "fixes.csv")
-    assert len(calls) == len(rows) == 72
+    fixes = cli._locate(groups, scene.beacons, scene.intrinsics, Method.TWO_LED, "average", tmp_path / "fixes.csv")
+    assert len(calls) == len(fixes.keys) == 72
     # A file whose row texts never repeat.
     write_scene(replace(scene, noise=NoiseModel(pixel_sigma=0.5)), tmp_path / "scene.json")
     sim = tmp_path / "sim"
@@ -746,11 +761,29 @@ def _locate_outcome(argv, out):
     return rc, err.getvalue(), (out / "fixes.csv").read_bytes()
 
 
+def _assert_same_fix_columns(got, want):
+    """Two FixColumns hold the same keys, and positions and heights of the same dtype, shape and bits."""
+    assert got.keys == want.keys
+    for a, b in [(got.positions, want.positions), (got.heights, want.heights)]:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def _assert_locate_matches_row_by_row(argv, work):
-    """locate's outcome equals the one-solve-per-row reference's; returns it."""
-    got = _locate_outcome(argv, work / "new")
-    with patch.object(cli, "_locate", oracles.row_by_row_locate):
+    """locate's outcome and _locate's FixColumns equal the one-solve-per-row reference's; returns the outcome."""
+    returned = []
+
+    def recorded(locate):
+        def run(*args):
+            returned.append(locate(*args))
+            return returned[-1]
+
+        return run
+
+    with patch.object(cli, "_locate", recorded(cli._locate)):
+        got = _locate_outcome(argv, work / "new")
+    with patch.object(cli, "_locate", recorded(oracles.row_by_row_locate)):
         assert got == _locate_outcome(argv, work / "reference")
+    _assert_same_fix_columns(*returned)
     return got
 
 

@@ -356,12 +356,12 @@ def test_fixes_round_trip_skips_failed_rows(tmp_path):
         yaw_rad=0.5,
     )
     rows = [
-        (0, 0, Method.THREE_LED, PositionFix((25.25, -15.5, 0.125), Method.THREE_LED, diag3), ""),
-        (0, 1, Method.THREE_LED, None, "beacons 'A' and 'B' project 0 mm apart"),
-        (1, 0, Method.TWO_LED, PositionFix((-3.5, 4.75, 1.5), Method.TWO_LED, diag2), ""),
+        (0, 0, PositionFix((25.25, -15.5, 0.125), Method.THREE_LED, diag3)),
+        (0, 1, "beacons 'A' and 'B' project 0 mm apart"),
+        (1, 0, PositionFix((-3.5, 4.75, 1.5), Method.THREE_LED, diag2)),
     ]
     path = tmp_path / "fixes.csv"
-    write_fixes_csv(rows, path)
+    write_fix_rows(rows, Method.THREE_LED, path)
     back = read_fixes_csv(path)
     assert isinstance(back, FixColumns)
     assert back.keys == [(0, 0), (1, 0)]
@@ -373,14 +373,14 @@ def test_fixes_round_trip_skips_failed_rows(tmp_path):
     assert text[1].startswith("0,0,three-led,ok,") and text[1].endswith(",,")
     assert text[2].startswith("0,1,three-led,error")
     assert text[2].endswith("project 0 mm apart")
-    assert text[3].startswith("1,0,two-led,ok,") and text[3].endswith(",0.500000,")
+    assert text[3].startswith("1,0,three-led,ok,") and text[3].endswith(",0.500000,")
 
 
 def test_fix_csv_floats_use_six_decimals(tmp_path):
     diag = Diagnostics(150.0, 2.5, 135.0)
-    rows = [(0, 0, Method.THREE_LED, PositionFix((1.0, 2.0, 3.0), Method.THREE_LED, diag), "")]
+    rows = [(0, 0, PositionFix((1.0, 2.0, 3.0), Method.THREE_LED, diag))]
     path = tmp_path / "fixes.csv"
-    write_fixes_csv(rows, path)
+    write_fix_rows(rows, Method.THREE_LED, path)
     line = path.read_text().splitlines()[1]
     assert ",1.000000,2.000000,3.000000," in line
 
@@ -644,6 +644,17 @@ def close(a, b):
     return abs(a - b) <= CSV_TOL
 
 
+def write_fix_rows(rows, method, path):
+    """write_fixes_csv of (point, trial, PositionFix or failure message) rows, each row its own outcome."""
+    write_fixes_csv([(p, t) for p, t, _ in rows], range(len(rows)), [fix for _, _, fix in rows], method, path)
+
+
+def _outcome_index(fixes):
+    """Each fix's index among the distinct objects, and those objects: rows holding one object share its index."""
+    index = {}
+    return [index.setdefault(id(fix), len(index)) for fix in fixes], list({id(fix): fix for fix in fixes}.values())
+
+
 def _record(key, detections):
     return TrialRecord(key[0], key[1], CameraPose((0.0, 0.0, 0.0)), tuple(detections), seed=0)
 
@@ -695,18 +706,17 @@ fix_values = st.builds(
     st.sampled_from(Method),
     st.builds(Diagnostics, finite, finite, finite, st.none() | finite),
 )
-fix_rows = st.lists(
-    st.tuples(indices, indices, st.sampled_from(Method), st.none() | fix_values, ids), max_size=6
-)
+# A failed row holds its message.
+fix_rows = st.lists(st.tuples(indices, indices, fix_values | ids), max_size=6)
 
 
 @csv_examples
-@given(fix_rows)
-def test_fixes_csv_round_trip_property(tmp_path_factory, rows):
+@given(st.sampled_from(Method), fix_rows)
+def test_fixes_csv_round_trip_property(tmp_path_factory, method, rows):
     path = tmp_path_factory.getbasetemp() / "fixes.csv"
-    write_fixes_csv(rows, path)
+    write_fix_rows(rows, method, path)
     back = read_fixes_csv(path)
-    ok = [(p, t, fix) for p, t, _, fix, _ in rows if fix is not None]
+    ok = [(p, t, fix) for p, t, fix in rows if isinstance(fix, PositionFix)]
     assert back.keys == [(p, t) for p, t, _ in ok]
     assert back.positions.shape == (len(ok), 3) and back.heights.shape == (len(ok),)
     for got, got_height, (_, _, want) in zip(back.positions.tolist(), back.heights.tolist(), ok):
@@ -734,7 +744,9 @@ SHARED_WRITERS = {
             st.sampled_from(Method),
             st.builds(Diagnostics, signed, signed, signed, st.none() | signed),
         ),
-        lambda fixes, path: write_fixes_csv([(i, 0, Method.TWO_LED, fix, "") for i, fix in enumerate(fixes)], path),
+        lambda fixes, path: write_fixes_csv(
+            [(i, 0) for i in range(len(fixes))], *_outcome_index(fixes), Method.TWO_LED, path
+        ),
     ),
 }
 
@@ -1126,15 +1138,13 @@ edgy_fix_rows = st.lists(
     st.tuples(
         indices,
         indices,
-        st.sampled_from(Method),
-        st.none()
-        | st.builds(
+        st.builds(
             PositionFix,
             st.tuples(edgy, edgy, edgy),
             st.sampled_from(Method),
             st.builds(Diagnostics, edgy, edgy, edgy, st.none() | edgy),
-        ),
-        text,
+        )
+        | text,
     ),
     max_size=4,
 )
@@ -1166,9 +1176,9 @@ def reference_csv(path, header, rows):
     return path.read_bytes()
 
 
-def reference_fix_row(point, trial, method, fix, message):
-    if fix is None:
-        return [point, trial, method.value, "error", "", "", "", "", "", "", "", message]
+def reference_fix_row(point, trial, method, fix):
+    if isinstance(fix, str):
+        return [point, trial, method.value, "error", "", "", "", "", "", "", "", fix]
     d = fix.diagnostics
     yaw = "" if d.yaw_rad is None else six(d.yaw_rad)
     return [point, trial, method.value, "ok", *map(six, fix.position), six(d.height_cm),
@@ -1202,11 +1212,11 @@ def test_tracks_writer_matches_a_csv_writer_reference(tmp_path_factory, tracks):
 
 
 @writer_examples
-@given(edgy_fix_rows)
-def test_fixes_writer_matches_a_csv_writer_reference(tmp_path_factory, rows):
+@given(st.sampled_from(Method), edgy_fix_rows)
+def test_fixes_writer_matches_a_csv_writer_reference(tmp_path_factory, method, rows):
     out = tmp_path_factory.getbasetemp()
-    write_fixes_csv(rows, out / "fixes.csv")
-    want = reference_csv(out / "ref.csv", FIX_COLUMNS, [reference_fix_row(*row) for row in rows])
+    write_fix_rows(rows, method, out / "fixes.csv")
+    want = reference_csv(out / "ref.csv", FIX_COLUMNS, [reference_fix_row(p, t, method, fix) for p, t, fix in rows])
     assert (out / "fixes.csv").read_bytes() == want
 
 
