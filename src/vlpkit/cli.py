@@ -10,7 +10,6 @@ import math
 import re
 import reprlib
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -224,10 +223,12 @@ def _locate(
     Detection alive for the call, not an iterator.
     """
     sets: dict[tuple[int, ...], int] = {}
-    # Each set's PositionFix or failure message; a failed set's exception type name and first row.
+    # Each set's PositionFix or failure message, and a failed set's tally: its
+    # exception type's [failed rows, first failed row].
     outcomes: list[PositionFix | str] = []
-    failed: dict[int, tuple[str, str]] = {}
-    index = []
+    failed: dict[int, list] = {}
+    failures: dict[str, list] = {}
+    keys, index = [], []
     for point, trial, dets in groups:
         i = sets.setdefault(tuple(map(id, dets)), len(sets))
         if i == len(outcomes):
@@ -236,25 +237,20 @@ def _locate(
                 outcomes.append(compute_fix(dets, beacons, intrinsics, method, height_pair))
             except (VlpError, ValueError) as err:
                 outcomes.append(str(err))
-                failed[i] = (type(err).__name__, f"{point}/{trial}: {outcomes[i]}")
+                failed[i] = failures.setdefault(type(err).__name__, [0, f"{point}/{trial}: {outcomes[i]}"])
+        if i in failed:
+            failed[i][0] += 1
+        keys.append((point, trial))
         index.append(i)
-    # Sets are numbered in order of their first row, so a type's first failed set holds its first failed row.
-    sizes = Counter(index)
-    failures: dict[str, list] = {}
-    for i, (name, first) in failed.items():
-        failures.setdefault(name, [0, first])[0] += sizes[i]
     for name, (count, first) in failures.items():
         print(_shorten(f"warning: {count} trial(s) failed with {name}, first {first}"), file=sys.stderr)
-    keys = [(point, trial) for point, trial, _ in groups]
     write_fixes_csv(keys, index, outcomes, method, path)
-    # Each set's position and height, zero for a failed set, scattered by index to the ok rows.
-    table = np.array(
-        [(0.0,) * 4 if i in failed else (*fix.position, fix.diagnostics.height_cm) for i, fix in enumerate(outcomes)]
-    ).reshape(-1, 4)
-    row_sets = np.array(index, dtype=np.intp)
-    ok = np.isin(row_sets, list(failed), invert=True)
-    fixes = table[row_sets[ok]]
-    return FixColumns([key for key, good in zip(keys, ok.tolist()) if good], fixes[:, :3].copy(), fixes[:, 3].copy())
+    ok = [(key, outcomes[i]) for key, i in zip(keys, index) if i not in failed]
+    return FixColumns(
+        [key for key, _ in ok],
+        np.array([fix.position for _, fix in ok], dtype=float).reshape(-1, 3),
+        np.array([fix.diagnostics.height_cm for _, fix in ok], dtype=float),
+    )
 
 
 def _stats(

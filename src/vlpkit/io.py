@@ -21,7 +21,7 @@ import json
 import math
 import reprlib
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from io import StringIO
 from itertools import count, repeat
 from operator import itemgetter
@@ -435,9 +435,8 @@ def _read_columns(
     takes each row's fields in the order of names and raises the row's first
     error, named at its line, or returns the fields as build takes them, an
     index as a Python int, which may pass int64; build then runs on the
-    checked rows as object columns, an *_index column as int64 when every
-    value is an int that fits. The invariant that makes this sound: a row
-    that passes check never makes build raise.
+    checked rows as object columns. The invariant that makes this sound: a
+    row that passes check never makes build raise.
     """
     required = [name for name in names if name not in optional]
     columns = _csv_columns(path, names, required)
@@ -450,13 +449,7 @@ def _read_columns(
         fields = itemgetter(*map(col.get, names))
         checked = [check(*fields(row)) for row in rows]
     table = np.array(checked, dtype=object).reshape(-1, len(names))
-    columns = dict(zip(names, table.T))
-    for name in names:
-        # A failed fix row's index is its unchecked text.
-        if name.endswith("_index") and set(map(type, columns[name])) <= {int}:
-            with suppress(OverflowError):
-                columns[name] = columns[name].astype(np.int64)
-    return build(columns)
+    return build(dict(zip(names, table.T)))
 
 
 def _shared(texts: Iterable[tuple[str, ...]], make: Callable[[tuple[str, ...]], object]) -> list:
