@@ -245,11 +245,11 @@ def _locate(
     for name, (count, first) in failures.items():
         print(_shorten(f"warning: {count} trial(s) failed with {name}, first {first}"), file=sys.stderr)
     write_fixes_csv(keys, index, outcomes, method, path)
-    ok = [(key, outcomes[i]) for key, i in zip(keys, index) if i not in failed]
+    fixes = [outcomes[i] for i in index if i not in failed]
     return FixColumns(
-        [key for key, _ in ok],
-        np.array([fix.position for _, fix in ok], dtype=float).reshape(-1, 3),
-        np.array([fix.diagnostics.height_cm for _, fix in ok], dtype=float),
+        [key for key, i in zip(keys, index) if i not in failed],
+        np.array([fix.position for fix in fixes], dtype=float).reshape(-1, 3),
+        np.array([fix.diagnostics.height_cm for fix in fixes], dtype=float),
     )
 
 
