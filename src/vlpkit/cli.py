@@ -11,6 +11,7 @@ import re
 import reprlib
 import sys
 from dataclasses import replace
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -23,14 +24,17 @@ from .errors import EmptyInput, VlpError
 from .io import (
     _SEED_LIMIT,
     FixColumns,
+    TrialTable,
     fmt,
     format_circle_fit,
     format_dispersion,
-    read_detections_csv,
+    # Unused here, but the benchmark tracer requires vlpkit.cli.read_detections_csv (ROADMAP item 1).
+    read_detections_csv,  # noqa: F401
     read_fixes_csv,
     read_ground_truth_csv,
     read_scene,
     read_tracks_csv,
+    read_trial_table,
     report_summary_lines,
     scene_to_dict,
     write_comparisons_csv,
@@ -197,60 +201,67 @@ def _simulate(scene: SceneConfig, grid: Sequence[Sequence[float]], trials: int, 
     return records
 
 
+def _record_table(records: Sequence[TrialRecord]) -> TrialTable:
+    """The records' trials as a TrialTable, a set keyed by the ids of its Detection objects in order.
+
+    generate_trials shares one Detection per distinct pixel of a beacon at a
+    grid point, so a repeated trial repeats its set, and equal values in two
+    objects are never merged. Ids are unique only while their objects live,
+    so the records must keep every Detection alive for the call.
+    """
+    first: dict[tuple[int, ...], int] = {}
+    index = [first.setdefault(tuple(map(id, rec.detections)), len(first)) for rec in records]
+    # Set number to detections, inserted in set order; a later trial of a set holds the same objects.
+    sets = {i: rec.detections for rec, i in zip(records, index)}
+    keys = [(rec.point_index, rec.trial_index) for rec in records]
+    return TrialTable(keys, np.array(index, np.intp), list(sets.values()))
+
+
 def _locate(
-    groups: Sequence[tuple[int, int, Sequence[Detection]]],
+    table: TrialTable,
     beacons: Sequence[LedBeacon],
     intrinsics,
     method: Method,
     height_pair: str,
     path: Path,
 ) -> FixColumns:
-    """The fixes of the (point, trial, detections) groups: one row each written to path, the ok ones returned.
+    """The fixes of the table's trials: one row each written to path, the ok ones returned.
 
-    A group with a finite pixel off the sensor fails, as does one the
-    estimator rejects. A failed row keeps its message; stderr gets one line
-    per exception type, with the count of failed rows and the first of them.
-
-    Each group takes the index of its distinct detection set, keyed by the ids
-    of its Detection objects in list order, and each set is checked and solved
-    once. read_detections_csv shares one Detection per distinct row text, and
-    generate_trials one per distinct pixel of a beacon at a grid point, so a
-    repeated trial repeats its set. An object always holds the same values, so
-    a shared outcome is the one a fresh solve would give, and equal values in
-    two objects are never merged. Order is part of the key, since the sensor
-    message names the first off-sensor detection. Ids are unique only while
-    their objects live, so groups must be a sequence that keeps every
-    Detection alive for the call, not an iterator.
+    Each distinct detection set is checked and solved once, in set order. A
+    set with a finite pixel off the sensor fails, as does one the estimator
+    rejects. A failed row keeps its set's message; stderr gets one line per
+    exception type, in the order of their first failed rows, with the count
+    of failed rows and the first of them. Sets are numbered by their first
+    trial, so a type's first failed set holds its first failed row.
     """
-    sets: dict[tuple[int, ...], int] = {}
-    # Each set's PositionFix or failure message, and a failed set's tally: its
-    # exception type's [failed rows, first failed row].
+    keys, index, sets = table
     outcomes: list[PositionFix | str] = []
-    failed: dict[int, list] = {}
+    failed: dict[int, str] = {}  # each failed set's exception type name
+    for i, dets in enumerate(sets):
+        try:
+            _check_on_sensor(dets, intrinsics)
+            outcomes.append(compute_fix(dets, beacons, intrinsics, method, height_pair))
+        except (VlpError, ValueError) as err:
+            outcomes.append(str(err))
+            failed[i] = type(err).__name__
+    rows = np.bincount(index, minlength=len(sets)).tolist()
+    # Each exception type's failed rows and first failed set.
     failures: dict[str, list] = {}
-    keys, index = [], []
-    for point, trial, dets in groups:
-        i = sets.setdefault(tuple(map(id, dets)), len(sets))
-        if i == len(outcomes):
-            try:
-                _check_on_sensor(dets, intrinsics)
-                outcomes.append(compute_fix(dets, beacons, intrinsics, method, height_pair))
-            except (VlpError, ValueError) as err:
-                outcomes.append(str(err))
-                failed[i] = failures.setdefault(type(err).__name__, [0, f"{point}/{trial}: {outcomes[i]}"])
-        if i in failed:
-            failed[i][0] += 1
-        keys.append((point, trial))
-        index.append(i)
-    for name, (count, first) in failures.items():
-        print(_shorten(f"warning: {count} trial(s) failed with {name}, first {first}"), file=sys.stderr)
-    write_fixes_csv(keys, index, outcomes, method, path)
-    fixes = [outcomes[i] for i in index if i not in failed]
-    return FixColumns(
-        [key for key, i in zip(keys, index) if i not in failed],
-        np.array([fix.position for fix in fixes], dtype=float).reshape(-1, 3),
-        np.array([fix.diagnostics.height_cm for fix in fixes], dtype=float),
-    )
+    for i, name in failed.items():
+        failures.setdefault(name, [0, i])[0] += rows[i]
+    for name, (count, i) in failures.items():
+        point, trial = keys[int(np.argmax(index == i))]
+        warning = f"warning: {count} trial(s) failed with {name}, first {point}/{trial}: {outcomes[i]}"
+        print(_shorten(warning), file=sys.stderr)
+    write_fixes_csv(keys, index.tolist(), outcomes, method, path)
+    ok = np.ones(len(sets), bool)
+    ok[list(failed)] = False
+    ok = ok[index]
+    at = index[ok]
+    nan = (math.nan,) * 3
+    positions = np.array([nan if i in failed else fix.position for i, fix in enumerate(outcomes)], dtype=float)
+    heights = np.array([math.nan if i in failed else fix.diagnostics.height_cm for i, fix in enumerate(outcomes)])
+    return FixColumns(list(compress(keys, ok.tolist())), positions.reshape(-1, 3)[at], heights[at])
 
 
 def _stats(
@@ -283,13 +294,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_locate(args: argparse.Namespace) -> int:
     scene = read_scene(args.scene)
-    groups = read_detections_csv(args.detections)
+    table = read_trial_table(args.detections)
     method = Method(args.method)
     height_pair = "first" if args.paper_faithful_h else "average"
     out = _out_dir(args.out)
-    fixes = _locate(groups, scene.beacons, scene.intrinsics, method, height_pair, out / "fixes.csv")
+    fixes = _locate(table, scene.beacons, scene.intrinsics, method, height_pair, out / "fixes.csv")
     _write_manifest(out, "locate", scene, args)
-    print(f"located {len(fixes.keys)}/{len(groups)} trials ({method.value}) -> {out / 'fixes.csv'}")
+    print(f"located {len(fixes.keys)}/{len(table.keys)} trials ({method.value}) -> {out / 'fixes.csv'}")
     return 0 if fixes.keys else 1
 
 
@@ -363,7 +374,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     nominal_intrinsics = scene.intrinsics
     grid = default_grid()
     records = _simulate(scene, grid, DEFAULT_TRIALS_PER_POINT, out)
-    groups = [(rec.point_index, rec.trial_index, rec.detections) for rec in records]
+    table = _record_table(records)
     truths = {(rec.point_index, rec.trial_index): rec.pose.position for rec in records}
 
     # Spin-in-place tracks, fitted once and shared by both methods.
@@ -393,11 +404,11 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         seed=derive_seed(scene.seed, DISPERSION_STREAM, 0),
     )
     dispersion_records = generate_trials([centre], DISPERSION_TRIALS, dispersion_scene)
-    dispersion_groups = [(rec.point_index, rec.trial_index, rec.detections) for rec in dispersion_records]
+    dispersion_table = _record_table(dispersion_records)
     reports: dict[tuple[Method, str], ErrorReport] = {}
     for method in (Method.TWO_LED, Method.THREE_LED):
         path = out / f"dispersion_fixes_{method.value}.csv"
-        fixes = _locate(dispersion_groups, scene.beacons, nominal_intrinsics, method, "average", path)
+        fixes = _locate(dispersion_table, scene.beacons, nominal_intrinsics, method, "average", path)
         dispersion_intrinsics, summary = calibrate_dispersion(
             fixes.positions, fixes.heights, centre, nominal_intrinsics, mode="physical"
         )
@@ -410,7 +421,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         }
         for calibration, intrinsics in calibrations.items():
             prefix = f"{method.value}_{calibration}"
-            fixes = _locate(groups, scene.beacons, intrinsics, method, "average", out / f"fixes_{prefix}.csv")
+            fixes = _locate(table, scene.beacons, intrinsics, method, "average", out / f"fixes_{prefix}.csv")
             reports[(method, calibration)] = _stats(fixes, truths, out, prefix)
 
     write_summary_csv(reports, out / "summary.csv")

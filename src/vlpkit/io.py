@@ -12,6 +12,10 @@ _csv_columns) is parsed in one pass; any other file, or one with a value that
 fails a check, is read row by row through _csv_rows, each row checked in the
 reader's order. So every InputFormatError, with its file and line, comes from
 the row path.
+
+The detections reader builds a TrialTable (read_trial_table): the trials'
+keys, each trial's set index and the distinct detection sets, keyed by row
+text. read_detections_csv is a list view over it.
 """
 
 from __future__ import annotations
@@ -452,15 +456,14 @@ def _read_columns(
     return build(dict(zip(names, table.T)))
 
 
-def _shared(texts: Iterable[tuple[str, ...]], make: Callable[[tuple[str, ...]], object]) -> list:
-    """make(text) for each row's text tuple, made once per distinct tuple and shared by its rows."""
+def _distinct(texts: Iterable[tuple[str, ...]], make: Callable[[tuple[str, ...]], object]) -> tuple[list[int], list]:
+    """Each row's number of the first row with its text, and make(text) at that number, made once per distinct text."""
     first: dict[tuple[str, ...], int] = {}
-    # Each row's number of the first row with its text.
     rows = list(map(first.setdefault, texts, count()))
     made: list = [None] * len(rows)
     for text, row in first.items():
         made[row] = make(text)
-    return list(map(made.__getitem__, rows))
+    return rows, made
 
 
 def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
@@ -477,16 +480,33 @@ def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> No
     _write_csv(path, DETECTION_COLUMNS, lines())
 
 
-def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection]]]:
-    """Detection rows grouped by (point_index, trial_index).
+class TrialTable(NamedTuple):
+    """Trials by set index: (point_index, trial_index) keys in (point, trial) order, each trial's index into
+    sets, and the distinct detection sets, each a tuple of Detections numbered by its first trial."""
+
+    keys: list[tuple[int, int]]
+    index: np.ndarray
+    sets: list[tuple[Detection, ...]]
+
+
+def read_trial_table(path: str | Path) -> TrialTable:
+    """The trials of a detections CSV as a TrialTable.
 
     Files without index columns are treated as a single trial (0, 0). Rows
-    with the same (beacon_id, u_px, v_px) text share one Detection. Each row
-    is checked in this order: the two indices, an empty one read as 0, then
-    u_px and v_px; the first check a row fails raises at its line (see
+    with the same (beacon_id, u_px, v_px) text share one Detection, and
+    trials whose rows, in file order, hold the same texts share one set:
+    sets are keyed by text, so 0 and -0, or 427 and 427.0, stay apart. Each
+    row is checked in this order: the two indices, an empty one read as 0,
+    then u_px and v_px; the first check a row fails raises at its line (see
     _read_columns).
     """
-    return _read_columns(path, DETECTION_COLUMNS, DETECTION_COLUMNS[:2], _check_detection, _detections)
+    return _read_columns(path, DETECTION_COLUMNS, DETECTION_COLUMNS[:2], _check_detection, _trial_table)
+
+
+def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection]]]:
+    """Detection rows grouped by (point_index, trial_index): read_trial_table's trials, each a fresh list of its set."""
+    keys, index, sets = read_trial_table(path)
+    return [(point, trial, list(sets[i])) for (point, trial), i in zip(keys, index.tolist())]
 
 
 def _check_detection(point, trial, beacon, u, v) -> tuple:
@@ -495,20 +515,27 @@ def _check_detection(point, trial, beacon, u, v) -> tuple:
     return point, trial, beacon, u, v
 
 
-def _detections(cols: dict[str, np.ndarray]) -> list[tuple[int, int, list[Detection]]]:
-    dets = _shared(
+def _trial_table(cols: dict[str, np.ndarray]) -> TrialTable:
+    rows, dets = _distinct(
         zip(*map(cols.pop, DETECTION_COLUMNS[2:])), lambda text: Detection(text[0], (float(text[1]), float(text[2])))
     )
     # The index columns are optional. A stable sort keeps file order within a trial.
-    point, trial = (cols.get(name, np.zeros(len(dets), np.int64)) for name in DETECTION_COLUMNS[:2])
+    point, trial = (cols.get(name, np.zeros(len(rows), np.int64)) for name in DETECTION_COLUMNS[:2])
     order = np.lexsort((trial, point))
     point, trial = point[order], trial[order]
-    new = np.ones(len(dets), bool)
+    new = np.ones(len(rows), bool)
     new[1:] = (point[1:] != point[:-1]) | (trial[1:] != trial[:-1])
-    starts = np.flatnonzero(new).tolist()
-    dets = list(map(dets.__getitem__, order.tolist()))
-    groups = map(dets.__getitem__, map(slice, starts, [*starts[1:], None]))
-    return list(zip(point[starts].tolist(), trial[starts].tolist(), groups))
+    starts = np.flatnonzero(new)
+    keys = list(zip(point[starts].tolist(), trial[starts].tolist()))
+    # A trial's set is keyed by its rows' numbers in file order; each trial takes the number of the
+    # first trial with its key, and the sets are then numbered densely in that order.
+    rows = tuple(map(rows.__getitem__, order.tolist()))
+    starts = starts.tolist()
+    first: dict[tuple[int, ...], int] = {}
+    trials = map(rows.__getitem__, map(slice, starts, [*starts[1:], None]))
+    group = np.fromiter(map(first.setdefault, trials, count()), np.intp)
+    index = (np.cumsum(group == np.arange(len(group))) - 1)[group]
+    return TrialTable(keys, index, [tuple(map(dets.__getitem__, key)) for key in first])
 
 
 def write_ground_truth_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
@@ -541,10 +568,10 @@ def _check_truth(point, trial, x, y, z, yaw) -> tuple:
 
 def _truths(cols: dict[str, np.ndarray]) -> dict[tuple[int, int], tuple[float, float, float, float]]:
     point, trial, x, y, z = map(cols.pop, TRUTH_COLUMNS[:5])
-    poses = _shared(
+    rows, poses = _distinct(
         zip(x, y, z, cols.get("yaw_rad", repeat(None))), lambda text: (*_finite(*text[:3]), float(text[3] or 0.0))
     )
-    return dict(zip(zip(point.tolist(), trial.tolist()), poses))
+    return dict(zip(zip(point.tolist(), trial.tolist()), map(poses.__getitem__, rows)))
 
 
 def write_tracks_csv(tracks: Mapping[str, Sequence[tuple[float, float]]], path: str | Path) -> None:

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 from operator import attrgetter, is_, itemgetter
-from statistics import fmean
 from typing import Iterable, NamedTuple
 
-from .camera import MM_PER_CM, CameraIntrinsics, pixel_to_image
+from .camera import MM_PER_CM, CameraIntrinsics
 from .errors import (
     CoincidentProjection,
     ImplausibleHeight,
@@ -35,6 +34,7 @@ COINCIDENT_PROJECTION_TOL_MM = 1e-6
 SINGULARITY_TOL = 1e-9
 
 _beacon_id = attrgetter("beacon_id")
+_pixel = attrgetter("pixel")
 
 
 class Method(Enum):
@@ -219,7 +219,10 @@ def _fix(
     dets, sub = _resolve(detections, beacons, 2 if two_led else 3)
     if sub.unequal_heights is not None:
         raise UnequalBeaconHeights(sub.unequal_heights)
-    imgs = [pixel_to_image(d.pixel, k) for d in dets]
+    # pixel_to_image of each detection, with the intrinsics read once.
+    u1, v1 = k.corrected_principal_point
+    pitch_i, pitch_j, focal = k.pitch_i, k.pitch_j, k.focal_length
+    imgs = [((u - u1) * pitch_i, (v - v1) * pitch_j) for u, v in map(_pixel, dets)]
     # The ratio of a pair's ceiling distance to its image distance is the pinhole magnification;
     # scaled by the focal length it gives the vertical camera distance below the beacon plane.
     d_imgs, heights = [], []
@@ -231,8 +234,9 @@ def _fix(
                 f"beacons {sub.leds[a].id!r} and {sub.leds[b].id!r} project {d_img:.3g} mm apart"
             )
         d_imgs.append(d_img)
-        heights.append(d_world * MM_PER_CM / d_img * k.focal_length / MM_PER_CM)
-    height = heights[0] if height_pair == "first" else fmean(heights)
+        heights.append(d_world * MM_PER_CM / d_img * focal / MM_PER_CM)
+    # statistics.fmean's arithmetic, without its type checks.
+    height = heights[0] if height_pair == "first" else math.fsum(heights) / len(heights)
     if sub.singular is not None:
         raise SingularGeometry(sub.singular)
 
@@ -248,8 +252,8 @@ def _fix(
         mid_i = (i1 + i2) / 2.0
         mid_j = (j1 + j2) / 2.0
         # Camera-frame offset from camera to the beacon midpoint, in cm.
-        off_x = height * mid_i / k.focal_length
-        off_y = height * mid_j / k.focal_length
+        off_x = height * mid_i / focal
+        off_y = height * mid_j / focal
         cos_y, sin_y = math.cos(yaw), math.sin(yaw)
         off_wx = cos_y * off_x - sin_y * off_y
         off_wy = sin_y * off_x + cos_y * off_y
@@ -257,7 +261,10 @@ def _fix(
         yc = mid_y - off_wy
     else:
         # Horizontal world distance from the camera to each beacon.
-        r1, r2, r3 = (height * math.hypot(i, j) / k.focal_length for i, j in imgs)
+        (i1, j1), (i2, j2), (i3, j3) = imgs
+        r1 = height * math.hypot(i1, j1) / focal
+        r2 = height * math.hypot(i2, j2) / focal
+        r3 = height * math.hypot(i3, j3) / focal
         m00, m01, m10, m11, det, c0, c1 = sub.plan
         b0 = r1 * r1 - r2 * r2 - c0
         b1 = r1 * r1 - r3 * r3 - c1
@@ -268,12 +275,14 @@ def _fix(
     # Finite but huge pixels overflow the squared radii or the midpoint offset.
     if not all(map(math.isfinite, position)):
         raise ValueError(f"{method.value} position {position} is not finite")
-    for (a, b, _), pair_height in zip(sub.pairs, heights):
-        if pair_height * MM_PER_CM <= k.focal_length:
-            raise ImplausibleHeight(
-                f"beacons {sub.leds[a].id!r} and {sub.leds[b].id!r} put the camera {pair_height:.3g} cm"
-                f" below them, within the {k.focal_length} mm focal length"
-            )
+    # A NaN first height would have made the position NaN, and min passes over a later NaN.
+    if min(heights) * MM_PER_CM <= focal:
+        for (a, b, _), pair_height in zip(sub.pairs, heights):
+            if pair_height * MM_PER_CM <= focal:
+                raise ImplausibleHeight(
+                    f"beacons {sub.leds[a].id!r} and {sub.leds[b].id!r} put the camera {pair_height:.3g} cm"
+                    f" below them, within the {focal} mm focal length"
+                )
 
     diag = Diagnostics(
         height_cm=height,

@@ -127,8 +127,8 @@ def row_by_row_fixes(path):
     return FixColumns(keys, np.array(positions, dtype=float).reshape(-1, 3), np.array(heights, dtype=float))
 
 
-def row_by_row_locate(groups, beacons, intrinsics, method, height_pair, path):
-    """vlpkit.cli._locate as one sensor check and one solve per group, with no reuse between groups.
+def row_by_row_locate(table, beacons, intrinsics, method, height_pair, path):
+    """vlpkit.cli._locate as one sensor check and one solve per trial, with no reuse between trials.
 
     Writes each row's own outcome and returns the ok rows' FixColumns.
     """
@@ -142,7 +142,8 @@ def row_by_row_locate(groups, beacons, intrinsics, method, height_pair, path):
 
     keys, outcomes, ok = [], [], []
     failures = {}
-    for point, trial, dets in groups:
+    for (point, trial), i in zip(table.keys, table.index.tolist()):
+        dets = table.sets[i]
         keys.append((point, trial))
         try:
             cli._check_on_sensor(dets, intrinsics)

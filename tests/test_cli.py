@@ -38,6 +38,7 @@ from vlpkit.simulator import (
     SWEEP_ANGLES_12,
     CameraPose,
     NoiseModel,
+    TrialRecord,
     default_grid,
     default_scene,
     generate_trials,
@@ -161,6 +162,26 @@ def test_locate_summarizes_failures_by_type(tmp_path, capsys):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 36
     assert {(row["status"], row["message"]) for row in rows} == {("error", "expected 3 detections, got 2")}
+
+
+def test_locate_counts_each_failure_type_in_rows_from_its_first_failed_row(tmp_path, capsys):
+    # Set A (L1 off the sensor) fails at 0/0, 0/2 and 1/2, not adjacent; an UnknownBeacon set
+    # first fails between them, at 0/1, and again at 1/0; a one-detection set fails at 1/1.
+    detections = tmp_path / "detections.csv"
+    _write_lines(
+        detections,
+        "point_index,trial_index,beacon_id,u_px,v_px",
+        *("0,0,L1,0,-3", "0,0,L2,400,300", "0,1,L1,410,300", "0,1,L9,400,310", "0,2,L1,0,-3", "0,2,L2,400,300"),
+        *("1,0,L1,410,300", "1,0,L9,400,310", "1,1,L2,400,300", "1,2,L1,0,-3", "1,2,L2,400,300"),
+    )
+    write_scene(default_scene(), tmp_path / "scene.json")
+    argv = ["locate", "--scene", str(tmp_path / "scene.json"), "--detections", str(detections), "--method", "two-led"]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "loc")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: 4 trial(s) failed with ValueError, first 0/0: beacon 'L1' has pixel (0.0, -3.0) off the 800x600 sensor",
+        "warning: 2 trial(s) failed with UnknownBeacon, first 0/1: beacon id(s) ['L9'] are not in the beacon set",
+    ]
 
 
 def test_locate_paper_faithful_height_flag(tmp_path):
@@ -695,11 +716,11 @@ def test_locate_solves_each_distinct_detection_set_of_generated_trials_once(tmp_
     calls = _count_solves(monkeypatch)
     scene = replace(replicate_scene(7), noise=NoiseModel(sigma, quantize=True))
     records = generate_trials(default_grid()[:4], 30, scene)
-    groups = [(rec.point_index, rec.trial_index, rec.detections) for rec in records]
-    fixes = cli._locate(groups, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "fixes.csv")
-    distinct = {tuple(map(id, dets)) for _, _, dets in groups}
+    table = cli._record_table(records)
+    fixes = cli._locate(table, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "fixes.csv")
+    distinct = {tuple(map(id, rec.detections)) for rec in records}
     assert len(calls) == len(distinct) < len(fixes.keys) == 120
-    ref = oracles.row_by_row_locate(groups, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "ref.csv")
+    ref = oracles.row_by_row_locate(table, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "ref.csv")
     assert (tmp_path / "fixes.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     _assert_same_fix_columns(fixes, ref)
 
@@ -708,13 +729,14 @@ def test_locate_solves_every_group_that_shares_no_detection(tmp_path, monkeypatc
     calls = _count_solves(monkeypatch)
     # Each observe call builds new detections, even where the pixels are equal.
     scene = default_scene()
-    groups = [
-        (point, trial, observe(replace(scene, camera_pose=CameraPose(position))))
+    records = [
+        TrialRecord(point, trial, CameraPose(position), tuple(observe(replace(scene, camera_pose=CameraPose(position)))), 0)
         for point, position in enumerate(default_grid())
         for trial in range(2)
     ]
-    assert groups[0][2] == groups[1][2]
-    fixes = cli._locate(groups, scene.beacons, scene.intrinsics, Method.TWO_LED, "average", tmp_path / "fixes.csv")
+    assert records[0].detections == records[1].detections
+    table = cli._record_table(records)
+    fixes = cli._locate(table, scene.beacons, scene.intrinsics, Method.TWO_LED, "average", tmp_path / "fixes.csv")
     assert len(calls) == len(fixes.keys) == 72
     # A file whose row texts never repeat.
     write_scene(replace(scene, noise=NoiseModel(pixel_sigma=0.5)), tmp_path / "scene.json")

@@ -1,8 +1,10 @@
 """Height stage, three-beacon trilateration, and the two-beacon fix with yaw."""
 
+import io
 import itertools
 import math
 import reprlib
+from contextlib import redirect_stderr
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,7 +30,9 @@ from vlpkit import (
     trilaterate_three,
     widest_pair,
 )
+from vlpkit import cli
 from vlpkit.cli import compute_fix, replicate_scene
+from vlpkit.io import read_trial_table, write_detections_csv
 
 
 def exact_detections(scene):
@@ -819,3 +823,38 @@ def test_moving_beacons_and_camera_together_moves_the_fix_as_much(scene, shift, 
     fix = compute_fix(dets, scene.beacons, scene.intrinsics, method)
     fix_moved = compute_fix(dets, moved, scene.intrinsics, method)
     assert max(map(abs, np.subtract(fix_moved.position, np.add(fix.position, shift)))) < 1e-6
+
+
+@settings(max_examples=25)
+@given(
+    triangle_scenes(),
+    st.sampled_from([Method.TWO_LED, Method.THREE_LED]),
+    st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)), max_size=2),
+    st.integers(1, 12),
+    st.integers(0, 2**32),
+)
+def test_a_quantized_scene_locates_alike_from_its_detections_file_and_in_memory(
+    tmp_path_factory, scene, method, offsets, trials, seed
+):
+    # Quantized pixels are whole numbers, which the six-decimal text holds exactly. A point
+    # away from the scene's pose may lose beacons off the frame, so some trials fail; a trial
+    # that loses all of them has no row in the file, so it is left out of both.
+    x, y, z = scene.camera_pose.position
+    grid = [(x, y, z), *((x + dx, y + dy, z) for dx, dy in offsets)]
+    scene = replace(scene, noise=sim.NoiseModel(pixel_sigma=0.5, quantize=True), seed=seed)
+    records = [rec for rec in sim.generate_trials(grid, trials, scene) if rec.detections]
+    work = tmp_path_factory.mktemp("files")
+    write_detections_csv(records, work / "detections.csv")
+    tables = {"file": read_trial_table(work / "detections.csv"), "memory": cli._record_table(records)}
+    fixes, warnings = {}, {}
+    for name, table in tables.items():
+        err = io.StringIO()
+        with redirect_stderr(err):
+            fixes[name] = cli._locate(table, scene.beacons, scene.intrinsics, method, "average", work / f"{name}.csv")
+        warnings[name] = err.getvalue()
+    assert (work / "file.csv").read_bytes() == (work / "memory.csv").read_bytes()
+    assert warnings["file"] == warnings["memory"]
+    got, want = fixes["file"], fixes["memory"]
+    assert got.keys == want.keys
+    for a, b in [(got.positions, want.positions), (got.heights, want.heights)]:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
