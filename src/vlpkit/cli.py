@@ -25,16 +25,15 @@ from .io import (
     _SEED_LIMIT,
     FixColumns,
     TrialTable,
+    _record_table,
     fmt,
     format_circle_fit,
     format_dispersion,
-    # Unused here, but the benchmark tracer requires vlpkit.cli.read_detections_csv (ROADMAP item 1).
-    read_detections_csv,  # noqa: F401
+    read_detections_csv,
     read_fixes_csv,
     read_ground_truth_csv,
     read_scene,
     read_tracks_csv,
-    read_trial_table,
     report_summary_lines,
     scene_to_dict,
     write_comparisons_csv,
@@ -122,14 +121,6 @@ def _read_ok_fixes(path: str) -> FixColumns:
     return fixes
 
 
-def _integer(text: str) -> int:
-    """argparse type of an integer flag: int(text), or a usage error echoing the text shortened by reprlib.repr."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
-
-
 # A word this long in a message to stderr, a path or value the user gave, is echoed by its ends.
 _LONG_WORD = re.compile(r"\S{200,}")
 
@@ -199,22 +190,6 @@ def _simulate(scene: SceneConfig, grid: Sequence[Sequence[float]], trials: int, 
     write_detections_csv(records, out / "detections.csv")
     write_ground_truth_csv(records, out / "ground_truth.csv")
     return records
-
-
-def _record_table(records: Sequence[TrialRecord]) -> TrialTable:
-    """The records' trials as a TrialTable, a set keyed by the ids of its Detection objects in order.
-
-    generate_trials shares one Detection per distinct pixel of a beacon at a
-    grid point, so a repeated trial repeats its set, and equal values in two
-    objects are never merged. Ids are unique only while their objects live,
-    so the records must keep every Detection alive for the call.
-    """
-    first: dict[tuple[int, ...], int] = {}
-    index = [first.setdefault(tuple(map(id, rec.detections)), len(first)) for rec in records]
-    # Set number to detections, inserted in set order; a later trial of a set holds the same objects.
-    sets = {i: rec.detections for rec, i in zip(records, index)}
-    keys = [(rec.point_index, rec.trial_index) for rec in records]
-    return TrialTable(keys, np.array(index, np.intp), list(sets.values()))
 
 
 def _locate(
@@ -294,7 +269,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_locate(args: argparse.Namespace) -> int:
     scene = read_scene(args.scene)
-    table = read_trial_table(args.detections)
+    table = read_detections_csv(args.detections)
     method = Method(args.method)
     height_pair = "first" if args.paper_faithful_h else "average"
     out = _out_dir(args.out)
@@ -462,8 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate detection datasets from a scene")
     p.add_argument("--scene", help="scene JSON (default: built-in scene)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=_integer, help="override the scene seed")
-    p.add_argument("--trials", type=_integer, default=DEFAULT_TRIALS_PER_POINT, help="trials per grid point")
+    p.add_argument("--seed", type=int, help="override the scene seed")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS_PER_POINT, help="trials per grid point")
     p.add_argument("--at", help="X,Y,Z single camera position instead of the default grid")
     p.set_defaults(func=_cmd_simulate)
 
@@ -495,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replicate", help="run the full simulated experiment end to end")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_integer, help=f"base seed (default {DEFAULT_REPLICATE_SEED})")
+    p.add_argument("--seed", type=int, help=f"base seed (default {DEFAULT_REPLICATE_SEED})")
     p.add_argument("--scene", help="scene JSON overriding the built-in experiment scene")
     p.set_defaults(func=_cmd_replicate)
 

@@ -13,9 +13,10 @@ fails a check, is read row by row through _csv_rows, each row checked in the
 reader's order. So every InputFormatError, with its file and line, comes from
 the row path.
 
-The detections reader builds a TrialTable (read_trial_table): the trials'
-keys, each trial's set index and the distinct detection sets, keyed by row
-text. read_detections_csv is a list view over it.
+The detections reader returns a TrialTable: the trials' keys, each trial's
+set index and the distinct detection sets, keyed by row text. replicate's
+in-memory trials become one through _record_table; _set_index numbers the
+sets of both.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from io import StringIO
 from itertools import count, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -467,7 +468,13 @@ def _distinct(texts: Iterable[tuple[str, ...]], make: Callable[[tuple[str, ...]]
 
 
 def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
-    """One row per detection; a Detection that several trials hold is formatted once."""
+    """One row per detection; a Detection that several trials hold is formatted once.
+
+    A trial with no detection, every beacon off the frame, has no row, so
+    locate on the file neither solves nor counts it; replicate's in-memory
+    table holds it and writes an error row for it (two-led: expected 2
+    detections, got 0).
+    """
     ids = _CsvText()
     texts = _TextById(lambda det: DETECTION_FIELDS % (ids[det.beacon_id], *det.pixel))
 
@@ -489,7 +496,7 @@ class TrialTable(NamedTuple):
     sets: list[tuple[Detection, ...]]
 
 
-def read_trial_table(path: str | Path) -> TrialTable:
+def read_detections_csv(path: str | Path) -> TrialTable:
     """The trials of a detections CSV as a TrialTable.
 
     Files without index columns are treated as a single trial (0, 0). Rows
@@ -501,12 +508,6 @@ def read_trial_table(path: str | Path) -> TrialTable:
     _read_columns).
     """
     return _read_columns(path, DETECTION_COLUMNS, DETECTION_COLUMNS[:2], _check_detection, _trial_table)
-
-
-def read_detections_csv(path: str | Path) -> list[tuple[int, int, list[Detection]]]:
-    """Detection rows grouped by (point_index, trial_index): read_trial_table's trials, each a fresh list of its set."""
-    keys, index, sets = read_trial_table(path)
-    return [(point, trial, list(sets[i])) for (point, trial), i in zip(keys, index.tolist())]
 
 
 def _check_detection(point, trial, beacon, u, v) -> tuple:
@@ -527,15 +528,31 @@ def _trial_table(cols: dict[str, np.ndarray]) -> TrialTable:
     new[1:] = (point[1:] != point[:-1]) | (trial[1:] != trial[:-1])
     starts = np.flatnonzero(new)
     keys = list(zip(point[starts].tolist(), trial[starts].tolist()))
-    # A trial's set is keyed by its rows' numbers in file order; each trial takes the number of the
-    # first trial with its key, and the sets are then numbered densely in that order.
+    # A trial's set is keyed by its rows' numbers in file order.
     rows = tuple(map(rows.__getitem__, order.tolist()))
     starts = starts.tolist()
-    first: dict[tuple[int, ...], int] = {}
-    trials = map(rows.__getitem__, map(slice, starts, [*starts[1:], None]))
-    group = np.fromiter(map(first.setdefault, trials, count()), np.intp)
-    index = (np.cumsum(group == np.arange(len(group))) - 1)[group]
+    index, first = _set_index(map(rows.__getitem__, map(slice, starts, [*starts[1:], None])))
     return TrialTable(keys, index, [tuple(map(dets.__getitem__, key)) for key in first])
+
+
+def _record_table(records: Sequence[TrialRecord]) -> TrialTable:
+    """The records' trials as a TrialTable, a set keyed by the ids of its Detection objects in order.
+
+    generate_trials shares one Detection per distinct pixel of a beacon at a
+    grid point, so a repeated trial repeats its set, and equal values in two
+    objects are never merged. Ids are unique only while their objects live,
+    so the records must keep every Detection alive for the call.
+    """
+    index, first = _set_index(tuple(map(id, rec.detections)) for rec in records)
+    keys = [(rec.point_index, rec.trial_index) for rec in records]
+    return TrialTable(keys, index, [records[trial].detections for trial in first.values()])
+
+
+def _set_index(keys: Iterable[Hashable]) -> tuple[np.ndarray, dict]:
+    """Each trial's set index, equal keys sharing a set and sets numbered by first trial; and each key's first trial."""
+    first: dict = {}
+    group = np.fromiter(map(first.setdefault, keys, count()), np.intp)
+    return (np.cumsum(group == np.arange(len(group))) - 1)[group], first
 
 
 def write_ground_truth_csv(records: Sequence[TrialRecord], path: str | Path) -> None:

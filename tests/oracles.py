@@ -75,8 +75,15 @@ def naive_stats(errors):
 
 
 def row_by_row_detections(path):
-    """read_detections_csv as one Detection and one index parse per row, with no sharing."""
-    from vlpkit.io import DETECTION_COLUMNS, _csv_rows
+    """read_detections_csv as one Detection and one index parse per row, no two rows sharing one.
+
+    Trials are numbered in key order, each taking the number of the first
+    earlier trial whose rows hold the same texts, or else the next number;
+    a set holds the Detections of its first trial.
+    """
+    import numpy as np
+
+    from vlpkit.io import DETECTION_COLUMNS, TrialTable, _csv_rows
     from vlpkit.positioning import Detection
 
     groups = {}
@@ -85,8 +92,15 @@ def row_by_row_detections(path):
         for row in rows:
             key = (int(row[point] or 0), int(row[trial] or 0))
             det = Detection(row[beacon], (float(row[u]), float(row[v])))
-            groups.setdefault(key, []).append(det)
-    return [(p, t, dets) for (p, t), dets in sorted(groups.items())]
+            groups.setdefault(key, []).append(((row[beacon], row[u], row[v]), det))
+    numbers, index, sets = {}, [], []
+    for key in sorted(groups):
+        texts = tuple(text for text, _ in groups[key])
+        if texts not in numbers:
+            numbers[texts] = len(sets)
+            sets.append(tuple(det for _, det in groups[key]))
+        index.append(numbers[texts])
+    return TrialTable(sorted(groups), np.array(index, np.intp), sets)
 
 
 def row_by_row_ground_truth(path):

@@ -17,7 +17,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, note, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -25,6 +25,7 @@ from vlpkit import cli
 from vlpkit.cli import main, replicate_scene
 from vlpkit.io import (
     FIX_COLUMNS,
+    _record_table,
     read_detections_csv,
     read_fixes_csv,
     read_ground_truth_csv,
@@ -637,8 +638,10 @@ def test_each_distinct_detection_set_is_checked_against_the_sensor_once(tmp_path
     assert len(checked) == len(calls) == 2740
     checked.clear()
     _, sim = _locate_with_trial_0_0_u(tmp_path, "three-led", "400")
-    # The reader shares one Detection per distinct row text.
-    distinct = {tuple(map(id, dets)): len(dets) for _, _, dets in read_detections_csv(sim / "detections.csv")}
+    # The reader shares one Detection per distinct row text, and each distinct set is one of its sets.
+    table = read_detections_csv(sim / "detections.csv")
+    distinct = {tuple(map(id, table.sets[i])): len(table.sets[i]) for i in table.index.tolist()}
+    assert len(distinct) == len(table.sets)
     assert sorted(checked) == sorted(distinct.values())
     assert 1 < len(checked) < 72
 
@@ -704,8 +707,9 @@ def test_locate_solves_each_distinct_detection_set_of_a_file_once(tmp_path, monk
     calls = _count_solves(monkeypatch)
     argv = ["locate", "--scene", str(sim / "scene.json"), "--detections", str(sim / "detections.csv")]
     assert main([*argv, "--out", str(tmp_path / "loc"), "--method", "two-led"]) == 0
-    distinct = {tuple(map(id, dets)) for _, _, dets in read_detections_csv(sim / "detections.csv")}
-    assert len(calls) == len(distinct) == 36
+    table = read_detections_csv(sim / "detections.csv")
+    distinct = {tuple(map(id, table.sets[i])) for i in table.index.tolist()}
+    assert len(calls) == len(distinct) == len(table.sets) == 36
     lines = (tmp_path / "loc" / "fixes.csv").read_text().splitlines()[1:]
     assert len(lines) == 108 and len({line.split(",", 2)[2] for line in lines}) == 36
 
@@ -716,7 +720,7 @@ def test_locate_solves_each_distinct_detection_set_of_generated_trials_once(tmp_
     calls = _count_solves(monkeypatch)
     scene = replace(replicate_scene(7), noise=NoiseModel(sigma, quantize=True))
     records = generate_trials(default_grid()[:4], 30, scene)
-    table = cli._record_table(records)
+    table = _record_table(records)
     fixes = cli._locate(table, scene.beacons, scene.intrinsics, Method.THREE_LED, "average", tmp_path / "fixes.csv")
     distinct = {tuple(map(id, rec.detections)) for rec in records}
     assert len(calls) == len(distinct) < len(fixes.keys) == 120
@@ -735,7 +739,7 @@ def test_locate_solves_every_group_that_shares_no_detection(tmp_path, monkeypatc
         for trial in range(2)
     ]
     assert records[0].detections == records[1].detections
-    table = cli._record_table(records)
+    table = _record_table(records)
     fixes = cli._locate(table, scene.beacons, scene.intrinsics, Method.TWO_LED, "average", tmp_path / "fixes.csv")
     assert len(calls) == len(fixes.keys) == 72
     # A file whose row texts never repeat.
@@ -1396,3 +1400,100 @@ def test_hostile_argv_exits_cleanly_with_a_short_stderr(hostile_values, tmp_path
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert len(lines) <= 8 and all(len(line) < 300 for line in lines), lines
+
+
+# --- CLI boundary: simulate and locate outputs with one field of one row mutated ---
+
+FIELD_MUTATIONS = ["nan", "inf", "1e400", "", "quoted comma", "non-ASCII digit", "cut short"]
+
+
+def _mutated(row, column, kind):
+    """The row with its field at column changed as kind says; cut short, the row ends before that field."""
+    if kind == "cut short":
+        return row[:column]
+    value = row[column]
+    if kind == "quoted comma":
+        value += ",5"  # csv.writer quotes the field
+    elif kind == "non-ASCII digit":
+        # The first ASCII digit becomes its Arabic-Indic twin, which float() and int() still read; a
+        # value with no digit gains one.
+        twin = re.sub("[0-9]", lambda m: chr(0x660 + int(m.group())), value, count=1)
+        value = twin if twin != value else value + "\u0661"
+    else:
+        value = kind
+    return [*row[:column], value, *row[column + 1 :]]
+
+
+def _write_mutated(source, path, row, column, kind):
+    """source with one data row, picked by row, mutated at the field picked by column, written to path."""
+    with open(source, newline="") as handle:
+        rows = list(csv.reader(handle))
+    row = 1 + row % (len(rows) - 1)
+    rows[row] = _mutated(rows[row], column % len(rows[row]), kind)
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+def _assert_exits_cleanly(argv):
+    """main(argv) exits 0 or 1, raises nothing and prints only warning: and error: lines to stderr."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    assert all(line.startswith(("warning: ", "error: ")) for line in err.getvalue().splitlines()), err.getvalue()
+
+
+def _assert_finite(fields):
+    assert all(math.isfinite(float(field)) for field in fields), fields
+
+
+@pytest.fixture(scope="module")
+def boundary_files(tmp_path_factory):
+    """A lowered-ceiling simulate of 36 trials and its two-led locate, where some rows fail."""
+    base = tmp_path_factory.mktemp("boundary")
+    sim, loc = base / "sim", base / "loc"
+    simulate = ["simulate", "--scene", str(DATA / "scene_dropout.json"), "--seed", "7", "--trials", "1"]
+    locate = ["locate", "--scene", str(sim / "scene.json"), "--detections", str(sim / "detections.csv")]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main([*simulate, "--out", str(sim)]) == 0
+        assert main([*locate, "--method", "two-led", "--out", str(loc)]) == 0
+    status = [row["status"] for row in csv.DictReader((loc / "fixes.csv").read_text().splitlines())]
+    assert status[0] == "ok" and "error" in status
+    return sim, loc
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 10**4), st.integers(0, 20), st.sampled_from(FIELD_MUTATIONS), st.sampled_from([m.value for m in Method]))
+@example(row=0, column=3, kind="nan", method="two-led")  # the first u_px, of an ok trial
+@example(row=0, column=3, kind="1e400", method="three-led")
+def test_locate_on_a_mutated_detections_file_exits_cleanly_and_writes_only_finite_ok_rows(
+    boundary_files, tmp_path_factory, row, column, kind, method
+):
+    sim, _ = boundary_files
+    work = tmp_path_factory.mktemp("mutated_detections")
+    _write_mutated(sim / "detections.csv", work / "detections.csv", row, column, kind)
+    argv = ["locate", "--scene", str(sim / "scene.json"), "--detections", str(work / "detections.csv")]
+    _assert_exits_cleanly([*argv, "--method", method, "--out", str(work / "loc")])
+    if (work / "loc" / "fixes.csv").exists():
+        with open(work / "loc" / "fixes.csv", newline="") as handle:
+            for fix in csv.DictReader(handle):
+                if fix["status"] == "ok":
+                    _assert_finite([fix[name] for name in FIX_COLUMNS[4:10]] + [fix["yaw_rad"] or 0])
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 10**4), st.integers(0, 20), st.sampled_from(FIELD_MUTATIONS))
+@example(row=0, column=4, kind="nan")  # the x_cm of an ok row
+@example(row=0, column=7, kind="inf")  # its height_cm
+def test_stats_on_a_mutated_fixes_file_exits_cleanly_and_writes_only_finite_errors(
+    boundary_files, tmp_path_factory, row, column, kind
+):
+    sim, loc = boundary_files
+    work = tmp_path_factory.mktemp("mutated_fixes")
+    _write_mutated(loc / "fixes.csv", work / "fixes.csv", row, column, kind)
+    argv = ["stats", "--fixes", str(work / "fixes.csv"), "--ground-truth", str(sim / "ground_truth.csv")]
+    _assert_exits_cleanly([*argv, "--out", str(work / "stats")])
+    for path in (work / "stats").glob("errors_*.csv"):
+        with open(path, newline="") as handle:
+            for fields in list(csv.reader(handle))[1:]:
+                _assert_finite(fields)

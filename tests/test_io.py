@@ -43,6 +43,7 @@ from vlpkit.io import (
     TRACK_COLUMNS,
     TRUTH_COLUMNS,
     FixColumns,
+    TrialTable,
     read_detections_csv,
     read_fixes_csv,
     read_ground_truth_csv,
@@ -287,11 +288,11 @@ def test_detections_round_trip(tmp_path):
     records = quantized_trials()
     path = tmp_path / "detections.csv"
     write_detections_csv(records, path)
-    groups = read_detections_csv(path)
-    assert [(p, t) for p, t, _ in groups] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for (point, trial, dets), rec in zip(groups, records):
-        assert (point, trial) == (rec.point_index, rec.trial_index)
-        assert dets == list(rec.detections)
+    keys, index, sets = read_detections_csv(path)
+    assert keys == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for key, i, rec in zip(keys, index.tolist(), records):
+        assert key == (rec.point_index, rec.trial_index)
+        assert sets[i] == rec.detections
 
 
 def test_detections_without_index_columns_form_one_trial(tmp_path):
@@ -299,10 +300,9 @@ def test_detections_without_index_columns_form_one_trial(tmp_path):
     path.write_text(
         "beacon_id,u_px,v_px\nL1,253.000000,135.000000\nL2,255.000000,210.000000\n"
     )
-    groups = read_detections_csv(path)
-    assert len(groups) == 1
-    point, trial, dets = groups[0]
-    assert (point, trial) == (0, 0)
+    keys, index, sets = read_detections_csv(path)
+    assert keys == [(0, 0)] and index.tolist() == [0] and len(sets) == 1
+    dets = sets[0]
     assert [d.beacon_id for d in dets] == ["L1", "L2"]
     assert dets[0].pixel == (253.0, 135.0)
 
@@ -427,13 +427,15 @@ def _write_table(path, header, rows, blank_lines=False):
 
 
 def _read_case(tmp_path, name, header, rows, **kwargs):
-    """What the reader returns, with fix columns as lists so that results compare with ==."""
+    """What the reader returns, with fix columns and the set index as lists so that results compare with ==."""
     reader = READER_CASES[name][0]
     path = tmp_path / f"{name}.csv"
     _write_table(path, header, rows, **kwargs)
     result = reader(path)
     if isinstance(result, FixColumns):
         return result.keys, result.positions.tolist(), result.heights.tolist()
+    if isinstance(result, TrialTable):
+        return result.keys, result.index.tolist(), result.sets
     return result
 
 
@@ -574,7 +576,8 @@ def test_fixes_reader_reports_the_first_check_a_row_fails(tmp_path):
 def test_empty_optional_index_and_yaw_values_read_as_zero(tmp_path):
     path = tmp_path / "detections.csv"
     _write_table(path, DETECTION_COLUMNS, [["", "", "L1", "1.5", "2.5"]])
-    assert read_detections_csv(path) == [(0, 0, [Detection("L1", (1.5, 2.5))])]
+    keys, index, sets = read_detections_csv(path)
+    assert (keys, index.tolist(), sets) == ([(0, 0)], [0], [(Detection("L1", (1.5, 2.5)),)])
     path = tmp_path / "ground_truth.csv"
     _write_table(path, TRUTH_COLUMNS, [["0", "0", "1.5", "2.5", "0.0", "", "7"]])
     assert read_ground_truth_csv(path) == {(0, 0): (1.5, 2.5, 0.0, 0.0)}
@@ -587,8 +590,9 @@ def test_an_extra_field_is_not_read_as_an_optional_column_the_header_lacks(tmp_p
     # csv.DictReader files fields past the header under its restkey, never under a column name.
     path = tmp_path / "detections.csv"
     path.write_text("beacon_id,u_px,v_px\nL1,1,2,7\nL2,3,4\nL3,5,6,8,9\n")
-    want = [Detection("L1", (1.0, 2.0)), Detection("L2", (3.0, 4.0)), Detection("L3", (5.0, 6.0))]
-    assert read_detections_csv(path) == [(0, 0, want)]
+    want = (Detection("L1", (1.0, 2.0)), Detection("L2", (3.0, 4.0)), Detection("L3", (5.0, 6.0)))
+    keys, index, sets = read_detections_csv(path)
+    assert (keys, index.tolist(), sets) == ([(0, 0)], [0], [want])
     path = tmp_path / "ground_truth.csv"
     path.write_text("point_index,trial_index,x_cm,y_cm,z_cm\n0,0,1,2,3,0.5\n")
     assert read_ground_truth_csv(path) == {(0, 0): (1.0, 2.0, 3.0, 0.0)}
@@ -664,10 +668,10 @@ def _record(key, detections):
 def test_detections_csv_round_trip_property(tmp_path_factory, trials):
     path = tmp_path_factory.getbasetemp() / "detections.csv"
     write_detections_csv([_record(key, dets) for key, dets in trials.items()], path)
-    back = read_detections_csv(path)
-    assert [(p, t) for p, t, _ in back] == sorted(trials)
-    for point, trial, dets in back:
-        written = trials[(point, trial)]
+    keys, index, sets = read_detections_csv(path)
+    assert keys == sorted(trials)
+    for key, i in zip(keys, index.tolist()):
+        dets, written = sets[i], trials[key]
         assert [d.beacon_id for d in dets] == [d.beacon_id for d in written]
         for got, want in zip(dets, written):
             assert all(map(close, got.pixel, want.pixel))
@@ -830,10 +834,17 @@ def _is_key(point, trial):
     return type(point) is int and type(trial) is int
 
 
-def _detections_typed(groups):
-    return all(
-        _is_key(p, t) and all(isinstance(d.beacon_id, str) and _is_pixel(d.pixel) for d in dets)
-        for p, t, dets in groups
+def _detections_typed(table):
+    keys, index, sets = table
+    return (
+        isinstance(table, TrialTable)
+        and all(_is_key(*key) for key in keys)
+        and index.dtype == np.intp
+        and index.shape == (len(keys),)
+        and sorted(set(index.tolist())) == list(range(len(sets)))
+        and all(
+            type(dets) is tuple and all(isinstance(d.beacon_id, str) and _is_pixel(d.pixel) for d in dets) for dets in sets
+        )
     )
 
 
@@ -922,6 +933,8 @@ def _exact(result):
     if isinstance(result, FixColumns):
         columns = (result.positions, result.heights)
         return repr((result.keys, *(c.tolist() for c in columns), *(c.dtype for c in columns), *(c.shape for c in columns)))
+    if isinstance(result, TrialTable):
+        return repr((result.keys, result.index.tolist(), result.index.dtype, result.sets))
     return repr(result)
 
 
@@ -959,8 +972,10 @@ def test_shared_row_readers_match_their_row_by_row_reference(tmp_path_factory, n
 def test_rows_with_the_same_text_share_one_detection_and_one_pose(tmp_path):
     detections = tmp_path / "detections.csv"
     detections.write_text("point_index,trial_index,beacon_id,u_px,v_px\n0,0,L1,427,300\n1,0,L1,427,300\n0,1,L1,427.0,300\n")
-    (_, _, (a,)), (_, _, (b,)), (_, _, (c,)) = read_detections_csv(detections)
-    assert a is c and a == b and a is not b
+    keys, index, ((a,), (b,)) = read_detections_csv(detections)
+    # Trials 0/0 and 1/0 hold the same text, so they share one set and its Detection.
+    assert keys == [(0, 0), (0, 1), (1, 0)] and index.tolist() == [0, 1, 0]
+    assert a == b and a is not b
     truth = tmp_path / "ground_truth.csv"
     truth.write_text("point_index,trial_index,x_cm,y_cm,z_cm\n0,0,1.5,2,0\n0,1,1.5,2,0\n")
     truths = read_ground_truth_csv(truth)
@@ -999,8 +1014,8 @@ def _outcome(read, path):
         result = read(path)
     except InputFormatError as err:
         return str(err)
-    if isinstance(result, list):
-        objects = [det for _, _, dets in result for det in dets]
+    if isinstance(result, TrialTable):
+        objects = [det for dets in result.sets for det in dets]
     else:
         objects = list(result.values()) if isinstance(result, dict) else []
     first = {}

@@ -32,7 +32,7 @@ from vlpkit import (
 )
 from vlpkit import cli
 from vlpkit.cli import compute_fix, replicate_scene
-from vlpkit.io import read_trial_table, write_detections_csv
+from vlpkit.io import _record_table, read_detections_csv, write_detections_csv
 
 
 def exact_detections(scene):
@@ -845,7 +845,7 @@ def test_a_quantized_scene_locates_alike_from_its_detections_file_and_in_memory(
     records = [rec for rec in sim.generate_trials(grid, trials, scene) if rec.detections]
     work = tmp_path_factory.mktemp("files")
     write_detections_csv(records, work / "detections.csv")
-    tables = {"file": read_trial_table(work / "detections.csv"), "memory": cli._record_table(records)}
+    tables = {"file": read_detections_csv(work / "detections.csv"), "memory": _record_table(records)}
     fixes, warnings = {}, {}
     for name, table in tables.items():
         err = io.StringIO()
