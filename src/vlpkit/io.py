@@ -15,8 +15,9 @@ the row path.
 
 The detections reader returns a TrialTable: the trials' keys, each trial's
 set index and the distinct detection sets, keyed by row text. replicate's
-in-memory trials become one through _record_table; _set_index numbers the
-sets of both.
+in-memory trials become one through _record_table. _set_index is the one
+numbering by first occurrence: of the distinct row texts, which the
+detections and ground-truth readers parse once each, and of both tables' sets.
 """
 
 from __future__ import annotations
@@ -85,16 +86,10 @@ def _boolean(value, where: str) -> bool:
     return value
 
 
-def _triple(value, where: str) -> tuple[float, float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise SceneConfigError(f"{where}: expected 3 numbers, got {reprlib.repr(value)}")
-    return tuple(_number(c, where) for c in value)  # type: ignore[return-value]
-
-
-def _pair(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SceneConfigError(f"{where}: expected 2 numbers, got {reprlib.repr(value)}")
-    return (_number(value[0], where), _number(value[1], where))
+def _numbers(value, count: int, where: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise SceneConfigError(f"{where}: expected {count} numbers, got {reprlib.repr(value)}")
+    return tuple(_number(c, where) for c in value)
 
 
 def _object(value, where: str) -> Mapping:
@@ -137,17 +132,17 @@ def _scene_from_dict(raw) -> SceneConfig:
             raise SceneConfigError(f"{where}.id: expected a non-empty string")
         if not bid.isprintable():
             raise SceneConfigError(f"{where}.id: expected printable text, got {reprlib.repr(bid)}")
-        beacons.append(LedBeacon(bid, _triple(_require(entry, "position", where), f"{where}.position")))
+        beacons.append(LedBeacon(bid, _numbers(_require(entry, "position", where), 3, f"{where}.position")))
 
     raw_pose = _object(_require(raw, "camera_pose", "scene"), "scene.camera_pose")
     pose = CameraPose(
-        position=_triple(_require(raw_pose, "position", "scene.camera_pose"), "scene.camera_pose.position"),
+        position=_numbers(_require(raw_pose, "position", "scene.camera_pose"), 3, "scene.camera_pose.position"),
         yaw_rad=_number(raw_pose.get("yaw_rad", 0.0), "scene.camera_pose.yaw_rad"),
     )
 
     where = "scene.intrinsics"
     raw_k = _object(_require(raw, "intrinsics", "scene"), where)
-    resolution = _pair(_require(raw_k, "resolution_px", where), f"{where}.resolution_px")
+    resolution = _numbers(_require(raw_k, "resolution_px", where), 2, f"{where}.resolution_px")
     if resolution != (int(resolution[0]), int(resolution[1])):
         raise SceneConfigError(f"{where}.resolution_px: expected integers, got {reprlib.repr(resolution)}")
     corrected = raw_k.get("corrected_principal_point_px")
@@ -157,7 +152,7 @@ def _scene_from_dict(raw) -> SceneConfig:
         pitch_j=_number(_require(raw_k, "pitch_j_mm", where), f"{where}.pitch_j_mm"),
         resolution=(int(resolution[0]), int(resolution[1])),
         corrected_principal_point=(
-            _pair(corrected, f"{where}.corrected_principal_point_px") if corrected is not None else None
+            _numbers(corrected, 2, f"{where}.corrected_principal_point_px") if corrected is not None else None
         ),
     )
 
@@ -175,7 +170,7 @@ def _scene_from_dict(raw) -> SceneConfig:
         beacons=tuple(beacons),
         camera_pose=pose,
         intrinsics=intrinsics,
-        true_principal_point=_pair(true_pp, "scene.true_principal_point_px") if true_pp is not None else None,
+        true_principal_point=_numbers(true_pp, 2, "scene.true_principal_point_px") if true_pp is not None else None,
         noise=noise,
         seed=seed,
     )
@@ -457,16 +452,6 @@ def _read_columns(
     return build(dict(zip(names, table.T)))
 
 
-def _distinct(texts: Iterable[tuple[str, ...]], make: Callable[[tuple[str, ...]], object]) -> tuple[list[int], list]:
-    """Each row's number of the first row with its text, and make(text) at that number, made once per distinct text."""
-    first: dict[tuple[str, ...], int] = {}
-    rows = list(map(first.setdefault, texts, count()))
-    made: list = [None] * len(rows)
-    for text, row in first.items():
-        made[row] = make(text)
-    return rows, made
-
-
 def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
     """One row per detection; a Detection that several trials hold is formatted once.
 
@@ -517,9 +502,8 @@ def _check_detection(point, trial, beacon, u, v) -> tuple:
 
 
 def _trial_table(cols: dict[str, np.ndarray]) -> TrialTable:
-    rows, dets = _distinct(
-        zip(*map(cols.pop, DETECTION_COLUMNS[2:])), lambda text: Detection(text[0], (float(text[1]), float(text[2])))
-    )
+    rows, texts = _set_index(zip(*map(cols.pop, DETECTION_COLUMNS[2:])))
+    dets = [Detection(beacon, (float(u), float(v))) for beacon, u, v in texts]
     # The index columns are optional. A stable sort keeps file order within a trial.
     point, trial = (cols.get(name, np.zeros(len(rows), np.int64)) for name in DETECTION_COLUMNS[:2])
     order = np.lexsort((trial, point))
@@ -528,8 +512,8 @@ def _trial_table(cols: dict[str, np.ndarray]) -> TrialTable:
     new[1:] = (point[1:] != point[:-1]) | (trial[1:] != trial[:-1])
     starts = np.flatnonzero(new)
     keys = list(zip(point[starts].tolist(), trial[starts].tolist()))
-    # A trial's set is keyed by its rows' numbers in file order.
-    rows = tuple(map(rows.__getitem__, order.tolist()))
+    # A trial's set is keyed by its rows' text numbers in file order.
+    rows = tuple(rows[order].tolist())
     starts = starts.tolist()
     index, first = _set_index(map(rows.__getitem__, map(slice, starts, [*starts[1:], None])))
     return TrialTable(keys, index, [tuple(map(dets.__getitem__, key)) for key in first])
@@ -549,7 +533,8 @@ def _record_table(records: Sequence[TrialRecord]) -> TrialTable:
 
 
 def _set_index(keys: Iterable[Hashable]) -> tuple[np.ndarray, dict]:
-    """Each trial's set index, equal keys sharing a set and sets numbered by first trial; and each key's first trial."""
+    """Each key's number, equal keys sharing one and numbers dense in order of first occurrence; and each key's
+    first position, in that order. The keys are any hashable values: row texts, detection sets, object ids."""
     first: dict = {}
     group = np.fromiter(map(first.setdefault, keys, count()), np.intp)
     return (np.cumsum(group == np.arange(len(group))) - 1)[group], first
@@ -569,6 +554,7 @@ def read_ground_truth_csv(path: str | Path) -> dict[tuple[int, int], tuple[float
     """Maps (point_index, trial_index) to (x, y, z, yaw).
 
     Rows with the same (x_cm, y_cm, z_cm, yaw_rad) text share one pose tuple.
+    Repeated keys are not checked: the last row with a key gives its pose.
     Each row is checked in this order: a finite position, the yaw, an empty
     one read as 0, then the two indices; the first check a row fails raises
     at its line (see _read_columns).
@@ -585,10 +571,9 @@ def _check_truth(point, trial, x, y, z, yaw) -> tuple:
 
 def _truths(cols: dict[str, np.ndarray]) -> dict[tuple[int, int], tuple[float, float, float, float]]:
     point, trial, x, y, z = map(cols.pop, TRUTH_COLUMNS[:5])
-    rows, poses = _distinct(
-        zip(x, y, z, cols.get("yaw_rad", repeat(None))), lambda text: (*_finite(*text[:3]), float(text[3] or 0.0))
-    )
-    return dict(zip(zip(point.tolist(), trial.tolist()), map(poses.__getitem__, rows)))
+    rows, texts = _set_index(zip(x, y, z, cols.get("yaw_rad", repeat(None))))
+    poses = [(*_finite(*text[:3]), float(text[3] or 0.0)) for text in texts]
+    return dict(zip(zip(point.tolist(), trial.tolist()), map(poses.__getitem__, rows.tolist())))
 
 
 def write_tracks_csv(tracks: Mapping[str, Sequence[tuple[float, float]]], path: str | Path) -> None:

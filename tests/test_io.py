@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -156,8 +156,21 @@ def test_scene_field_errors_name_the_field(tmp_path):
         (lambda raw: raw.update(true_principal_point_px=[1]), "scene.true_principal_point_px: expected 2 numbers, got [1]"),
         (lambda raw: raw.update(beacons=[]), "scene.beacons: expected a non-empty list"),
         (lambda raw: raw["beacons"][0].update(id=""), "scene.beacons[0].id: expected a non-empty string"),
+        (lambda raw: raw["beacons"][0].update(position=[1.0, 2.0]), "scene.beacons[0].position: expected 3 numbers, got [1.0, 2.0]"),
+        (lambda raw: raw["camera_pose"].update(position=5), "scene.camera_pose.position: expected 3 numbers, got 5"),
+        (
+            lambda raw: raw["intrinsics"].update(resolution_px="800x600"),
+            "scene.intrinsics.resolution_px: expected 2 numbers, got '800x600'",
+        ),
     ],
-    ids=["principal-point-one-number", "no-beacons", "empty-beacon-id"],
+    ids=[
+        "principal-point-one-number",
+        "no-beacons",
+        "empty-beacon-id",
+        "beacon-position-two-numbers",
+        "camera-position-a-number",
+        "resolution-a-string",
+    ],
 )
 def test_scene_field_error_has_its_exact_message(tmp_path, edit, message):
     import json
@@ -980,6 +993,29 @@ def test_rows_with_the_same_text_share_one_detection_and_one_pose(tmp_path):
     truth.write_text("point_index,trial_index,x_cm,y_cm,z_cm\n0,0,1.5,2,0\n0,1,1.5,2,0\n")
     truths = read_ground_truth_csv(truth)
     assert truths[0, 0] is truths[0, 1]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["column-pass", "row-path"])
+def test_a_repeated_ground_truth_key_takes_its_last_rows_pose(tmp_path, newline):
+    truth = tmp_path / "ground_truth.csv"
+    truth.write_bytes(newline.join(["point_index,trial_index,x_cm,y_cm,z_cm", "0,0,1,2,0", "0,0,5,6,0", ""]).encode())
+    assert read_ground_truth_csv(truth) == {(0, 0): (5.0, 6.0, 0.0, 0.0)}
+
+
+# Few small keys, so that draws repeat: ints, and tuples of a short text and an int.
+small_keys = st.integers(0, 3) | st.tuples(st.text("ab", max_size=2), st.integers(0, 2))
+
+
+@settings(max_examples=50)
+@example(keys=[])
+@given(keys=st.lists(small_keys, max_size=20))
+def test_set_index_numbers_keys_densely_by_first_occurrence(keys):
+    numbers: dict = {}
+    expected = [numbers.setdefault(key, len(numbers)) for key in keys]
+    index, first = vlpkit.io._set_index(iter(keys))
+    assert index.dtype == np.intp and index.tolist() == expected
+    assert list(first) == list(numbers)
+    assert all(first[key] == keys.index(key) for key in first)
 
 
 # --- both read paths: numpy's column pass and the row path ---
