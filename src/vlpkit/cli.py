@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .analysis import ErrorReport, compare_reports, error_stats
 from .calibration import calibrate_dispersion, calibrate_rotation
-from .errors import EmptyInput, VlpError
+from .errors import EmptyInput, InsufficientTracks, VlpError
 from .io import (
     _SEED_LIMIT,
     FixColumns,
@@ -270,6 +270,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_locate(args: argparse.Namespace) -> int:
     scene = read_scene(args.scene)
     table = read_detections_csv(args.detections)
+    if not table.keys:
+        raise EmptyInput(f"{args.detections}: no detection rows")
     method = Method(args.method)
     height_pair = "first" if args.paper_faithful_h else "average"
     out = _out_dir(args.out)
@@ -287,7 +289,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         if not args.tracks:
             raise VlpError("rotation calibration needs --tracks")
         tracks = read_tracks_csv(args.tracks)
-        intrinsics, fits = calibrate_rotation(tracks, scene.intrinsics)
+        try:
+            intrinsics, fits = calibrate_rotation(tracks, scene.intrinsics)
+        except InsufficientTracks as err:
+            raise InsufficientTracks(f"{args.tracks}: {err}") from err
         report_lines.extend(f"track {tid}: {format_circle_fit(fit)}" for tid, fit in sorted(fits.items()))
     else:
         if not args.fixes:

@@ -3,7 +3,7 @@
 All floats are serialized with six fixed decimals so repeated runs with the
 same seed produce byte-identical files. Each CSV row is formatted as one line
 from its layout's template, text quoted as the csv module quotes it; text that
-rows share is formatted once, per object or, for fixes, per outcome by index.
+rows share is formatted once, per object by identity or per fix outcome by index.
 
 The detections, ground-truth and fixes readers each build their result once,
 from the file's columns (see _read_columns), which are split in one of two
@@ -16,8 +16,9 @@ the row path.
 The detections reader returns a TrialTable: the trials' keys, each trial's
 set index and the distinct detection sets, keyed by row text. replicate's
 in-memory trials become one through _record_table. _set_index is the one
-numbering by first occurrence: of the distinct row texts, which the
-detections and ground-truth readers parse once each, and of both tables' sets.
+numbering by first occurrence: of the row texts the detections and
+ground-truth readers parse, of both tables' sets, and of the objects the
+detections and ground-truth writers format, each once.
 """
 
 from __future__ import annotations
@@ -278,27 +279,6 @@ class _CsvText(dict):
         return field
 
 
-class _TextById(dict):
-    """Each object's text by id(), so a writer formats each distinct object once.
-
-    A row takes texts.get(id(obj)) or texts.add(obj); no text is empty.
-    Objects are told apart by identity, not value, so two equal values still
-    print their own text (-0.0 == 0.0). An object always holds the same
-    values, so its reused text is what a fresh format would give. Each object
-    given a text is kept, so no other object can take its id meanwhile.
-    """
-
-    def __init__(self, format: Callable[[object], str]) -> None:
-        super().__init__()
-        self.format = format
-        self.kept: list[object] = []
-
-    def add(self, obj: object) -> str:
-        self.kept.append(obj)
-        text = self[id(obj)] = self.format(obj)
-        return text
-
-
 def _write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
     """The header, then the lines, streamed to the file as they are formatted."""
     with open(path, "w", newline="") as handle:
@@ -461,13 +441,15 @@ def write_detections_csv(records: Sequence[TrialRecord], path: str | Path) -> No
     detections, got 0).
     """
     ids = _CsvText()
-    texts = _TextById(lambda det: DETECTION_FIELDS % (ids[det.beacon_id], *det.pixel))
+    records = list(records)
+    dets = [det for rec in records for det in rec.detections]
+    texts = _texts_by_id(lambda det: DETECTION_FIELDS % (ids[det.beacon_id], *det.pixel), dets)
 
     def lines() -> Iterator[str]:
         for rec in records:
             index = ROW_INDEX % (rec.point_index, rec.trial_index)
-            for det in rec.detections:
-                yield index + (texts.get(id(det)) or texts.add(det))
+            for _ in rec.detections:
+                yield index + next(texts)
 
     _write_csv(path, DETECTION_COLUMNS, lines())
 
@@ -540,13 +522,19 @@ def _set_index(keys: Iterable[Hashable]) -> tuple[np.ndarray, dict]:
     return (np.cumsum(group == np.arange(len(group))) - 1)[group], first
 
 
+def _texts_by_id(format: Callable, objs: Sequence) -> Iterator[str]:
+    """format(obj) of each object, once per distinct object: _set_index numbers them by id(), so equal values
+    still print their own text (-0.0 == 0.0). objs keeps each object alive, so no id is reused meanwhile."""
+    number, first = _set_index(map(id, objs))
+    texts = np.array([format(objs[i]) for i in first.values()], dtype=object)
+    return iter(texts[number].tolist())
+
+
 def write_ground_truth_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
     """One row per trial; a CameraPose that several trials hold is formatted once."""
-    texts = _TextById(lambda pose: POSE_FIELDS % (*pose.position, pose.yaw_rad))
-    lines = (
-        TRUTH_LINE % (rec.point_index, rec.trial_index, texts.get(id(rec.pose)) or texts.add(rec.pose), rec.seed)
-        for rec in records
-    )
+    records = list(records)
+    poses = _texts_by_id(lambda pose: POSE_FIELDS % (*pose.position, pose.yaw_rad), [rec.pose for rec in records])
+    lines = (TRUTH_LINE % (rec.point_index, rec.trial_index, pose, rec.seed) for rec, pose in zip(records, poses))
     _write_csv(path, TRUTH_COLUMNS, lines)
 
 

@@ -24,7 +24,9 @@ import oracles
 from vlpkit import cli
 from vlpkit.cli import main, replicate_scene
 from vlpkit.io import (
+    DETECTION_COLUMNS,
     FIX_COLUMNS,
+    TRACK_COLUMNS,
     _record_table,
     read_detections_csv,
     read_fixes_csv,
@@ -1004,6 +1006,16 @@ def _detection_row_lacks_beacon_id(tmp_path):
     return ["locate", "--scene", _default_scene_file(tmp_path), "--detections", path]
 
 
+def _locate_detections(tmp_path, *lines):
+    path = _write_lines(tmp_path / "detections.csv", *lines)
+    return ["locate", "--scene", _default_scene_file(tmp_path), "--detections", path]
+
+
+def _rotation_tracks(tmp_path, *lines):
+    path = _write_lines(tmp_path / "tracks.csv", ",".join(TRACK_COLUMNS), *lines)
+    return ["calibrate", "--scene", _default_scene_file(tmp_path), "--calibration", "rotation", "--tracks", path]
+
+
 def _track_row_lacks_track_id(tmp_path):
     path = _write_lines(tmp_path / "tracks.csv", "sample_index,u_px,v_px,track_id", "0,1.0,2.0,A", "1,2.0,3.0")
     return ["calibrate", "--scene", _default_scene_file(tmp_path), "--calibration", "rotation", "--tracks", path]
@@ -1058,6 +1070,7 @@ def _out_is_under_a_file(tmp_path):
         lambda tmp_path: _scene_text(tmp_path, "1" * 5_000),
         _detection_row_lacks_beacon_id,
         _track_row_lacks_track_id,
+        lambda tmp_path: _locate_detections(tmp_path, ",".join(DETECTION_COLUMNS)),
         lambda tmp_path: _dispersion_fixes(tmp_path, "0.0"),
         lambda tmp_path: _dispersion_fixes(tmp_path, "nan"),
         _out_is_a_file,
@@ -1082,6 +1095,7 @@ def _out_is_under_a_file(tmp_path):
         "scene-integer-too-long",
         "detection-row-lacks-beacon-id",
         "track-row-lacks-track-id",
+        "detections-header-only",
         "fix-heights-zero",
         "fix-height-nan",
         "out-is-file",
@@ -1167,6 +1181,25 @@ def test_a_fixes_file_without_an_ok_row_is_named(tmp_path, capsys, command):
     capsys.readouterr()
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {fixes}: no row has status ok\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda tmp_path: _locate_detections(tmp_path, ",".join(DETECTION_COLUMNS)), "no detection rows"),
+        (lambda tmp_path: _locate_detections(tmp_path, ",".join(DETECTION_COLUMNS), "", ""), "no detection rows"),
+        (_rotation_tracks, "no rotation track could be fitted"),
+        (lambda tmp_path: _rotation_tracks(tmp_path, "A,0,1,1", "A,1,2,2", "A,2,3,3"), "no rotation track could be fitted"),
+    ],
+    ids=["detections-header-only", "detections-header-and-blank-lines", "tracks-header-only", "tracks-one-collinear"],
+)
+def test_an_input_file_with_nothing_to_use_is_named(tmp_path, capsys, argv, message):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {args[-1]}: {message}\n")
     assert not (tmp_path / "out").exists()
 
 

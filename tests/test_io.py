@@ -745,15 +745,32 @@ def test_fixes_csv_round_trip_property(tmp_path_factory, method, rows):
 
 # Values whose six-decimal text keeps a sign that == cannot see, and any finite value.
 signed = st.sampled_from([0.0, -0.0, 1e-9, -1e-9]) | finite
+# The writers that take records: each with the record of the i-th object's row, and the template it formats one by.
+RECORD_WRITERS = {
+    "detections": (write_detections_csv, lambda i, det: _record((i, 0), [det]), "DETECTION_FIELDS"),
+    "ground_truth": (write_ground_truth_csv, lambda i, pose: TrialRecord(i, 0, pose, (), 0), "POSE_FIELDS"),
+}
+
+
+def _write_records(name, wrap=list):
+    """A writer of objects, one row each: RECORD_WRITERS[name] takes wrap() of their records."""
+    write, record, _ = RECORD_WRITERS[name]
+    return lambda objs, path: write(wrap(record(i, obj) for i, obj in enumerate(objs)), path)
+
+
+class _CountingTemplate(str):
+    """A %-template that counts the texts it formats."""
+
+    calls = 0
+
+    def __mod__(self, values):
+        self.calls += 1
+        return str.__mod__(self, values)
+
+
 SHARED_WRITERS = {
-    "detections": (
-        st.builds(Detection, ids, st.tuples(signed, signed)),
-        lambda dets, path: write_detections_csv([_record((i, 0), [det]) for i, det in enumerate(dets)], path),
-    ),
-    "ground_truth": (
-        st.builds(CameraPose, st.tuples(signed, signed, signed), signed),
-        lambda poses, path: write_ground_truth_csv([TrialRecord(i, 0, pose, (), 0) for i, pose in enumerate(poses)], path),
-    ),
+    "detections": (st.builds(Detection, ids, st.tuples(signed, signed)), _write_records("detections")),
+    "ground_truth": (st.builds(CameraPose, st.tuples(signed, signed, signed), signed), _write_records("ground_truth")),
     "fixes": (
         st.builds(
             PositionFix,
@@ -779,6 +796,14 @@ def test_rows_holding_one_object_write_the_bytes_of_fresh_copies(tmp_path_factor
     write(rows, base / "shared.csv")
     write([dataclasses.replace(obj) for obj in rows], base / "fresh.csv")
     assert (base / "shared.csv").read_bytes() == (base / "fresh.csv").read_bytes()
+    if name in RECORD_WRITERS:
+        # Records given as an iterator write the list's bytes, formatting each distinct object once.
+        field = RECORD_WRITERS[name][2]
+        template = _CountingTemplate(getattr(vlpkit.io, field))
+        with mock.patch.object(vlpkit.io, field, template):
+            _write_records(name, iter)(rows, base / "iterator.csv")
+        assert (base / "iterator.csv").read_bytes() == (base / "shared.csv").read_bytes()
+        assert template.calls == len({id(obj) for obj in rows})
 
 
 @pytest.mark.parametrize(
